@@ -1,8 +1,9 @@
 """Lower-level solvers for a fixed asset selection z.
 
 solve_lower_cp runs the scenario cutting-plane loop whose QP dimension stays
-at |supp(z)| + 2 regardless of the scenario count; solve_lower_lifted solves
-the exact per-scenario lifting as an oracle. Both expose the dual structure
+at |supp(z)| + 2 regardless of the scenario count; each inner QP adds one
+cut row and resumes the active-set solve of the one before it.
+solve_lower_lifted solves the exact per-scenario lifting as an oracle. Both expose the dual structure
 needed to build upper-level cuts: a DualCertificate whose objective
 -(gamma/2) z @ (omega * omega) - b @ zeta + lambda reproduces the lower bound
 and whose omega yields the subgradient -(gamma/2) omega^2.
@@ -83,48 +84,55 @@ def _aggregate(instance: Instance, J: np.ndarray):
     return pJ, rho
 
 
-def _reduced_qp(instance: Instance, support: np.ndarray, subsets: list):
+def _cut_rows(instance: Instance, support: np.ndarray, aggregates: list):
+    """Cut rows on (a, v, x_support): -(p_J a + rho_J x) / (1 - beta) - v <= 0."""
+    one_m_beta = 1.0 - instance.beta
+    rows = np.empty((len(aggregates), support.size + 2))
+    rows[:, 0] = [-pJ / one_m_beta for pJ, _ in aggregates]
+    rows[:, 1] = -1.0
+    rows[:, 2:] = [-rho[support] / one_m_beta for _, rho in aggregates]
+    return rows
+
+
+def _reduced_qp(instance: Instance, support: np.ndarray, aggregates: list,
+                start: np.ndarray, working: list):
     """QP over (a, v, x_support) with one aggregate row per subset.
 
-    Inequality row order: cut rows (one per subset), v >= 0, side rows,
-    x >= 0. The single equality row is the budget constraint.
+    Inequality row order: cut rows (one per subset, from its (p_J, rho_J)
+    aggregate), v >= 0, side rows, x >= 0. The single equality row is the
+    budget constraint. start and working warm-start the active-set solve.
     """
     K = support.size
-    one_m_beta = 1.0 - instance.beta
-    rows = []
-    for J in subsets:
-        pJ, rho = _aggregate(instance, J)
-        rows.append(np.concatenate([[-pJ / one_m_beta, -1.0],
-                                    -rho[support] / one_m_beta]))
-    rows.append(np.concatenate([[0.0, -1.0], np.zeros(K)]))
-    A_side = instance.side_A[:, support]
-    for i in range(A_side.shape[0]):
-        rows.append(np.concatenate([[0.0, 0.0], A_side[i]]))
-    for i in range(K):
-        row = np.zeros(K + 2)
-        row[2 + i] = -1.0
-        rows.append(row)
-    h = np.concatenate([np.zeros(len(subsets) + 1), instance.side_b,
-                        np.zeros(K)])
+    C = len(aggregates)
+    M = instance.side_b.size
+    G = np.zeros((C + 1 + M + K, K + 2))
+    G[:C] = _cut_rows(instance, support, aggregates)
+    G[C, 1] = -1.0
+    G[C + 1:C + 1 + M, 2:] = instance.side_A[:, support]
+    G[C + 1 + M:, 2:] = -np.eye(K)
+    h = np.concatenate([np.zeros(C + 1), instance.side_b, np.zeros(K)])
     return numeric.ConvexProgram(
         quad_diag=np.concatenate([[0.0, 0.0], np.full(K, 1.0 / instance.gamma)]),
         lin=np.concatenate([[1.0, 1.0], np.zeros(K)]),
-        ineq_G=np.array(rows),
+        ineq_G=G,
         ineq_h=h,
         eq_A=np.concatenate([[0.0, 0.0], np.ones(K)])[None, :],
         eq_b=np.array([1.0]),
+        start=start,
+        working=working,
     )
 
 
 def _support_feasible(instance: Instance, support: np.ndarray):
-    """Phase-1 check of {side_A x <= side_b, sum x = 1, x >= 0, x off-support = 0}."""
+    """Phase-1 point of {side_A x <= side_b, sum x = 1, x >= 0, x off-support = 0}
+    in support coordinates, or None when that set is empty."""
     K = support.size
     if K == 0:
-        return False
+        return None
     G = np.vstack([instance.side_A[:, support], -np.eye(K)])
     h = np.concatenate([instance.side_b, np.zeros(K)])
     chk = numeric.feasible(G, h, np.ones((1, K)), np.array([1.0]))
-    return chk.feasible
+    return chk.point if chk.feasible else None
 
 
 def _embed(support: np.ndarray, x_s: np.ndarray, n: int) -> np.ndarray:
@@ -143,18 +151,25 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     support = z.support()
-    if not _support_feasible(instance, support):
+    x0 = _support_feasible(instance, support)
+    if x0 is None:
         return None
 
     S = instance.n_scenarios
     subsets = [np.arange(S)]
+    aggregates = [_aggregate(instance, subsets[0])]
     seen = {subsets[0].tobytes()}
+    # cold start at the phase-1 point with a = 0 and v on the row holding
+    # it: the all-scenario cut (row 0) or v >= 0 (row 1)
+    v0 = float(_cut_rows(instance, support, aggregates)[0, 2:] @ x0)
+    start = np.concatenate([[0.0, max(v0, 0.0)], x0])
+    working = [0 if v0 >= 0.0 else 1]
     iters = 0
     while True:
         iters += 1
         if iters > MAX_INNER_ITERS:
             raise SolverError("inner cutting-plane loop exceeded iteration cap")
-        prog = _reduced_qp(instance, support, subsets)
+        prog = _reduced_qp(instance, support, aggregates, start, working)
         sol = numeric.solve(prog, skip_phase1=True)
         if sol.status != numeric.OPTIMAL:
             raise SolverError(f"lower-level QP ended with status {sol.status}")
@@ -174,9 +189,9 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
             portfolio = Portfolio(x_full, a_t, max(v_prime, 0.0))
             f_hi = float(x_full @ x_full / (2.0 * instance.gamma)
                          + a_t + max(v_prime, 0.0))
-            cert = recover_certificate(_collect_duals(sol, len(subsets) - (0 if duplicate else 1),
+            cert = recover_certificate(_collect_duals(sol, len(aggregates),
                                                       instance, support),
-                                       subsets, z, instance)
+                                       subsets, z, instance, aggregates)
             _check_certificate_value(cert, z, instance, f_lo)
             if iters > 30:
                 log.warning("inner loop took %d iterations", iters)
@@ -184,6 +199,15 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
                                subsets=subsets, certificate=cert, iters=iters)
         seen.add(J.tobytes())
         subsets.append(J)
+        aggregates.append(_aggregate(instance, J))
+        # warm start: v rises onto the new cut, which is tight there; the
+        # rows that held v (old cuts, v >= 0) leave the working set, and the
+        # rows after the cut block shift down by one
+        C = len(aggregates) - 1
+        start = sol.x.copy()
+        cut = _cut_rows(instance, support, aggregates[-1:])[0]
+        start[1] = max(start[1], float(cut[0] * start[0] + cut[2:] @ start[2:]))
+        working = [C] + [int(i) + 1 for i in sol.working if i > C]
 
 
 def _collect_duals(sol: numeric.Solution, n_cut_rows: int,
@@ -201,11 +225,12 @@ def _collect_duals(sol: numeric.Solution, n_cut_rows: int,
 
 
 def recover_certificate(qp_duals: dict, subsets: list, z: SelectionVector,
-                        instance: Instance) -> DualCertificate:
+                        instance: Instance, aggregates: list) -> DualCertificate:
     """Map reduced-QP multipliers to a feasible point of the reduced dual.
 
     alpha is indexed by `subsets`; subsets beyond the QP's cut rows (the
-    final, never-added one) get weight 0. omega is completed on unselected
+    final, never-added one) get weight 0. aggregates holds the (p_J, rho_J)
+    of each subset with a cut row. omega is completed on unselected
     coordinates by clipping the constraint bound at 0, which maximizes the
     dual objective there.
     """
@@ -217,17 +242,16 @@ def recover_certificate(qp_duals: dict, subsets: list, z: SelectionVector,
     lam = -float(qp_duals["eq"])
 
     bound = np.full(instance.n_assets, lam)
-    for a_J, J in zip(alpha, subsets):
+    weighted = 0.0
+    for a_J, (pJ, rho) in zip(alpha, aggregates):
         if a_J > 0.0:
-            _, rho = _aggregate(instance, J)
             bound += (a_J / one_m_beta) * rho
+            weighted += a_J * pJ
     if zeta.size:
         bound -= instance.side_A.T @ zeta
     omega = np.maximum(bound, 0.0)
 
     total = float(alpha.sum())
-    weighted = float(sum(a_J * instance.probs[J].sum()
-                         for a_J, J in zip(alpha, subsets)))
     if total > 1.0 + 1e-9:
         raise CertificateError(f"alpha weights sum to {total}, above 1")
     if abs(weighted - one_m_beta) > 1e-8:
@@ -263,7 +287,7 @@ def solve_lower_lifted(z: SelectionVector, instance: Instance):
     lambda, and the completed omega vector.
     """
     support = z.support()
-    if not _support_feasible(instance, support):
+    if _support_feasible(instance, support) is None:
         return None
     K = support.size
     S = instance.n_scenarios

@@ -1,11 +1,20 @@
-"""Dense LP and convex-QP solvers with dual-multiplier extraction.
+"""LP and convex-QP solvers with dual-multiplier extraction.
 
-Two engines behind one entry point: a two-phase tableau simplex for pure LPs
-(exact vertex solutions and duals, which the degenerate master relaxations
-need) and a Mehrotra predictor-corrector interior-point method for quadratic
-objectives. ScenarioProgram routes the interior-point iterations through a
-structured KKT backend so the per-scenario block costs O(S) memory and
-O(S T^2) work per iteration instead of a dense factorization in S.
+Three engines behind one entry point, one per kind of problem:
+- a two-phase tableau simplex for pure LPs and for the phase-1 feasibility
+  check (`feasible`), whose point also starts the active-set method;
+- a primal active-set method for dense ConvexProgram QPs, such as the
+  (|supp z| + 2)-dimensional scenario-cut QP of the lower level. It starts
+  from a feasible point, optionally with a working set carried over from a
+  related solve (ConvexProgram.start / .working), and hands its final
+  working set back on the Solution so a caller adding one row can resume;
+- a Mehrotra predictor-corrector interior-point method for ScenarioProgram
+  (the lifted CP and big-M programs). It runs on a structured KKT backend,
+  so the per-scenario block costs O(S) memory and O(S T^2) work per
+  iteration instead of a dense factorization in S.
+A QP point and multipliers that did not come out of the interior-point
+loop's own convergence test (every active-set result, and a rescued
+scenario solve) are Optimal only after a full KKT check.
 
 Sign convention, relied on by every caller that touches duals:
     minimize 0.5 x @ diag(quad_diag) @ x + lin @ x
@@ -28,6 +37,7 @@ __all__ = [
     "INFEASIBLE",
     "UNBOUNDED",
     "ITER_LIMIT",
+    "NUMERICAL_ERROR",
     "ConvexProgram",
     "ScenarioProgram",
     "Solution",
@@ -40,6 +50,7 @@ OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 ITER_LIMIT = "IterLimit"
+NUMERICAL_ERROR = "NumericalError"
 
 FEAS_TOL = 1e-9
 IPM_TOL = 1e-9
@@ -54,7 +65,14 @@ def _empty_rows(n: int) -> np.ndarray:
 
 @dataclass
 class ConvexProgram:
-    """min 0.5 x diag(quad_diag) x + lin @ x s.t. ineq_G x <= ineq_h, eq_A x = eq_b."""
+    """min 0.5 x diag(quad_diag) x + lin @ x s.t. ineq_G x <= ineq_h, eq_A x = eq_b.
+
+    start and working warm-start the active-set method of a QP: start is a
+    feasible point, working the inequality rows tight at start that it
+    keeps tight (linearly independent of each other and of eq_A). Without
+    working the method starts from no tight rows; without start, from the
+    phase-1 point. The LP and ScenarioProgram paths ignore both.
+    """
 
     quad_diag: np.ndarray
     lin: np.ndarray
@@ -62,6 +80,8 @@ class ConvexProgram:
     ineq_h: np.ndarray
     eq_A: np.ndarray
     eq_b: np.ndarray
+    start: np.ndarray | None = None
+    working: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.lin = np.asarray(self.lin, dtype=float).ravel()
@@ -83,6 +103,14 @@ class ConvexProgram:
             raise ValueError("ineq_G rows must match ineq_h")
         if self.eq_A.shape[0] != self.eq_b.size:
             raise ValueError("eq_A rows must match eq_b")
+        if self.start is not None:
+            self.start = np.asarray(self.start, dtype=float).ravel()
+            if self.start.size != n:
+                raise ValueError("start length must match lin")
+        if self.working is not None:
+            self.working = np.asarray(self.working, dtype=int).ravel()
+            if np.any((self.working < 0) | (self.working >= self.ineq_h.size)):
+                raise ValueError("working rows out of range")
 
     @property
     def n(self) -> int:
@@ -132,11 +160,16 @@ class ScenarioProgram:
 
 @dataclass
 class Solution:
+    """working: the final working set of the active-set method (None on the
+    other paths); iters: iterations of whichever engine ran."""
+
     status: str
     x: np.ndarray
     obj: float
     ineq_duals: np.ndarray
     eq_duals: np.ndarray
+    working: np.ndarray | None = None
+    iters: int = 0
 
 
 @dataclass
@@ -323,7 +356,7 @@ def _lp_solve(c, G, h, A, b):
     x = res.v[:n] - res.v[n:2 * n]
     lam = np.maximum(-res.y[:m], 0.0)
     nu = -res.y[m:]
-    return Solution(OPTIMAL, x, float(c @ x), lam, nu)
+    return Solution(OPTIMAL, x, float(c @ x), lam, nu, iters=res.iters)
 
 
 def feasible(G, h, A_eq, b_eq) -> Feasibility:
@@ -389,60 +422,6 @@ class _ShiftedLU:
             self._next_factor()
             sol = scipy.linalg.lu_solve(self.lu, rhs, check_finite=False)
         return sol
-
-
-class _DenseKKT:
-    """Dense normal-equations backend for the predictor-corrector loop."""
-
-    def __init__(self, prog: ConvexProgram):
-        self.Pd = prog.quad_diag
-        self.q = prog.lin
-        self.G = prog.ineq_G
-        self.h = prog.ineq_h
-        self.A = prog.eq_A
-        self.b = prog.eq_b
-        self.nvar = prog.n
-        self.m = self.h.size
-        self.p = self.b.size
-        self._lu = None
-
-    def init_x(self):
-        if self.p:
-            return np.linalg.lstsq(self.A, self.b, rcond=None)[0]
-        return np.zeros(self.nvar)
-
-    def init_duals(self):
-        return np.ones(self.m), np.ones(self.m)
-
-    def mul_P(self, x):
-        return self.Pd * x
-
-    def mul_G(self, x):
-        return self.G @ x
-
-    def mul_GT(self, y):
-        return self.G.T @ y
-
-    def mul_A(self, x):
-        return self.A @ x
-
-    def mul_AT(self, y):
-        return self.A.T @ y
-
-    def factor(self, d):
-        M = (self.G * d[:, None]).T @ self.G
-        M[np.diag_indices_from(M)] += self.Pd + _REG
-        if self.p:
-            K = np.block([[M, self.A.T],
-                          [self.A, -_REG * np.eye(self.p)]])
-        else:
-            K = M
-        self._lu = _ShiftedLU(K, self.nvar)
-
-    def solve_kkt(self, rx, re):
-        rhs = np.concatenate([rx, re]) if self.p else rx
-        sol = self._lu.solve(rhs)
-        return sol[:self.nvar], sol[self.nvar:]
 
 
 class _ArrowKKT:
@@ -604,7 +583,7 @@ def _ipm(kk, max_iter=IPM_MAX_ITER, tol=IPM_TOL):
     recent = deque(maxlen=8)
     stall = 0
 
-    for _ in range(max_iter):
+    for it in range(max_iter):
         Gx = kk.mul_G(x)
         r_p = Gx + s - kk.h
         r_e = kk.mul_A(x) - kk.b
@@ -618,9 +597,9 @@ def _ipm(kk, max_iter=IPM_MAX_ITER, tol=IPM_TOL):
         dual_res = np.max(np.abs(r_d), initial=0.0)
         if (prim_res <= tol * rhs_scale and dual_res <= tol * q_scale
                 and comp <= tol * (1.0 + abs(obj))):
-            return Solution(OPTIMAL, x, obj, lam, nu)
+            return Solution(OPTIMAL, x, obj, lam, nu, iters=it)
         if np.max(np.abs(x)) > _DIVERGE:
-            return Solution(UNBOUNDED, x, obj, lam, nu)
+            return Solution(UNBOUNDED, x, obj, lam, nu, iters=it)
 
         # once primal feasibility and the gap are done, a dual residual that
         # stops improving is a rounding floor; hand the iterate back so the
@@ -631,7 +610,7 @@ def _ipm(kk, max_iter=IPM_MAX_ITER, tol=IPM_TOL):
             floor = min(recent) if recent else np.inf
             stall = 0 if dual_res < 0.9 * floor else stall + 1
             if stall >= 20:
-                return Solution(ITER_LIMIT, x, obj, lam, nu)
+                return Solution(ITER_LIMIT, x, obj, lam, nu, iters=it)
         recent.append(dual_res)
 
         d = lam / s
@@ -673,39 +652,123 @@ def _ipm(kk, max_iter=IPM_MAX_ITER, tol=IPM_TOL):
         nu = nu + alpha * dnu
 
     obj = float(0.5 * (x @ kk.mul_P(x)) + kk.q @ x)
-    return Solution(ITER_LIMIT, x, obj, lam, nu)
+    return Solution(ITER_LIMIT, x, obj, lam, nu, iters=max_iter)
 
 
-def _solve_unconstrained(prog: ConvexProgram) -> Solution:
-    P, q = prog.quad_diag, prog.lin
-    x = np.zeros(prog.n)
-    pos = P > 0
-    x[pos] = -q[pos] / P[pos]
-    if np.any(np.abs(q[~pos]) > 1e-12):
-        return Solution(UNBOUNDED, x, -np.inf, np.zeros(0), np.zeros(0))
-    obj = float(0.5 * (x @ (P * x)) + q @ x)
-    return Solution(OPTIMAL, x, obj, np.zeros(0), np.zeros(0))
+def _kkt_converged(prim_res, dual_res, comp, obj, h, b, q) -> bool:
+    """Acceptance gate for a point and multipliers that did not come out of
+    the interior-point loop's own convergence test."""
+    rhs_scale = 1.0 + max(np.max(np.abs(h), initial=0.0),
+                          np.max(np.abs(b), initial=0.0))
+    q_scale = 1.0 + np.max(np.abs(q), initial=0.0)
+    return (prim_res <= IPM_TOL * rhs_scale
+            and dual_res <= IPM_TOL * q_scale
+            and comp <= 10.0 * IPM_TOL * (1.0 + abs(obj)))
 
 
-def _solve_eq_qp(prog: ConvexProgram) -> Solution:
-    n, p = prog.n, prog.eq_b.size
-    K = np.zeros((n + p, n + p))
-    K[np.arange(n), np.arange(n)] = prog.quad_diag
-    K[:n, n:] = prog.eq_A.T
-    K[n:, :n] = prog.eq_A
-    rhs = np.concatenate([-prog.lin, prog.eq_b])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    x, nu = sol[:n], sol[n:]
-    if np.max(np.abs(prog.eq_A @ x - prog.eq_b), initial=0.0) > 1e-7:
-        return Solution(INFEASIBLE, x, np.nan, np.zeros(0), nu)
-    stat = prog.quad_diag * x + prog.lin + prog.eq_A.T @ nu
-    if np.max(np.abs(stat), initial=0.0) > 1e-7 * (1.0 + np.max(np.abs(prog.lin), initial=0.0)):
-        return Solution(UNBOUNDED, x, -np.inf, np.zeros(0), nu)
-    obj = float(0.5 * (x @ (prog.quad_diag * x)) + prog.lin @ x)
-    return Solution(OPTIMAL, x, obj, np.zeros(0), nu)
+# ---------------------------------------------------------------------------
+# primal active-set method (dense QPs)
+
+_RANK_TOL = 1e-12    # singular values below this share of the largest are 0
+_FLAT_TOL = 1e-10    # reduced curvature below this share of max(quad_diag)
+_BLOCK_TOL = 1e-12   # a row blocks only a step that turns into it this much
+
+
+def _face_step(P, g, Z, flat_tol, grad_tol):
+    """Step to the minimizer of the objective on the face {x + Z u}.
+
+    Returns (d, ray). When the objective has no curvature along some
+    direction of the face and still falls along it, the minimizer is at
+    infinity: d is then that direction at unit length and ray is True, so
+    the caller moves exactly to the first blocking row. On a flat direction
+    where the objective is level, the step leaves that coordinate alone.
+    """
+    gz = Z.T @ g
+    w, V = np.linalg.eigh((Z.T * P) @ Z)
+    flat = w <= flat_tol
+    if flat.any():
+        fall = V[:, flat] @ (V[:, flat].T @ gz)
+        if np.abs(fall).max() > grad_tol:
+            d = -Z @ fall
+            return d / np.sqrt(d @ d), True
+    curved = ~flat
+    return -Z @ (V[:, curved] @ ((V[:, curved].T @ gz) / w[curved])), False
+
+
+def _active_set(prog: ConvexProgram, x: np.ndarray, work: list) -> Solution:
+    """Primal active-set method from a feasible point x.
+
+    work lists inequality rows tight at x and linearly independent of each
+    other and of the equality rows. Each pass moves to the minimizer on the
+    face of the working rows, stopping at the first row that blocks the move
+    (which joins the working set); at a face minimizer the row with the most
+    negative multiplier leaves, and when none is negative the point is
+    optimal. Zero-curvature directions (a and v in the scenario-cut QP) are
+    handled exactly by _face_step, so a flat ray costs one pass. The
+    returned Solution carries the final working set.
+    """
+    P, c = prog.quad_diag, prog.lin
+    G, h, A, b = prog.ineq_G, prog.ineq_h, prog.eq_A, prog.eq_b
+    n, m, p = prog.n, h.size, b.size
+    x = np.array(x, dtype=float)
+    work = [int(i) for i in work]
+    flat_tol = _FLAT_TOL * float(P.max())
+    # a flat face whose objective falls by less than grad_tol counts as
+    # level; a multiplier above -lam_tol is rounding, and clamping it to 0
+    # moves the dual residual far less than the KKT gate allows
+    grad_tol = 0.1 * IPM_TOL * (1.0 + np.max(np.abs(c), initial=0.0))
+    lam_tol = 0.01 * grad_tol
+    row_norm = np.linalg.norm(G, axis=1)
+    max_iter = 50 + 5 * (n + m)
+    for it in range(1, max_iter + 1):
+        act = np.vstack([A, G[work]])
+        if act.shape[0]:
+            U, sv, Vt = np.linalg.svd(act)
+            rank = int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
+        else:
+            U, sv, Vt, rank = None, None, np.eye(n), 0
+        g = P * x + c
+        if rank < n:
+            d, ray = _face_step(P, g, Vt[rank:].T, flat_tol, grad_tol)
+            if ray or np.abs(d).max() > 1e-13 * (1.0 + np.abs(x).max()):
+                Gd = G @ d
+                Gd[work] = 0.0
+                moving = np.flatnonzero(
+                    Gd > _BLOCK_TOL * np.sqrt(d @ d) * row_norm)
+                ratios = (np.maximum(h[moving] - G[moving] @ x, 0.0)
+                          / Gd[moving])
+                j = int(np.argmin(ratios)) if moving.size else -1
+                if ray and j < 0:
+                    return Solution(UNBOUNDED, x, -np.inf, np.zeros(m),
+                                    np.zeros(p), np.array(work), it)
+                blocked = j >= 0 and (ray or ratios[j] < 1.0)
+                x = x + (ratios[j] if blocked else 1.0) * d
+                if blocked:
+                    work.append(int(moving[j]))
+                    continue
+                g = P * x + c
+        # x minimizes the objective on the working face: price the rows
+        y = (U[:, :rank] @ ((Vt[:rank] @ -g) / sv[:rank]) if rank
+             else np.zeros(p + len(work)))
+        lam_w = y[p:]
+        if lam_w.size and lam_w.min() < -lam_tol:
+            work.pop(int(np.argmin(lam_w)))
+            continue
+        lam = np.zeros(m)
+        lam[work] = np.maximum(lam_w, 0.0)
+        nu = y[:p]
+        obj = float(0.5 * (x @ (P * x)) + c @ x)
+        slack = h - G @ x
+        prim_res = max(np.max(-slack, initial=0.0),
+                       np.max(np.abs(A @ x - b), initial=0.0))
+        dual_res = np.abs(P * x + c + G.T @ lam + A.T @ nu).max()
+        comp = float(np.maximum(slack, 0.0) @ lam)
+        status = (OPTIMAL if _kkt_converged(prim_res, dual_res, comp, obj,
+                                            h, b, c) else NUMERICAL_ERROR)
+        return Solution(status, x, obj, lam, nu, np.array(work), it)
+    obj = float(0.5 * (x @ (P * x)) + c @ x)
+    return Solution(ITER_LIMIT, x, obj, np.zeros(m), np.zeros(p),
+                    np.array(work), max_iter)
 
 
 def solve(prog, skip_phase1: bool = False) -> Solution:
@@ -714,102 +777,25 @@ def solve(prog, skip_phase1: bool = False) -> Solution:
     Infeasibility is decided by a phase-1 check before the main solve
     (integrated into phase 1 of the simplex on the LP path). skip_phase1
     lets hot loops that already verified feasibility of the same polytope
-    bypass the repeated check.
+    bypass the repeated check; a dense QP without a start point still runs
+    phase 1, since its point is where the active-set method begins.
     """
     if isinstance(prog, ScenarioProgram):
         return _solve_scenario(prog, skip_phase1)
-    m, p = prog.ineq_h.size, prog.eq_b.size
     if np.all(prog.quad_diag == 0.0):
         return _lp_solve(prog.lin, prog.ineq_G, prog.ineq_h,
                          prog.eq_A, prog.eq_b)
-    if m + p == 0:
-        return _solve_unconstrained(prog)
-    if not skip_phase1:
+    start = prog.start
+    if start is None or not skip_phase1:
         chk = feasible(prog.ineq_G, prog.ineq_h, prog.eq_A, prog.eq_b)
         if not chk.feasible:
             return Solution(INFEASIBLE, np.zeros(prog.n), np.nan,
-                            np.zeros(m), np.zeros(p))
-    if m == 0:
-        return _solve_eq_qp(prog)
-    sol = _ipm(_DenseKKT(prog))
-    if sol.status != ITER_LIMIT:
-        return sol
-    return _verify_dense_rescue(prog, sol)
-
-
-def _rescue_dense(prog: ConvexProgram, x0: np.ndarray):
-    """Active-set refinement of a stalled dense-QP iterate.
-
-    Rows within a wide activity band of the iterate seed the working set;
-    each pass solves the equality-constrained QP on that set, then drops the
-    most negative multiplier or adds the most violated row. The caller's KKT
-    verification rejects a bad refinement, so the pass cap needs no
-    anti-cycling bookkeeping. Returns (x, ineq_duals, eq_duals) or None.
-    """
-    if not np.all(np.isfinite(x0)):
-        return None
-    P, c = prog.quad_diag, prog.lin
-    G, h = prog.ineq_G, prog.ineq_h
-    A, b = prog.eq_A, prog.eq_b
-    n, m, p = prog.n, h.size, b.size
-    band = 1e-3 * (1.0 + np.abs(h))
-    work = np.flatnonzero(h - G @ x0 <= band).tolist()
-    for _ in range(50 + 2 * m):
-        stack = np.vstack([A, G[work]])
-        dim = n + p + len(work)
-        K = np.zeros((dim, dim))
-        # the ridge keeps K nonsingular when a zero-curvature variable has
-        # no working row yet; it blows such directions up to ~1e10, and the
-        # most-violated-row step then brings in the constraint that binds
-        K[np.arange(n), np.arange(n)] = P + 1e-10
-        K[:n, n:] = stack.T
-        K[n:, :n] = stack
-        rhs = np.concatenate([-c, b, h[work]])
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        x = sol[:n]
-        nu = sol[n:n + p]
-        lam_w = sol[n + p:]
-        if lam_w.size and float(lam_w.min()) < -1e-9:
-            work.pop(int(np.argmin(lam_w)))
-            continue
-        viol = G @ x - h
-        viol[work] = -np.inf
-        worst = int(np.argmax(viol))
-        if viol[worst] > 1e-9 * (1.0 + abs(h[worst])):
-            work.append(worst)
-            continue
-        lam = np.zeros(m)
-        lam[work] = np.maximum(lam_w, 0.0)
-        return x, lam, nu
-    return None
-
-
-def _verify_dense_rescue(prog: ConvexProgram, sol: Solution) -> Solution:
-    """Gate a dense rescue behind a full KKT check, as in the scenario path."""
-    rescued = _rescue_dense(prog, sol.x)
-    if rescued is None:
-        return sol
-    x, lam, nu = rescued
-    P, c = prog.quad_diag, prog.lin
-    G, h = prog.ineq_G, prog.ineq_h
-    A, b = prog.eq_A, prog.eq_b
-    r_d = P * x + c + G.T @ lam + A.T @ nu
-    s = h - G @ x
-    comp = float(np.maximum(s, 0.0) @ lam)
-    obj = float(0.5 * (x @ (P * x)) + c @ x)
-    rhs_scale = 1.0 + max(np.max(np.abs(h), initial=0.0),
-                          np.max(np.abs(b), initial=0.0))
-    q_scale = 1.0 + np.max(np.abs(c), initial=0.0)
-    prim_res = max(np.max(-s, initial=0.0),
-                   np.max(np.abs(A @ x - b), initial=0.0))
-    if (prim_res <= IPM_TOL * rhs_scale
-            and np.max(np.abs(r_d), initial=0.0) <= IPM_TOL * q_scale
-            and comp <= 10.0 * IPM_TOL * (1.0 + abs(obj))):
-        return Solution(OPTIMAL, x, obj, lam, nu)
-    return sol
+                            np.zeros(prog.ineq_h.size),
+                            np.zeros(prog.eq_b.size))
+        if start is None:
+            start = chk.point
+    return _active_set(prog, start,
+                       [] if prog.working is None else prog.working)
 
 
 def _rescue_scenario(sp: ScenarioProgram, kk: _ArrowKKT, x: np.ndarray,
@@ -915,13 +901,9 @@ def _solve_scenario(sp: ScenarioProgram, skip_phase1: bool,
     r_e = kk.mul_A(x) - kk.b
     comp = float(np.maximum(s, 0.0) @ lam)
     obj = float(0.5 * (x @ kk.mul_P(x)) + kk.q @ x)
-    rhs_scale = 1.0 + max(np.max(np.abs(kk.h), initial=0.0),
-                          np.max(np.abs(kk.b), initial=0.0))
-    q_scale = 1.0 + np.max(np.abs(kk.q), initial=0.0)
     prim_res = max(np.max(np.abs(r_p), initial=0.0),
                    np.max(np.abs(r_e), initial=0.0))
-    if (prim_res <= IPM_TOL * rhs_scale
-            and np.max(np.abs(r_d), initial=0.0) <= IPM_TOL * q_scale
-            and comp <= 10.0 * IPM_TOL * (1.0 + abs(obj))):
-        return Solution(OPTIMAL, x, obj, lam, nu)
+    if _kkt_converged(prim_res, np.max(np.abs(r_d), initial=0.0), comp, obj,
+                      kk.h, kk.b, kk.q):
+        return Solution(OPTIMAL, x, obj, lam, nu, iters=sol.iters)
     return sol

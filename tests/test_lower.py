@@ -1,7 +1,11 @@
 """Tests for the fixed-selection lower-level solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardcvar import lower, numeric
 from cardcvar.model import (
@@ -281,3 +285,87 @@ def test_rejects_negative_delta():
     inst = two_asset_instance()
     with pytest.raises(ValueError):
         lower.solve_lower_cp(SelectionVector([1, 1]), inst, -1e-6)
+
+
+def test_warm_and_cold_reduced_qps_agree(monkeypatch):
+    """Every warm-started reduced QP of the loop re-solved from a cold
+    phase-1 start reaches the same objective and portfolio."""
+    rng = np.random.default_rng(31)
+    progs = []
+    real_solve = numeric.solve
+
+    def spy(prog, skip_phase1=False):
+        progs.append(prog)
+        return real_solve(prog, skip_phase1)
+
+    monkeypatch.setattr(numeric, "solve", spy)
+    for trial in range(12):
+        n = int(rng.integers(2, 9))
+        inst = random_instance(rng, n, int(rng.integers(10, 120)),
+                               beta=(0.9 if trial % 2 else 0.75),
+                               with_return_row=bool(trial % 3 == 0))
+        lower.solve_lower_cp(random_selection(rng, n), inst, 1e-7)
+    # cut rows are the rows with a nonzero coefficient on a; every QP after
+    # the first of a loop is warm-started
+    warm = [p for p in progs if np.count_nonzero(p.ineq_G[:, 0]) > 1]
+    assert len(warm) >= 10
+    for prog in warm:
+        w = real_solve(prog, skip_phase1=True)
+        c = real_solve(dataclasses.replace(prog, start=None, working=None))
+        assert w.status == numeric.OPTIMAL and c.status == numeric.OPTIMAL
+        assert w.obj == pytest.approx(c.obj, abs=1e-9 * (1 + abs(c.obj)))
+        np.testing.assert_allclose(w.x[2:], c.x[2:], atol=1e-7)
+
+
+# Scenario grids with few distinct values: rows repeat, assets can be
+# constant, and losses tie at the beta-quantile (S (1 - beta) is integral
+# for S = 10 or 20 at beta = 0.9 or 0.5).
+_grid = st.sampled_from([-0.04, -0.02, 0.0, 0.01, 0.03])
+
+
+@st.composite
+def lower_cases(draw):
+    n = draw(st.integers(1, 4))
+    S = draw(st.sampled_from([2, 5, 10, 20]))
+    distinct = draw(st.integers(1, S))
+    rows = [draw(st.lists(_grid, min_size=n, max_size=n))
+            for _ in range(distinct)]
+    scen = np.array([rows[draw(st.integers(0, distinct - 1))]
+                     for _ in range(S)])
+    flat = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    scen[:, flat] = 0.01            # zero-variance assets
+    beta = draw(st.sampled_from([0.5, 0.9]))
+    inst = Instance(n_assets=n, scenarios=scen, probs=np.full(S, 1.0 / S),
+                    side_A=np.zeros((0, n)), side_b=[], beta=beta,
+                    gamma=draw(st.sampled_from([0.5, 2.0])), k=n)
+    if draw(st.booleans()):
+        mu = inst.expected_returns
+        A, b = build_feasible_set(inst, float(0.5 * (mu.min() + mu.max())))
+        inst = Instance(n_assets=n, scenarios=scen, probs=inst.probs,
+                        side_A=A, side_b=b, beta=beta, gamma=inst.gamma, k=n)
+    if draw(st.booleans()):
+        bits = np.zeros(n, dtype=int)           # k = 1
+        bits[draw(st.integers(0, n - 1))] = 1
+    else:
+        bits = np.array(draw(st.lists(st.integers(0, 1), min_size=n,
+                                      max_size=n)))
+    return inst, SelectionVector(bits), draw(st.sampled_from([0.0, 1e-6]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(lower_cases())
+def test_sandwich_property_on_degenerate_instances(case):
+    inst, z, delta = case
+    res = lower.solve_lower_cp(z, inst, delta)
+    exact = lower.solve_lower_lifted(z, inst)
+    assert (res is None) == (exact is None)
+    if res is None:
+        return
+    f = exact[0]
+    tol = 1e-8 * (1.0 + abs(f))
+    assert res.f_lo <= f + tol
+    assert f <= res.f_hi + tol
+    assert res.f_hi <= res.f_lo + delta + tol
+    value = lower.certificate_objective(res.certificate, z, inst)
+    assert value == pytest.approx(res.f_lo, abs=1e-6 * (1 + abs(res.f_lo)))
+    res.portfolio.validate()

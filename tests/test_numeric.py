@@ -5,6 +5,7 @@ import pytest
 
 from cardcvar.numeric import (
     INFEASIBLE,
+    NUMERICAL_ERROR,
     OPTIMAL,
     UNBOUNDED,
     ConvexProgram,
@@ -385,9 +386,74 @@ def test_scenario_program_infeasible_core():
     assert sol.status == INFEASIBLE
 
 
+def flat_ray_program():
+    """Reduced scenario-cut QP over (a, v, x1, x2) at S=10, beta=0.9 with
+    two cuts: all scenarios, and the single worst one. The second cut has
+    p_J = 1 - beta, so on its face a + v is level along (a, v) = (-1, 1)."""
+    R = np.array([[0.05, 0.02], [-0.08, 0.01], [0.03, -0.04], [0.01, 0.06],
+                  [-0.02, -0.03], [0.07, 0.00], [0.00, 0.04], [-0.05, 0.05],
+                  [0.04, -0.01], [0.02, 0.03]])
+    p = np.full(10, 0.1)
+    one_m_beta = 1.0 - 0.9
+    worst = int(np.argmin(R @ np.array([0.5, 0.5])))
+    cuts = [(1.0, p @ R), (p[worst], p[worst] * R[worst])]
+    G = [np.concatenate([[-pJ / one_m_beta, -1.0], -rho / one_m_beta])
+         for pJ, rho in cuts]
+    G += [[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0]]
+    return make_prog(P=[0.0, 0.0, 1.0, 1.0], q=[1.0, 1.0, 0.0, 0.0],
+                     G=np.array(G), h=np.zeros(5), A=[[0.0, 0.0, 1.0, 1.0]],
+                     b=[1.0])
+
+
+def test_flat_ray_reaches_optimal_in_few_iterations():
+    prog = flat_ray_program()
+    cold = solve(prog)
+    # warm start as the cutting-plane loop hands it over: v raised onto the
+    # new (flat) cut, which is the only working row
+    x = np.array([0.0, 0.0, 0.5, 0.5])
+    x[1] = prog.ineq_G[1, [0, 2, 3]] @ x[[0, 2, 3]]
+    prog.start, prog.working = x, np.array([1])
+    warm = solve(prog, skip_phase1=True)
+    for sol in (cold, warm):
+        assert sol.status == OPTIMAL
+        assert sol.iters <= 6
+        prim, dual, comp = kkt_residuals(prog, sol)
+        assert max(prim, dual, comp) <= 1e-9
+        assert sol.obj == pytest.approx(lagrangian_dual_value(prog, sol),
+                                        abs=1e-10)
+    assert warm.obj == pytest.approx(cold.obj, abs=1e-12)
+    np.testing.assert_allclose(warm.x[2:], cold.x[2:], atol=1e-9)
+
+
+def test_active_set_returns_its_working_set():
+    # x0 >= 0.5 binds; the working set names that row and its multiplier
+    prog = make_prog(P=[1.0, 1.0], q=[0.0, -1.0], G=[[-1.0, 0.0], [0.0, 1.0]],
+                     h=[-0.5, 2.0])
+    sol = solve(prog)
+    assert sol.status == OPTIMAL
+    assert sol.working.tolist() == [0]
+    np.testing.assert_allclose(sol.x, [0.5, 1.0], atol=1e-12)
+    assert sol.ineq_duals == pytest.approx([0.5, 0.0], abs=1e-12)
+
+
+def test_infeasible_start_is_not_reported_optimal():
+    # the start violates x <= -1 and the objective never moves towards it:
+    # the KKT gate must catch the violation
+    prog = make_prog(P=[1.0], q=[0.0], G=[[1.0]], h=[-1.0])
+    prog.start = np.array([0.0])
+    sol = solve(prog, skip_phase1=True)
+    assert sol.status == NUMERICAL_ERROR
+
+
 def test_program_validation():
     with pytest.raises(ValueError):
         make_prog(P=[-1.0], q=[0.0])
     with pytest.raises(ValueError):
         ConvexProgram(quad_diag=[1.0], lin=[0.0], ineq_G=[[1.0]], ineq_h=[],
                       eq_A=None, eq_b=None)
+    with pytest.raises(ValueError):
+        ConvexProgram(quad_diag=[1.0], lin=[0.0], ineq_G=[[1.0]],
+                      ineq_h=[1.0], eq_A=None, eq_b=None, start=[0.0, 1.0])
+    with pytest.raises(ValueError):
+        ConvexProgram(quad_diag=[1.0], lin=[0.0], ineq_G=[[1.0]],
+                      ineq_h=[1.0], eq_A=None, eq_b=None, working=[1])
