@@ -35,6 +35,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 J_TOL = 1e-10          # strict-positivity tolerance for scenario selection
+GAP_NOISE = 1e-12      # relative size of a rounding-level gap past delta
 MAX_INNER_ITERS = 10_000
 
 
@@ -157,7 +158,8 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
 
     S = instance.n_scenarios
     subsets = [np.arange(S)]
-    aggregates = [_aggregate(instance, subsets[0])]
+    # the all-scenario subset aggregates to the expected returns, no gather
+    aggregates = [(float(instance.probs.sum()), instance.expected_returns)]
     seen = {subsets[0].tobytes()}
     # cold start at the phase-1 point with a = 0 and v on the row holding
     # it: the all-scenario cut (row 0) or v >= 0 (row 1)
@@ -180,12 +182,13 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
 
         duplicate = J.tobytes() in seen
         if v_prime - v_t <= delta or duplicate:
-            if duplicate and v_prime - v_t > delta:
+            f_lo = float(sol.obj)
+            if (duplicate and v_prime - v_t - delta
+                    > GAP_NOISE * (1.0 + abs(f_lo))):
                 log.warning("duplicate scenario subset at gap %.3e; stopping "
                             "on solver tolerance", v_prime - v_t)
             if not duplicate:
                 subsets = subsets + [J]
-            f_lo = float(sol.obj)
             portfolio = Portfolio(x_full, a_t, max(v_prime, 0.0))
             f_hi = float(x_full @ x_full / (2.0 * instance.gamma)
                          + a_t + max(v_prime, 0.0))

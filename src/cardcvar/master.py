@@ -3,11 +3,16 @@
 The feasible region is theta >= theta_lb, one affine row per optimality cut,
 one exclusion row per no-good cut, and the cardinality bound 1'z <= k with z
 binary. When the selection space is small enough to tabulate, master_solve
-scores every selection directly in lexicographic order; otherwise it runs
-branch and bound over coordinate boxes, bounding each box by every cut's
-exact minimum over it (cheap because cut gradients are nonpositive), with a
-second, depth-first pass extracting the lexicographically smallest optimal
-z. Either way reruns are reproducible.
+scores every selection directly. Selection codes split into a high part and
+a low part of up to 13 bits; block p pairs every high part with p ones with
+every low part with at most k - p ones, so each block is a dense 2-D array
+and a cut is scored into it by one broadcast outer sum of the gradient's
+subset sums over the two parts. Ties go to the lexicographically smallest
+selection. Otherwise master_solve runs branch and bound over coordinate
+boxes, bounding each box by every cut's exact minimum over it (cheap because
+cut gradients are nonpositive), with a second, depth-first pass extracting
+the lexicographically smallest optimal z. Either way reruns are
+reproducible.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +47,10 @@ NO_GOOD = "NoGood"
 _BB_TOL = 1e-9         # relative pruning and tie tolerance
 _NODE_LIMIT = 100_000_000
 _ENUM_LIMIT = 8_000_000   # tabulate the selection space up to this many rows
-_ENUM_CHUNK = 262_144     # selections scored per matvec when tabulated
+_ENUM_BITS = 64           # tabulated selection codes fit in uint64
+_ENUM_CHUNK = 65_536      # selections scored per broadcast outer sum
 _F64_ROWS = 100_000       # exact float64 scoring up to this table size
-_LUT_BITS = 13            # code bits covered by one subset-sum table
+_LO_BITS = 13             # code bits in the low part of the block layout
 _MW_ROUNDS = 8            # weight-ascent rounds per node bound
 
 
@@ -142,139 +149,157 @@ def _selection_count(n: int, k: int) -> int:
     return sum(math.comb(n, j) for j in range(min(k, n) + 1))
 
 
-_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)],
-                          dtype=np.uint8)
+class _Layout(NamedTuple):
+    """Popcount-block layout of the selections with at most k assets.
+
+    Bit n-1-j of a selection's code is coordinate j, so ascending codes are
+    lexicographic order. A code splits as hi << lo_bits | lo. Block p pairs
+    every high part with p ones (hi_codes[p], ascending) with the first
+    widths[p] low parts in lo_codes, which are exactly those with at most
+    k - p ones; lo_codes orders the low parts stably by popcount."""
+
+    k: int
+    lo_bits: int
+    lo_codes: np.ndarray
+    widths: tuple
+    hi_codes: tuple
+
+
+def _subset_sums(weights: np.ndarray, top: int) -> list:
+    """Entry p lists the sums of weights over every p-subset of positions,
+    p <= top, in ascending order of the code sum(2**t for t in subset).
+    Every sum accumulates from its lowest position up."""
+    blocks = [np.zeros(1, dtype=weights.dtype)] + [weights[:0]] * top
+    for t, w in enumerate(weights):
+        for p in range(min(t + 1, top), 0, -1):
+            blocks[p] = np.concatenate([blocks[p], blocks[p - 1] + w])
+    return blocks
+
+
+def _bit_weights(m: int) -> np.ndarray:
+    return np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
 
 
 @functools.lru_cache(maxsize=8)
-def _selection_codes(n: int, k: int) -> np.ndarray:
-    """Integer code of every selection with at most k assets, ascending.
-
-    Bit n-1-j of a code is coordinate j of the selection, so ascending
-    numeric order is lexicographic order over selections."""
-    if (1 << n) <= 1 << 26:
-        codes = np.arange(1 << n, dtype=np.uint32)
-        pop = np.zeros(codes.shape, dtype=np.uint8)
-        for shift in range(0, n, 8):
-            pop += _BYTE_POPCOUNT[(codes >> np.uint32(shift)) & np.uint32(0xFF)]
-        return codes[pop <= k]
-    vals = sorted(sum(1 << (n - 1 - j) for j in combo)
-                  for count in range(min(k, n) + 1)
-                  for combo in itertools.combinations(range(n), count))
-    return np.array(vals, dtype=np.uint64)
+def _layout(n: int, k: int) -> _Layout:
+    lo_bits = min(n, _LO_BITS)
+    lo = _subset_sums(_bit_weights(lo_bits), min(k, lo_bits))
+    hi = _subset_sums(_bit_weights(n - lo_bits), min(k, n - lo_bits))
+    counts = np.cumsum([part.size for part in lo])
+    widths = tuple(int(counts[min(k - p, lo_bits)]) for p in range(len(hi)))
+    lo_codes = np.concatenate(lo)
+    for arr in (lo_codes, *hi):
+        arr.flags.writeable = False
+    return _Layout(k, lo_bits, lo_codes, widths, tuple(hi))
 
 
 def _decode(code: int, n: int) -> np.ndarray:
-    return ((int(code) >> np.arange(n - 1, -1, -1)) & 1).astype(np.int64)
+    return np.array([(code >> (n - 1 - j)) & 1 for j in range(n)],
+                    dtype=np.int64)
 
 
 def _encode(bits: np.ndarray) -> int:
-    n = bits.size
-    return int(bits.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1,
-                                                       dtype=np.int64)))
+    return sum(1 << (bits.size - 1 - int(j)) for j in np.flatnonzero(bits))
 
 
-@functools.lru_cache(maxsize=8)
-def _lex_selections(n: int, k: int) -> np.ndarray:
-    """Every selection with at most k assets, one int8 row per selection,
-    in the same lexicographic order as _selection_codes."""
-    codes = _selection_codes(n, k)
-    table = np.empty((codes.size, n), dtype=np.int8)
-    weights = np.arange(n - 1, -1, -1).astype(codes.dtype)
-    for i0 in range(0, codes.size, _ENUM_CHUNK):
-        chunk = codes[i0:i0 + _ENUM_CHUNK, None]
-        table[i0:i0 + _ENUM_CHUNK] = (chunk >> weights) & codes.dtype.type(1)
-    return table
+def _score_cut(blocks: list, cut: Cut, layout: _Layout) -> None:
+    """Raise every selection's theta to the cut's value at it, one broadcast
+    outer sum of low-part and high-part gradient sums per block."""
+    dtype = blocks[0].dtype
+    n_hi = cut.grad.size - layout.lo_bits
+    lo = np.concatenate(_subset_sums(cut.grad[n_hi:][::-1],
+                                     min(layout.k, layout.lo_bits)))
+    lo = lo.astype(dtype)
+    hi = _subset_sums(cut.grad[:n_hi][::-1], len(blocks) - 1)
+    lift = dtype.type(cut.intercept - float(cut.grad @ cut.origin.bits))
+    buf = np.empty(max(_ENUM_CHUNK, layout.widths[0]), dtype=dtype)
+    for block, width, hi_sums in zip(blocks, layout.widths, hi):
+        hi_sums = hi_sums.astype(dtype)
+        step = max(1, _ENUM_CHUNK // width)
+        for r0 in range(0, block.shape[0], step):
+            rows = block[r0:r0 + step]
+            vals = buf[:rows.size].reshape(rows.shape)
+            np.add(lo[:width], hi_sums[r0:r0 + step, None], out=vals)
+            vals += lift
+            np.maximum(rows, vals, out=rows)
 
 
-@functools.lru_cache(maxsize=2)
-def _gather_indices(n: int, k: int) -> tuple:
-    """Per 13-bit slice of the codes: (first bit, slice width, codes sliced
-    down to ready-to-gather indices)."""
-    codes = _selection_codes(n, k)
-    parts = []
-    for lo in range(0, n, _LUT_BITS):
-        width = min(_LUT_BITS, n - lo)
-        mask = codes.dtype.type((1 << width) - 1)
-        idx = ((codes >> codes.dtype.type(lo)) & mask).astype(np.intp)
-        parts.append((lo, width, idx))
-    return tuple(parts)
+def _exclude(blocks: list, bits: np.ndarray, layout: _Layout) -> None:
+    """Set theta to +inf at the one selection a no-good cut excludes."""
+    if int(bits.sum()) > layout.k:
+        return
+    code = _encode(bits)
+    hi, lo = code >> layout.lo_bits, code & ((1 << layout.lo_bits) - 1)
+    p = hi.bit_count()
+    row = int(np.searchsorted(layout.hi_codes[p], np.uint64(hi)))
+    col = int(np.flatnonzero(layout.lo_codes == lo)[0])
+    blocks[p][row, col] = np.inf
 
 
-def _slice_sums(grad: np.ndarray, lo: int, width: int) -> np.ndarray:
-    """Subset sums of the cut gradient over one slice of code bits; entry m
-    sums grad over the coordinates whose slice bits are set in m."""
-    n = grad.size
-    lut = np.zeros(1)
-    for t in range(lo, lo + width):
-        lut = np.concatenate([lut, lut + grad[n - 1 - t]])
-    return lut
+def _enum_scores(state: MasterState) -> list:
+    """Per-state cache of every selection's theta, one 2-D array per block
+    of the popcount layout (_Layout), updated incrementally: each cut is
+    scored over the selection space exactly once.
 
-
-def _enum_scores(state: MasterState) -> dict:
-    """Per-state cache of every selection's theta and feasibility, updated
-    incrementally: each cut is scored over the selection space exactly once.
-
-    Small spaces are scored in float64 through the tabulated selections.
-    Larger ones are scored in float32 from per-slice subset-sum tables of
-    each gradient; the rounding (well under 1e-6 at portfolio scales) can
-    only sway which of two near-tied selections is returned, never the
-    exactness of the cut model or the monotonicity of successive solves."""
-    codes = _selection_codes(state.n_assets, state.k)
+    An optimality cut is scored per block as the broadcast outer sum
+    (low-part gradient sums + high-part gradient sums) + lift, taken into
+    the block by np.maximum; a no-good cut sets its one selection to +inf.
+    Up to _F64_ROWS selections the scores are float64, above it float32:
+    the rounding (well under 1e-6 at portfolio scales) can only sway which
+    of two near-tied selections is returned, never the exactness of the cut
+    model or the monotonicity of successive solves."""
+    layout = _layout(state.n_assets, state.k)
     cache = getattr(state, "_enum_cache", None)
-    fast = codes.size > _F64_ROWS
     if cache is None or cache["done"] > len(state.cuts):
-        cache = {"theta": np.full(codes.size, state.theta_lb,
-                                  dtype=np.float32 if fast else np.float64),
-                 "feasible": np.ones(codes.size, dtype=bool),
+        dtype = (np.float64 if _selection_count(state.n_assets, state.k)
+                 <= _F64_ROWS else np.float32)
+        cache = {"theta": [np.full((hi.size, width), state.theta_lb,
+                                   dtype=dtype)
+                           for hi, width in zip(layout.hi_codes,
+                                                layout.widths)],
                  "done": 0}
         state._enum_cache = cache
-    theta, feasible = cache["theta"], cache["feasible"]
-    table = None if fast else _lex_selections(state.n_assets, state.k)
+    blocks = cache["theta"]
     for cut in state.cuts[cache["done"]:]:
         if cut.kind == OPTIMALITY:
-            lift = cut.intercept - float(cut.grad @ cut.origin.bits)
-            if fast:
-                vals = None
-                for lo, width, idx in _gather_indices(state.n_assets,
-                                                      state.k):
-                    part = _slice_sums(cut.grad, lo,
-                                       width).astype(np.float32)[idx]
-                    vals = part if vals is None else vals + part
-                vals += np.float32(lift)
-                np.maximum(theta, vals, out=theta)
-            else:
-                for i0 in range(0, table.shape[0], _ENUM_CHUNK):
-                    vals = lift + table[i0:i0 + _ENUM_CHUNK] @ cut.grad
-                    np.maximum(theta[i0:i0 + vals.size], vals,
-                               out=theta[i0:i0 + vals.size])
+            _score_cut(blocks, cut, layout)
         else:
-            feasible &= codes != codes.dtype.type(_encode(cut.origin.bits))
+            _exclude(blocks, cut.origin.bits, layout)
         cache["done"] += 1
-    return cache
+    return blocks
 
 
 def _enumerate_solve(state: MasterState, node_limit: int,
                      deadline: float | None):
-    """Exact master solve by scoring the tabulated selection space."""
+    """Exact master solve by scoring the tabulated selection space; ties go
+    to the smallest code, found as the smallest low part of the first
+    qualifying row in each block."""
     if deadline is not None and time.monotonic() > deadline:
         raise MasterTimeout("master deadline passed")
-    codes = _selection_codes(state.n_assets, state.k)
-    cache = _enum_scores(state)
-    theta, feasible = cache["theta"], cache["feasible"]
-    state.node_count += codes.size
+    layout = _layout(state.n_assets, state.k)
+    blocks = _enum_scores(state)
+    total = sum(block.size for block in blocks)
+    state.node_count += total
     best = None
-    if any(c.kind == NO_GOOD for c in state.cuts):
-        ranked = np.where(feasible, theta, np.inf)
-    else:
-        ranked = theta
-    theta_star = float(ranked.min())
+    mins = [block.min() for block in blocks]
+    theta_star = float(min(mins))
     if np.isfinite(theta_star):
-        cutoff = theta_star + _BB_TOL * (1.0 + abs(theta_star))
-        pick = int(np.argmax(ranked <= cutoff))
-        best = (SelectionVector(_decode(codes[pick], state.n_assets)),
-                float(theta[pick]))
-    if codes.size > node_limit:
+        limit = blocks[0].dtype.type(
+            theta_star + _BB_TOL * (1.0 + abs(theta_star)))
+        pick = None
+        for p, block in enumerate(blocks):
+            if mins[p] > limit:
+                continue
+            width = block.shape[1]
+            row = int(np.argmax(block.ravel() <= limit)) // width
+            hits = np.flatnonzero(block[row] <= limit)
+            col = int(hits[np.argmin(layout.lo_codes[hits])])
+            code = ((int(layout.hi_codes[p][row]) << layout.lo_bits)
+                    | int(layout.lo_codes[col]))
+            if pick is None or code < pick[0]:
+                pick = (code, float(block[row, col]))
+        best = (SelectionVector(_decode(pick[0], state.n_assets)), pick[1])
+    if total > node_limit:
         raise MasterNodeLimit(f"master node limit {node_limit} exceeded",
                               best)
     return best
@@ -519,7 +544,7 @@ def master_solve(state: MasterState, callback=None,
     at least one cut and rejects; the best accepted candidate is returned
     as-is since the cut pool is in flux.
     """
-    if (callback is None
+    if (callback is None and state.n_assets <= _ENUM_BITS
             and _selection_count(state.n_assets, state.k) <= _ENUM_LIMIT):
         return _enumerate_solve(state, node_limit, deadline)
     table = _CutTable(state)

@@ -369,3 +369,32 @@ def test_sandwich_property_on_degenerate_instances(case):
     value = lower.certificate_objective(res.certificate, z, inst)
     assert value == pytest.approx(res.f_lo, abs=1e-6 * (1 + abs(res.f_lo)))
     res.portfolio.validate()
+
+
+# Grid instances whose delta = 0 loop ends on a duplicate scenario subset at
+# a gap of 1e-19 to 1e-17: rounding noise, not a solver tolerance stop.
+_TIED_SCENARIOS = [
+    [[0.03, -0.02, -0.02], [0.03, -0.02, -0.02], [0.03, -0.04, 0.0],
+     [0.03, -0.04, 0.0], [0.03, -0.04, 0.0]],
+    [[0.01, 0.03], [0.01, 0.03], [0.01, 0.03], [0.03, -0.02],
+     [0.03, -0.02]],
+    [[0.03, -0.04, 0.01, -0.04], [0.03, -0.04, 0.01, -0.04],
+     [0.0, 0.0, 0.0, 0.0], [-0.02, 0.01, -0.02, 0.03],
+     [-0.02, 0.01, -0.02, 0.03], [0.0, 0.03, -0.02, -0.02],
+     [0.0, 0.03, -0.02, -0.02], [0.03, 0.03, -0.04, 0.0],
+     [0.0, 0.0, 0.0, 0.0], [0.03, -0.04, 0.01, -0.04]],
+]
+
+
+@pytest.mark.parametrize("scen", _TIED_SCENARIOS)
+def test_zero_delta_rounding_gap_logs_nothing(scen, caplog):
+    scen = np.array(scen)
+    S, n = scen.shape
+    inst = Instance(n_assets=n, scenarios=scen, probs=np.full(S, 1.0 / S),
+                    side_A=np.zeros((0, n)), side_b=[], beta=0.5, gamma=2.0,
+                    k=n)
+    with caplog.at_level("WARNING", logger="cardcvar.lower"):
+        res = lower.solve_lower_cp(SelectionVector(np.ones(n, dtype=int)),
+                                   inst, 0.0)
+    assert caplog.records == []
+    assert res.f_hi <= res.f_lo + 1e-12 * (1.0 + abs(res.f_lo))

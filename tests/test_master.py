@@ -232,3 +232,120 @@ def test_callback_reject_without_cut_is_an_error():
     state = master.MasterState(n_assets=2, k=1, theta_lb=0.0)
     with pytest.raises(RuntimeError):
         master.master_solve(state, callback=lambda z, theta: False)
+
+
+def dyadic_state(rng, n, k, n_opt):
+    """Cuts on a grid of quarters: every theta is exact in float32 and in
+    float64 whatever the order of summation, so ties are exact."""
+    state = master.MasterState(n_assets=n, k=k,
+                               theta_lb=-0.25 * int(rng.integers(4, 12)))
+    for _ in range(n_opt):
+        bits = np.zeros(n, dtype=int)
+        bits[rng.choice(n, int(rng.integers(0, k + 1)), replace=False)] = 1
+        g = -0.25 * rng.integers(0, 3, n)
+        master.add_cut(state, opt_cut(bits, 0.25 * int(rng.integers(-4, 5)),
+                                      g))
+    return state
+
+
+def test_float32_blocks_match_enumeration_with_ties(monkeypatch):
+    monkeypatch.setattr(master, "_F64_ROWS", 0)
+    rng = np.random.default_rng(14)
+    for n, k in ((14, 5), (15, 9), (16, 4)):
+        state = dyadic_state(rng, n, k, n_opt=4)
+        for _ in range(3):
+            ref_theta, ref_bits = enumerate_master(state)
+            z, theta = master.master_solve(state)
+            assert state._enum_cache["theta"][0].dtype == np.float32
+            assert theta == ref_theta
+            assert z.as_tuple() == ref_bits
+            master.add_cut(state, no_good(z.bits))
+
+
+@pytest.mark.parametrize("f64_rows", [master._F64_ROWS, 0])
+def test_tie_break_across_popcount_blocks(monkeypatch, f64_rows):
+    # n=16: coordinates 0-2 form the high part of a code. {1, 2} (two high
+    # ones) ties with {0} (one high one) and is lexicographically smaller
+    monkeypatch.setattr(master, "_F64_ROWS", f64_rows)
+    n = 16
+    state = master.MasterState(n_assets=n, k=2, theta_lb=-5.0)
+    g = np.zeros(n)
+    g[:3] = [-1.0, -0.5, -0.5]
+    master.add_cut(state, opt_cut(np.zeros(n, dtype=int), 0.0, g))
+    for j in (1, 2):
+        bits = np.zeros(n, dtype=int)
+        bits[[0, j]] = 1
+        master.add_cut(state, no_good(bits))
+    z, theta = master.master_solve(state)
+    assert theta == -1.0
+    assert z.support().tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("f64_rows", [master._F64_ROWS, 0])
+def test_high_part_wider_than_low_part(monkeypatch, f64_rows):
+    # n=30: the high part of a code has 17 bits, the low part 13
+    monkeypatch.setattr(master, "_F64_ROWS", f64_rows)
+    n, k = 30, 3
+    rng = np.random.default_rng(30)
+    state = dyadic_state(rng, n, k, n_opt=2)
+    master.add_cut(state, no_good(master.master_solve(state)[0].bits))
+    scored = []
+    for count in range(k + 1):
+        for combo in itertools.combinations(range(n), count):
+            bits = np.zeros(n, dtype=np.int64)
+            bits[list(combo)] = 1
+            if not any(c.kind == master.NO_GOOD and c.excludes(bits)
+                       for c in state.cuts):
+                scored.append((master.theta_at(state, bits), tuple(bits)))
+    best = min(scored)
+    assert sum(theta == best[0] for theta, _ in scored) > 1
+    z, theta = master.master_solve(state)
+    assert theta == best[0]
+    assert z.as_tuple() == best[1]
+
+
+def test_empty_pool_returns_the_empty_selection():
+    state = master.MasterState(n_assets=25, k=10, theta_lb=-1.5)
+    z, theta = master.master_solve(state)
+    assert z.as_tuple() == (0,) * 25
+    assert theta == -1.5
+    assert state.node_count == master._selection_count(25, 10)
+
+
+def test_enumeration_layout_stays_small():
+    # the cached layout of the 7.1M-selection table at n=25, k=10, without
+    # the theta scores themselves, holds no table-sized array
+    n, k = 25, 10
+    rows = master._selection_count(n, k)
+    state = master.MasterState(n_assets=n, k=k, theta_lb=-1.0)
+    master.add_cut(state, opt_cut(np.zeros(n, dtype=int), 0.0,
+                                  -np.linspace(0.0, 1.0, n)))
+    master.add_cut(state, no_good(np.zeros(n, dtype=int)))
+    master.master_solve(state)
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                yield from arrays(item)
+
+    cached = list(arrays(tuple(master._layout(n, k))))
+    cached += arrays([v for key, v in state._enum_cache.items()
+                      if key != "theta"])
+    assert sum(arr.nbytes for arr in cached) < 1 << 20
+    for arr in cached:
+        assert arr.size < 1 << n
+        assert not (arr.dtype == np.intp and arr.size >= rows)
+    assert sum(b.size for b in state._enum_cache["theta"]) == rows
+
+
+def test_codes_wider_than_64_bits_fall_back_to_branch_and_bound():
+    # 71 selections would be tabulated, but their codes need 70 bits
+    n = 70
+    state = master.MasterState(n_assets=n, k=1, theta_lb=-2.0)
+    master.add_cut(state, opt_cut(np.zeros(n, dtype=int), 0.0,
+                                  -np.linspace(0.0, 1.0, n)))
+    master.add_cut(state, no_good(np.eye(n, dtype=int)[n - 1]))
+    z, theta = master.master_solve(state)
+    assert z.support().tolist() == [n - 2]
+    assert theta == pytest.approx(-68.0 / 69.0, abs=1e-12)
