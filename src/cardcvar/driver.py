@@ -96,8 +96,8 @@ def _gap_pct(ub: float, lb: float) -> float:
 
 def _report(method, status, instance, t0, iterations, nodes, n_cuts,
             z_hat, lb, ub, params) -> SolveReport:
-    elapsed = time.monotonic() - t0
     port = None if z_hat is None else extract_portfolio(z_hat, instance)
+    elapsed = time.monotonic() - t0
     if port is None:
         nan = float("nan")
         return SolveReport(method, status, nan,

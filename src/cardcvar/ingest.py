@@ -12,7 +12,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "MomentData",
@@ -179,6 +178,8 @@ def cholesky(sigma: np.ndarray) -> np.ndarray:
 
 def generate_scenarios(moments: MomentData, S: int, seed: int) -> np.ndarray:
     """S x N return matrix sampled from N(mu, sigma), deterministic in seed."""
+    from scipy.special import ndtri
+
     if S < 1:
         raise ValueError("S must be at least 1")
     L = cholesky(moments.sigma)

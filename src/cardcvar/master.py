@@ -3,12 +3,16 @@
 The feasible region is theta >= theta_lb, one affine row per optimality cut,
 one exclusion row per no-good cut, and the cardinality bound 1'z <= k with z
 binary. When the selection space is small enough to tabulate, master_solve
-scores every selection directly. Selection codes split into a high part and
-a low part of up to 13 bits; block p pairs every high part with p ones with
-every low part with at most k - p ones, so each block is a dense 2-D array
-and a cut is scored into it by one broadcast outer sum of the gradient's
-subset sums over the two parts. Ties go to the lexicographically smallest
-selection. Otherwise master_solve runs branch and bound over coordinate
+keeps every selection's theta in a table. Selection codes split into a high
+part and a low part of up to 13 bits; block p pairs every high part with p
+ones with every low part with at most k - p ones, so each block is a dense
+2-D array and a cut is scored into it by one broadcast outer sum of the
+gradient's subset sums over the two parts. The table is scored lazily, in
+chunks of rows: cuts only raise theta, so a chunk's last exact minimum and
+each pending cut's exact minimum over it bound it from below, and a solve
+scores the pending cuts into a chunk only when that bound reaches the
+optimum, best-first. Ties go to the lexicographically smallest selection.
+Otherwise master_solve runs branch and bound over coordinate
 boxes, bounding each box by every cut's exact minimum over it (cheap because
 cut gradients are nonpositive), with a second, depth-first pass extracting
 the lexicographically smallest optimal z. Either way reruns are
@@ -48,7 +52,7 @@ _BB_TOL = 1e-9         # relative pruning and tie tolerance
 _NODE_LIMIT = 100_000_000
 _ENUM_LIMIT = 8_000_000   # tabulate the selection space up to this many rows
 _ENUM_BITS = 64           # tabulated selection codes fit in uint64
-_ENUM_CHUNK = 65_536      # selections scored per broadcast outer sum
+_ENUM_CHUNK = 65_536      # selections per chunk of the lazily scored table
 _F64_ROWS = 100_000       # exact float64 scoring up to this table size
 _LO_BITS = 13             # code bits in the low part of the block layout
 _MW_ROUNDS = 8            # weight-ascent rounds per node bound
@@ -202,102 +206,201 @@ def _encode(bits: np.ndarray) -> int:
     return sum(1 << (bits.size - 1 - int(j)) for j in np.flatnonzero(bits))
 
 
-def _score_cut(blocks: list, cut: Cut, layout: _Layout) -> None:
-    """Raise every selection's theta to the cut's value at it, one broadcast
-    outer sum of low-part and high-part gradient sums per block."""
-    dtype = blocks[0].dtype
+class _Chunks(NamedTuple):
+    """Row groups of about _ENUM_CHUNK entries of each block: chunk c is
+    rows start[c]:stop[c] of block[c], and flat[c] is start[c] counted
+    across the blocks' rows laid end to end. Chunks run in block order and
+    row order within a block; order lists them by the high part of their
+    first row, which is ascending order of the smallest code each holds."""
+
+    block: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    flat: np.ndarray
+    order: np.ndarray
+
+
+class _CutSums(NamedTuple):
+    """An optimality cut split over the block layout: its value at row r,
+    column j of block p is (lo[j] + hi[p][r]) + lift, in the scoring dtype."""
+
+    lo: np.ndarray
+    hi: tuple
+    lift: np.floating
+
+
+def _chunks(layout: _Layout) -> _Chunks:
+    block, start, stop, flat, first = [], [], [], [], []
+    offset = 0
+    for p, (hi, width) in enumerate(zip(layout.hi_codes, layout.widths)):
+        r0 = np.arange(0, hi.size, max(1, _ENUM_CHUNK // width))
+        block.append(np.full(r0.size, p))
+        start.append(r0)
+        stop.append(np.append(r0[1:], hi.size))
+        flat.append(offset + r0)
+        first.append(hi[r0])
+        offset += hi.size
+    order = np.argsort(np.concatenate(first), kind="stable")
+    return _Chunks(*(np.concatenate(part)
+                     for part in (block, start, stop, flat)), order)
+
+
+def _cut_sums(cut: Cut, layout: _Layout, dtype: np.dtype) -> _CutSums:
     n_hi = cut.grad.size - layout.lo_bits
     lo = np.concatenate(_subset_sums(cut.grad[n_hi:][::-1],
                                      min(layout.k, layout.lo_bits)))
-    lo = lo.astype(dtype)
-    hi = _subset_sums(cut.grad[:n_hi][::-1], len(blocks) - 1)
+    hi = _subset_sums(cut.grad[:n_hi][::-1], len(layout.hi_codes) - 1)
     lift = dtype.type(cut.intercept - float(cut.grad @ cut.origin.bits))
-    buf = np.empty(max(_ENUM_CHUNK, layout.widths[0]), dtype=dtype)
-    for block, width, hi_sums in zip(blocks, layout.widths, hi):
-        hi_sums = hi_sums.astype(dtype)
-        step = max(1, _ENUM_CHUNK // width)
-        for r0 in range(0, block.shape[0], step):
-            rows = block[r0:r0 + step]
-            vals = buf[:rows.size].reshape(rows.shape)
-            np.add(lo[:width], hi_sums[r0:r0 + step, None], out=vals)
-            vals += lift
-            np.maximum(rows, vals, out=rows)
+    return _CutSums(lo.astype(dtype), tuple(h.astype(dtype) for h in hi),
+                    lift)
 
 
-def _exclude(blocks: list, bits: np.ndarray, layout: _Layout) -> None:
-    """Set theta to +inf at the one selection a no-good cut excludes."""
+def _chunk_bounds(sums: _CutSums, layout: _Layout,
+                  chunks: _Chunks) -> np.ndarray:
+    """Exact minimum of the cut's scores over each chunk. A chunk's scores
+    are (lo[j] + hi[r]) + lift over its rows r and columns j, and rounded
+    addition is monotone in each argument, so the minimum is the same sum
+    of the minima, added in the same order."""
+    lo_min = np.minimum.accumulate(sums.lo)[np.array(layout.widths) - 1]
+    hi_min = np.minimum.reduceat(np.concatenate(sums.hi), chunks.flat)
+    return (lo_min[chunks.block] + hi_min) + sums.lift
+
+
+def _locate(bits: np.ndarray, layout: _Layout):
+    """(block, row, column) of a selection in the layout, or None when it
+    has more than k assets."""
     if int(bits.sum()) > layout.k:
-        return
+        return None
     code = _encode(bits)
     hi, lo = code >> layout.lo_bits, code & ((1 << layout.lo_bits) - 1)
     p = hi.bit_count()
     row = int(np.searchsorted(layout.hi_codes[p], np.uint64(hi)))
-    col = int(np.flatnonzero(layout.lo_codes == lo)[0])
-    blocks[p][row, col] = np.inf
+    return p, row, int(np.flatnonzero(layout.lo_codes == lo)[0])
 
 
-def _enum_scores(state: MasterState) -> list:
-    """Per-state cache of every selection's theta, one 2-D array per block
-    of the popcount layout (_Layout), updated incrementally: each cut is
-    scored over the selection space exactly once.
+def _enum_cache(state: MasterState) -> dict:
+    """Per-state theta table of every selection, scored lazily chunk by
+    chunk, with every cut of the pool taken in.
 
-    An optimality cut is scored per block as the broadcast outer sum
-    (low-part gradient sums + high-part gradient sums) + lift, taken into
-    the block by np.maximum; a no-good cut sets its one selection to +inf.
-    Up to _F64_ROWS selections the scores are float64, above it float32:
-    the rounding (well under 1e-6 at portfolio scales) can only sway which
-    of two near-tied selections is returned, never the exactness of the cut
-    model or the monotonicity of successive solves."""
+    "theta" holds one 2-D array per block of the popcount layout (_Layout),
+    cut into the row groups of "chunks" (_Chunks). Chunk c has applied the
+    first "done"[c] cuts of the pool to theta_lb, or is not written yet
+    while "done"[c] is -1, so the chunks a search never reaches are never
+    paged in. "bound"[c] is a lower bound of its theta: the larger of its
+    exact minimum after those cuts and each pending cut's exact minimum over
+    it (_chunk_bounds), so the exact minimum once nothing is pending. Cuts
+    only raise theta, so a stale bound stays valid.
+    "cuts" holds, per cut, what applying it takes, computed once when the
+    cut joins: an optimality cut's subset sums (_CutSums), or the location
+    of the one selection a no-good excludes (_locate).
+
+    An optimality cut is applied to a chunk as the broadcast outer sum
+    (low-part sums + high-part sums) + lift, taken in by np.maximum; a
+    no-good sets its one selection to +inf. Up to _F64_ROWS selections the
+    scores are float64, above it float32: the rounding (well under 1e-6 at
+    portfolio scales) can only sway which of two near-tied selections is
+    returned, never the exactness of the cut model or the monotonicity of
+    successive solves."""
     layout = _layout(state.n_assets, state.k)
     cache = getattr(state, "_enum_cache", None)
-    if cache is None or cache["done"] > len(state.cuts):
-        dtype = (np.float64 if _selection_count(state.n_assets, state.k)
-                 <= _F64_ROWS else np.float32)
-        cache = {"theta": [np.full((hi.size, width), state.theta_lb,
-                                   dtype=dtype)
+    if cache is None or len(cache["cuts"]) > len(state.cuts):
+        dtype = np.dtype(np.float64 if _selection_count(state.n_assets,
+                                                        state.k)
+                         <= _F64_ROWS else np.float32)
+        chunks = _chunks(layout)
+        cache = {"theta": [np.empty((hi.size, width), dtype=dtype)
                            for hi, width in zip(layout.hi_codes,
                                                 layout.widths)],
-                 "done": 0}
+                 "chunks": chunks,
+                 "done": np.full(chunks.block.size, -1),
+                 "bound": np.full(chunks.block.size, state.theta_lb,
+                                  dtype=dtype),
+                 "cuts": [],
+                 "theta_lb": state.theta_lb}
         state._enum_cache = cache
-    blocks = cache["theta"]
-    for cut in state.cuts[cache["done"]:]:
+    dtype = cache["bound"].dtype
+    for cut in state.cuts[len(cache["cuts"]):]:
         if cut.kind == OPTIMALITY:
-            _score_cut(blocks, cut, layout)
+            sums = _cut_sums(cut, layout, dtype)
+            np.maximum(cache["bound"],
+                       _chunk_bounds(sums, layout, cache["chunks"]),
+                       out=cache["bound"])
+            cache["cuts"].append(sums)
         else:
-            _exclude(blocks, cut.origin.bits, layout)
-        cache["done"] += 1
-    return blocks
+            cache["cuts"].append(_locate(cut.origin.bits, layout))
+    return cache
+
+
+def _refresh(cache: dict, c: int) -> None:
+    """Apply chunk c's pending cuts, in pool order, and record its exact
+    minimum as its bound; a chunk not written yet starts from theta_lb."""
+    chunks = cache["chunks"]
+    p, r0, r1 = (int(chunks.block[c]), int(chunks.start[c]),
+                 int(chunks.stop[c]))
+    rows = cache["theta"][p][r0:r1]
+    if cache["done"][c] < 0:
+        rows.fill(cache["theta_lb"])
+    vals = np.empty_like(rows)
+    for entry in cache["cuts"][max(cache["done"][c], 0):]:
+        if isinstance(entry, _CutSums):
+            np.add(entry.lo[:rows.shape[1]], entry.hi[p][r0:r1, None],
+                   out=vals)
+            vals += entry.lift
+            np.maximum(rows, vals, out=rows)
+        elif entry is not None and entry[0] == p and r0 <= entry[1] < r1:
+            rows[entry[1] - r0, entry[2]] = np.inf
+    cache["done"][c] = len(cache["cuts"])
+    cache["bound"][c] = rows.min()
 
 
 def _enumerate_solve(state: MasterState, node_limit: int,
                      deadline: float | None):
-    """Exact master solve by scoring the tabulated selection space; ties go
-    to the smallest code, found as the smallest low part of the first
-    qualifying row in each block."""
+    """Exact master solve over the tabulated selection space, best-first
+    over chunks (_enum_cache): the chunk of least bound is brought up to
+    date until the least bound belongs to a chunk already up to date, which
+    makes it the optimum. Ties go to the smallest code: the chunks whose
+    bound is within the cutoff are visited in ascending order of their
+    smallest code, each brought up to date, and each that has a selection
+    within the cutoff offers the smallest low part of its first such row,
+    until the next chunk's smallest code exceeds the best offer."""
     if deadline is not None and time.monotonic() > deadline:
         raise MasterTimeout("master deadline passed")
     layout = _layout(state.n_assets, state.k)
-    blocks = _enum_scores(state)
-    total = sum(block.size for block in blocks)
+    cache = _enum_cache(state)
+    theta, chunks = cache["theta"], cache["chunks"]
+    bound, done = cache["bound"], cache["done"]
+    n_cuts = len(cache["cuts"])
+    total = sum(block.size for block in theta)
     state.node_count += total
+    while True:
+        c = int(np.argmin(bound))
+        if done[c] == n_cuts:
+            break
+        _refresh(cache, c)
+    theta_star = float(bound[c])
     best = None
-    mins = [block.min() for block in blocks]
-    theta_star = float(min(mins))
     if np.isfinite(theta_star):
-        limit = blocks[0].dtype.type(
+        limit = bound.dtype.type(
             theta_star + _BB_TOL * (1.0 + abs(theta_star)))
         pick = None
-        for p, block in enumerate(blocks):
-            if mins[p] > limit:
+        for c in chunks.order[bound[chunks.order] <= limit]:
+            p, r0 = int(chunks.block[c]), int(chunks.start[c])
+            hi_codes = layout.hi_codes[p]
+            smallest = int(hi_codes[r0]) << layout.lo_bits
+            if pick is not None and smallest > pick[0]:
+                break
+            if done[c] < n_cuts:
+                _refresh(cache, c)
+            if bound[c] > limit:
                 continue
-            width = block.shape[1]
-            row = int(np.argmax(block.ravel() <= limit)) // width
-            hits = np.flatnonzero(block[row] <= limit)
-            col = int(hits[np.argmin(layout.lo_codes[hits])])
-            code = ((int(layout.hi_codes[p][row]) << layout.lo_bits)
+            rows = theta[p][r0:int(chunks.stop[c])]
+            row = int(np.argmax(rows.ravel() <= limit)) // rows.shape[1]
+            cols = np.flatnonzero(rows[row] <= limit)
+            col = int(cols[np.argmin(layout.lo_codes[cols])])
+            code = ((int(hi_codes[r0 + row]) << layout.lo_bits)
                     | int(layout.lo_codes[col]))
             if pick is None or code < pick[0]:
-                pick = (code, float(block[row, col]))
+                pick = (code, float(rows[row, col]))
         best = (SelectionVector(_decode(pick[0], state.n_assets)), pick[1])
     if total > node_limit:
         raise MasterNodeLimit(f"master node limit {node_limit} exceeded",

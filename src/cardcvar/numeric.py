@@ -30,7 +30,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "OPTIMAL",
@@ -393,7 +392,9 @@ class _ShiftedLU:
 
     On a degenerate optimal face the unshifted matrix turns exactly singular
     near convergence; the first shift level whose pivots are nonzero and
-    whose solves stay finite is kept.
+    whose solves stay finite is kept. Only the ScenarioProgram IPM (cp,
+    bigm) gets here, so scipy.linalg is imported on first use: a bcp solve
+    never loads it.
     """
 
     def __init__(self, K: np.ndarray, n_primal: int):
@@ -404,6 +405,8 @@ class _ShiftedLU:
         self._next_factor()
 
     def _next_factor(self) -> None:
+        import scipy.linalg
+
         while self.level < len(_SHIFTS) - 1:
             self.level += 1
             Ks = self.K.copy()
@@ -416,6 +419,8 @@ class _ShiftedLU:
                 return
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        import scipy.linalg
+
         sol = scipy.linalg.lu_solve(self.lu, rhs, check_finite=False)
         while (not np.all(np.isfinite(sol))
                and self.level < len(_SHIFTS) - 1):

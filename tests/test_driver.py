@@ -1,8 +1,15 @@
 """Tests for the outer solvers: cutting-plane loops and the big-M baseline."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cardcvar
 from cardcvar import driver, lower, oracle
 from cardcvar.model import (
     Instance,
@@ -254,3 +261,42 @@ def test_parameter_validation_and_echo():
     rep = driver.solve_bcp(inst, params={"seed": 4})
     assert rep.params["seed"] == 4
     assert rep.params["eps"] == driver.EPS_DEFAULT
+
+
+def test_time_sec_includes_portfolio_extraction(monkeypatch):
+    extract = driver.extract_portfolio
+
+    def slow_extract(z_hat, instance):
+        time.sleep(0.2)
+        return extract(z_hat, instance)
+
+    monkeypatch.setattr(driver, "extract_portfolio", slow_extract)
+    report = driver.solve_bcp(two_asset_instance())
+    assert report.status == driver.OPTIMAL
+    assert report.time_sec >= 0.2
+
+
+def test_bcp_solves_never_import_scipy():
+    # scipy.linalg serves only the ScenarioProgram IPM (cp, bigm) and
+    # scipy.special only generate_scenarios; a fresh process that imports
+    # the package and runs both bcp modes loads neither
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import cardcvar\n"
+        "rng = np.random.default_rng(5)\n"
+        "inst = cardcvar.Instance(n_assets=6,"
+        " scenarios=rng.normal(0.01, 0.05, (40, 6)), probs=np.full(40, 1/40),"
+        " side_A=np.zeros((0, 6)), side_b=[], beta=0.9, gamma=4.0, k=3)\n"
+        "for mode in ('multi_tree', 'single_tree'):\n"
+        "    assert cardcvar.solve_bcp(inst, mode=mode).status == 'Optimal'\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.special')"
+        " if m in sys.modules))\n")
+    src = str(Path(cardcvar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -349,3 +349,104 @@ def test_codes_wider_than_64_bits_fall_back_to_branch_and_bound():
     z, theta = master.master_solve(state)
     assert z.support().tolist() == [n - 2]
     assert theta == pytest.approx(-68.0 / 69.0, abs=1e-12)
+
+
+def brute_force(state, selections):
+    """(theta, bits) of the smallest theta_at over the selections a no-good
+    does not exclude, ties to the lexicographically smallest bits."""
+    excluded = {c.origin.as_tuple() for c in state.cuts
+                if c.kind == master.NO_GOOD}
+    return min((master.theta_at(state, bits), tuple(bits))
+               for bits in selections if tuple(bits) not in excluded)
+
+
+def all_selections(n, k):
+    out = []
+    for count in range(k + 1):
+        for combo in itertools.combinations(range(n), count):
+            bits = np.zeros(n, dtype=np.int64)
+            bits[list(combo)] = 1
+            out.append(bits)
+    return out
+
+
+@pytest.mark.parametrize("f64_rows", [master._F64_ROWS, 0])
+def test_lazy_master_matches_brute_force_over_cut_sequences(monkeypatch,
+                                                             f64_rows):
+    # 64-entry chunks split each table into single rows (8-64 chunks), so
+    # quarter-grid ties span chunks and most chunks stay stale between calls
+    monkeypatch.setattr(master, "_ENUM_CHUNK", 64)
+    monkeypatch.setattr(master, "_F64_ROWS", f64_rows)
+    rng = np.random.default_rng(64)
+    for n, k in ((16, 4), (18, 3), (20, 3)):
+        selections = all_selections(n, k)
+        state = dyadic_state(rng, n, k, n_opt=1)
+        stale = 0
+        for step in range(9):
+            if step % 3 == 2:
+                master.add_cut(state, no_good(z.bits))
+            else:
+                bits = np.zeros(n, dtype=int)
+                bits[rng.choice(n, int(rng.integers(0, k + 1)),
+                                replace=False)] = 1
+                master.add_cut(state, opt_cut(
+                    bits, 0.25 * int(rng.integers(-4, 5)),
+                    -0.25 * rng.integers(0, 3, n)))
+            z, theta = master.master_solve(state)
+            assert (theta, z.as_tuple()) == brute_force(state, selections)
+            cache = state._enum_cache
+            stale += int((cache["done"] < len(state.cuts)).sum())
+        assert cache["theta"][0].dtype == (np.float32 if f64_rows == 0
+                                           else np.float64)
+        assert cache["chunks"].block.size >= 8
+        assert stale > 0
+
+
+def test_chunk_bound_is_the_cut_minimum(monkeypatch):
+    # one pending cut over a theta_lb below all its scores: the bound cached
+    # for each chunk is bitwise the least score the cut gives that chunk
+    monkeypatch.setattr(master, "_ENUM_CHUNK", 64)
+    monkeypatch.setattr(master, "_F64_ROWS", 0)
+    rng = np.random.default_rng(5)
+    n, k = 20, 5
+    state = master.MasterState(n_assets=n, k=k, theta_lb=-1e6)
+    master.master_solve(state)
+    bits = np.zeros(n, dtype=int)
+    bits[rng.choice(n, k, replace=False)] = 1
+    master.add_cut(state, opt_cut(bits, float(rng.normal()),
+                                  -rng.uniform(0.0, 1.0, n)))
+    cache = master._enum_cache(state)
+    bounds = cache["bound"].copy()
+    assert bounds.dtype == np.float32
+    assert (cache["done"] < 1).all()
+    chunks = cache["chunks"]
+    for c in range(bounds.size):
+        master._refresh(cache, c)
+        rows = cache["theta"][chunks.block[c]][chunks.start[c]:
+                                              chunks.stop[c]]
+        assert bounds[c] == rows.min()
+    assert bounds.size > 50
+
+
+@pytest.mark.parametrize("f64_rows", [master._F64_ROWS, 0])
+def test_tie_in_a_stale_chunk_at_the_cutoff(monkeypatch, f64_rows):
+    # n=20, k=2, 64-entry chunks: block 1 (one high one) splits into rows
+    # {6, 5, 4, 3} and {2, 1, 0} of the high coordinates, block 2 is one
+    # chunk. {0, 19} and {5, 6} tie at -2; best-first brings {0, 19}'s
+    # chunk up to date, while the chunk of the smaller {5, 6} still holds
+    # its pending cut's bound, exactly -2
+    monkeypatch.setattr(master, "_ENUM_CHUNK", 64)
+    monkeypatch.setattr(master, "_F64_ROWS", f64_rows)
+    n = 20
+    state = master.MasterState(n_assets=n, k=2, theta_lb=-10.0)
+    g = np.zeros(n)
+    g[[0, 5, 6, 19]] = -1.0
+    master.add_cut(state, opt_cut(np.zeros(n, dtype=int), 0.0, g))
+    for pair in ((5, 19), (6, 19), (0, 5), (0, 6)):
+        bits = np.zeros(n, dtype=int)
+        bits[list(pair)] = 1
+        master.add_cut(state, no_good(bits))
+    z, theta = master.master_solve(state)
+    assert theta == -2.0
+    assert z.support().tolist() == [5, 6]
+    assert (theta, z.as_tuple()) == brute_force(state, all_selections(n, 2))
