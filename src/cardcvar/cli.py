@@ -27,8 +27,6 @@ from .model import (
     SelectionVector,
     build_feasible_set,
     compute_mu_bar,
-    cvar,
-    objective,
 )
 
 __all__ = [
@@ -95,25 +93,6 @@ def build_instance(scenarios, probs, config: RunConfig) -> Instance:
                     k=config.k)
 
 
-def _oracle_report(instance: Instance, config: RunConfig) -> SolveReport:
-    t0 = time.monotonic()
-    result = oracle.brute_force(instance, instance.k)
-    elapsed = time.monotonic() - t0
-    params = {"eps": config.eps, "delta": config.delta,
-              "time_limit": config.time_limit_sec}
-    if result is None:
-        nan = float("nan")
-        return SolveReport("oracle", driver.INFEASIBLE, nan, nan, elapsed,
-                           0, 0, 0, None, None, nan, nan, nan, params)
-    port = driver.extract_portfolio(result.best_z, instance)
-    obj = objective(port, instance)
-    a_star, cvar_value = cvar(port.weights, instance)
-    exp_ret = float(instance.expected_returns @ port.weights)
-    return SolveReport("oracle", driver.OPTIMAL, obj, 0.0, elapsed,
-                       result.evaluated, 0, 0, result.best_z, port,
-                       cvar_value, a_star, exp_ret, params)
-
-
 def run_method(instance: Instance, config: RunConfig) -> SolveReport:
     """Dispatch one solve according to config.method."""
     eps, delta = config.eps, config.delta
@@ -128,7 +107,17 @@ def run_method(instance: Instance, config: RunConfig) -> SolveReport:
     if config.method == "bigm":
         return driver.solve_bigm(instance, eps, time_limit=limit)
     if config.method == "oracle":
-        return _oracle_report(instance, config)
+        t0 = time.monotonic()
+        result = oracle.brute_force(instance, instance.k)
+        echo = {"eps": eps, "delta": delta, "time_limit": limit}
+        if result is None:
+            nan = float("nan")
+            return driver._report("oracle", driver.INFEASIBLE, instance, t0,
+                                  0, 0, 0, None, nan, nan, echo)
+        # lb = ub = the enumerated optimum, so gap_pct is 0
+        return driver._report("oracle", driver.OPTIMAL, instance, t0,
+                              result.evaluated, 0, 0, result.best_z,
+                              result.best_f, result.best_f, echo)
     raise UsageError(f"unknown method {config.method!r}")
 
 

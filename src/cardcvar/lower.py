@@ -2,11 +2,17 @@
 
 solve_lower_cp runs the scenario cutting-plane loop whose QP dimension stays
 at |supp(z)| + 2 regardless of the scenario count; each inner QP adds one
-cut row and resumes the active-set solve of the one before it.
-solve_lower_lifted solves the exact per-scenario lifting as an oracle. Both expose the dual structure
-needed to build upper-level cuts: a DualCertificate whose objective
--(gamma/2) z @ (omega * omega) - b @ zeta + lambda reproduces the lower bound
-and whose omega yields the subgradient -(gamma/2) omega^2.
+cut row and resumes the active-set solve of the one before it. Its QP is
+over (a, v, x_support), with the inequality rows in the order
+    v >= 0, side rows, x_support >= 0, one cut row per scenario subset
+(the subsets in the order they were added) and the budget row as the one
+equality. The rows live in one workspace per call (_CutQP); a new cut is
+written after the last, so no earlier row moves.
+solve_lower_lifted solves the exact per-scenario lifting as an oracle. Both
+expose the dual structure needed to build upper-level cuts: a
+DualCertificate whose objective -(gamma/2) z @ (omega * omega) - b @ zeta +
+lambda reproduces the lower bound and whose omega yields the subgradient
+-(gamma/2) omega^2.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ log = logging.getLogger(__name__)
 J_TOL = 1e-10          # strict-positivity tolerance for scenario selection
 GAP_NOISE = 1e-12      # relative size of a rounding-level gap past delta
 MAX_INNER_ITERS = 10_000
+_CUT_CAPACITY = 16     # cut rows a lower solve's workspace starts with
 
 
 class SolverError(RuntimeError):
@@ -85,43 +92,55 @@ def _aggregate(instance: Instance, J: np.ndarray):
     return pJ, rho
 
 
-def _cut_rows(instance: Instance, support: np.ndarray, aggregates: list):
-    """Cut rows on (a, v, x_support): -(p_J a + rho_J x) / (1 - beta) - v <= 0."""
-    one_m_beta = 1.0 - instance.beta
-    rows = np.empty((len(aggregates), support.size + 2))
-    rows[:, 0] = [-pJ / one_m_beta for pJ, _ in aggregates]
-    rows[:, 1] = -1.0
-    rows[:, 2:] = [-rho[support] / one_m_beta for _, rho in aggregates]
-    return rows
+class _CutQP:
+    """The scenario-cut QP over (a, v, x_support), kept in one row workspace.
 
-
-def _reduced_qp(instance: Instance, support: np.ndarray, aggregates: list,
-                start: np.ndarray, working: list):
-    """QP over (a, v, x_support) with one aggregate row per subset.
-
-    Inequality row order: cut rows (one per subset, from its (p_J, rho_J)
-    aggregate), v >= 0, side rows, x >= 0. The single equality row is the
-    budget constraint. start and working warm-start the active-set solve.
+    Inequality row order: v >= 0 (row 0), the side rows, x >= 0 (`fixed`
+    rows in all), then one cut row -(p_J a + rho_J x) / (1 - beta) - v <= 0
+    per subset, in the order the subsets were added; the one equality row is
+    the budget. A cut is written in place after the last one, and a full
+    workspace is copied into one twice as tall, so adding a cut never moves
+    a row, nor overwrites a row that an earlier QP's view covers.
     """
-    K = support.size
-    C = len(aggregates)
-    M = instance.side_b.size
-    G = np.zeros((C + 1 + M + K, K + 2))
-    G[:C] = _cut_rows(instance, support, aggregates)
-    G[C, 1] = -1.0
-    G[C + 1:C + 1 + M, 2:] = instance.side_A[:, support]
-    G[C + 1 + M:, 2:] = -np.eye(K)
-    h = np.concatenate([np.zeros(C + 1), instance.side_b, np.zeros(K)])
-    return numeric.ConvexProgram(
-        quad_diag=np.concatenate([[0.0, 0.0], np.full(K, 1.0 / instance.gamma)]),
-        lin=np.concatenate([[1.0, 1.0], np.zeros(K)]),
-        ineq_G=G,
-        ineq_h=h,
-        eq_A=np.concatenate([[0.0, 0.0], np.ones(K)])[None, :],
-        eq_b=np.array([1.0]),
-        start=start,
-        working=working,
-    )
+
+    def __init__(self, instance: Instance, support: np.ndarray):
+        K = support.size
+        M = instance.side_b.size
+        self.support = support
+        self.one_m_beta = 1.0 - instance.beta
+        self.fixed = 1 + M + K
+        self.count = self.fixed
+        self.G = np.zeros((self.fixed + _CUT_CAPACITY, K + 2))
+        self.h = np.zeros(self.G.shape[0])
+        self.G[0, 1] = -1.0
+        self.G[1:1 + M, 2:] = instance.side_A[:, support]
+        self.h[1:1 + M] = instance.side_b
+        self.G[1 + M:self.fixed, 2:] = -np.eye(K)
+        self.quad_diag = np.concatenate([[0.0, 0.0],
+                                         np.full(K, 1.0 / instance.gamma)])
+        self.lin = np.concatenate([[1.0, 1.0], np.zeros(K)])
+        self.eq_A = np.concatenate([[0.0, 0.0], np.ones(K)])[None, :]
+        self.eq_b = np.ones(1)
+
+    def add_cut(self, pJ: float, rho: np.ndarray) -> int:
+        """Write the cut of the aggregate (p_J, rho_J); returns its row."""
+        if self.count == self.h.size:
+            self.G = np.concatenate([self.G, np.zeros_like(self.G)])
+            self.h = np.concatenate([self.h, np.zeros_like(self.h)])
+        row = self.G[self.count]
+        row[0] = -pJ / self.one_m_beta
+        row[1] = -1.0
+        row[2:] = -rho[self.support] / self.one_m_beta
+        self.count += 1
+        return self.count - 1
+
+    def program(self, start: np.ndarray, working: list):
+        """The QP over the rows written so far, warm-started at start with
+        the given working rows."""
+        return numeric.ConvexProgram(
+            quad_diag=self.quad_diag, lin=self.lin,
+            ineq_G=self.G[:self.count], ineq_h=self.h[:self.count],
+            eq_A=self.eq_A, eq_b=self.eq_b, start=start, working=working)
 
 
 def _support_feasible(instance: Instance, support: np.ndarray):
@@ -161,18 +180,19 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
     # the all-scenario subset aggregates to the expected returns, no gather
     aggregates = [(float(instance.probs.sum()), instance.expected_returns)]
     seen = {subsets[0].tobytes()}
+    qp = _CutQP(instance, support)
+    first = qp.add_cut(*aggregates[0])
     # cold start at the phase-1 point with a = 0 and v on the row holding
-    # it: the all-scenario cut (row 0) or v >= 0 (row 1)
-    v0 = float(_cut_rows(instance, support, aggregates)[0, 2:] @ x0)
+    # it: the all-scenario cut or v >= 0 (row 0)
+    v0 = float(qp.G[first, 2:] @ x0)
     start = np.concatenate([[0.0, max(v0, 0.0)], x0])
-    working = [0 if v0 >= 0.0 else 1]
+    working = [first if v0 >= 0.0 else 0]
     iters = 0
     while True:
         iters += 1
         if iters > MAX_INNER_ITERS:
             raise SolverError("inner cutting-plane loop exceeded iteration cap")
-        prog = _reduced_qp(instance, support, aggregates, start, working)
-        sol = numeric.solve(prog, skip_phase1=True)
+        sol = numeric.solve(qp.program(start, working), skip_phase1=True)
         if sol.status != numeric.OPTIMAL:
             raise SolverError(f"lower-level QP ended with status {sol.status}")
         a_t = float(sol.x[0])
@@ -192,8 +212,7 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
             portfolio = Portfolio(x_full, a_t, max(v_prime, 0.0))
             f_hi = float(x_full @ x_full / (2.0 * instance.gamma)
                          + a_t + max(v_prime, 0.0))
-            cert = recover_certificate(_collect_duals(sol, len(aggregates),
-                                                      instance, support),
+            cert = recover_certificate(_collect_duals(sol, qp.fixed, instance),
                                        subsets, z, instance, aggregates)
             _check_certificate_value(cert, z, instance, f_lo)
             if iters > 30:
@@ -204,25 +223,25 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
         subsets.append(J)
         aggregates.append(_aggregate(instance, J))
         # warm start: v rises onto the new cut, which is tight there; the
-        # rows that held v (old cuts, v >= 0) leave the working set, and the
-        # rows after the cut block shift down by one
-        C = len(aggregates) - 1
+        # rows that held v (v >= 0 and the old cuts) leave the working set
+        cut = qp.add_cut(*aggregates[-1])
+        row = qp.G[cut]
         start = sol.x.copy()
-        cut = _cut_rows(instance, support, aggregates[-1:])[0]
-        start[1] = max(start[1], float(cut[0] * start[0] + cut[2:] @ start[2:]))
-        working = [C] + [int(i) + 1 for i in sol.working if i > C]
+        start[1] = max(start[1],
+                       float(row[0] * start[0] + row[2:] @ start[2:]))
+        working = [cut] + [int(i) for i in sol.working if 0 < i < qp.fixed]
 
 
-def _collect_duals(sol: numeric.Solution, n_cut_rows: int,
-                   instance: Instance, support: np.ndarray) -> dict:
-    """Split the reduced-QP multipliers by row block."""
+def _collect_duals(sol: numeric.Solution, n_fixed: int,
+                   instance: Instance) -> dict:
+    """Split the reduced-QP multipliers by row block (see _CutQP)."""
     M = instance.side_b.size
     lam_rows = sol.ineq_duals
     return {
-        "alpha": lam_rows[:n_cut_rows],
-        "xi": float(lam_rows[n_cut_rows]),
-        "zeta": lam_rows[n_cut_rows + 1:n_cut_rows + 1 + M],
-        "pi": lam_rows[n_cut_rows + 1 + M:],
+        "alpha": lam_rows[n_fixed:],
+        "xi": float(lam_rows[0]),
+        "zeta": lam_rows[1:1 + M],
+        "pi": lam_rows[1 + M:n_fixed],
         "eq": float(sol.eq_duals[0]),
     }
 

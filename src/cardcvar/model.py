@@ -8,6 +8,7 @@ Losses are negated returns, loss(x, r) = -r @ x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,10 +80,14 @@ class Instance:
     def n_scenarios(self) -> int:
         return self.scenarios.shape[0]
 
-    @property
+    @cached_property
     def expected_returns(self) -> np.ndarray:
-        """Probability-weighted mean return of each asset."""
-        return self.probs @ self.scenarios
+        """Probability-weighted mean return of each asset, computed on first
+        access (an Instance is not mutated after construction) and shared
+        read-only by every later one."""
+        mu = self.probs @ self.scenarios
+        mu.flags.writeable = False
+        return mu
 
 
 @dataclass

@@ -7,7 +7,13 @@ Three engines behind one entry point, one per kind of problem:
   (|supp z| + 2)-dimensional scenario-cut QP of the lower level. It starts
   from a feasible point, optionally with a working set carried over from a
   related solve (ConvexProgram.start / .working), and hands its final
-  working set back on the Solution so a caller adding one row can resume;
+  working set back on the Solution so a caller adding one row can resume.
+  Each pass solves one bordered KKT system [[diag(P), B'], [B, 0]] over the
+  working rows B for the step and the multipliers together. Zero-curvature
+  directions are looked for only on the coordinates with P == 0 (a and v in
+  the scenario-cut QP): along one where the objective falls the pass is a
+  ray to the first blocking row, and one where it is level is pinned by
+  extra rows of B;
 - a Mehrotra predictor-corrector interior-point method for ScenarioProgram
   (the lifted CP and big-M programs). It runs on a structured KKT backend,
   so the per-scenario block costs O(S) memory and O(S T^2) work per
@@ -674,50 +680,51 @@ def _kkt_converged(prim_res, dual_res, comp, obj, h, b, q) -> bool:
 # ---------------------------------------------------------------------------
 # primal active-set method (dense QPs)
 
-_RANK_TOL = 1e-12    # singular values below this share of the largest are 0
-_FLAT_TOL = 1e-10    # reduced curvature below this share of max(quad_diag)
+_RANK_TOL = 1e-12    # singular values of B_F below this share of max |B| are 0
 _BLOCK_TOL = 1e-12   # a row blocks only a step that turns into it this much
 
 
-def _face_step(P, g, Z, flat_tol, grad_tol):
-    """Step to the minimizer of the objective on the face {x + Z u}.
-
-    Returns (d, ray). When the objective has no curvature along some
-    direction of the face and still falls along it, the minimizer is at
-    infinity: d is then that direction at unit length and ray is True, so
-    the caller moves exactly to the first blocking row. On a flat direction
-    where the objective is level, the step leaves that coordinate alone.
-    """
-    gz = Z.T @ g
-    w, V = np.linalg.eigh((Z.T * P) @ Z)
-    flat = w <= flat_tol
-    if flat.any():
-        fall = V[:, flat] @ (V[:, flat].T @ gz)
-        if np.abs(fall).max() > grad_tol:
-            d = -Z @ fall
-            return d / np.sqrt(d @ d), True
-    curved = ~flat
-    return -Z @ (V[:, curved] @ ((V[:, curved].T @ gz) / w[curved])), False
+def _flat_null(B: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the directions u on the flat columns with
+    B u = 0: the null space of B[:, flat]."""
+    if B.shape[0] == 0:
+        return np.eye(flat.size)
+    _, sv, Vt = np.linalg.svd(B[:, flat])
+    return Vt[int(np.count_nonzero(sv > _RANK_TOL * np.abs(B).max())):]
 
 
 def _active_set(prog: ConvexProgram, x: np.ndarray, work: list) -> Solution:
     """Primal active-set method from a feasible point x.
 
     work lists inequality rows tight at x and linearly independent of each
-    other and of the equality rows. Each pass moves to the minimizer on the
-    face of the working rows, stopping at the first row that blocks the move
-    (which joins the working set); at a face minimizer the row with the most
-    negative multiplier leaves, and when none is negative the point is
-    optimal. Zero-curvature directions (a and v in the scenario-cut QP) are
-    handled exactly by _face_step, so a flat ray costs one pass. The
-    returned Solution carries the final working set.
+    other and of the equality rows. Each pass moves towards the minimizer on
+    the face of the working rows B = [eq_A; ineq_G[work]], stopping at the
+    first row that blocks the move (which joins the working set); at a face
+    minimizer the row with the most negative multiplier leaves, and when
+    none is negative the point is optimal. The returned Solution carries the
+    final working set.
+
+    A pass costs one solve of the bordered KKT system
+        [[diag(P), B'], [B, 0]] [d; y] = [-(P x + c); 0],
+    which gives the step d and, at x + d, the working-row multipliers y, so
+    a full step is priced without a second solve. The system is singular
+    exactly when the face has a flat direction: one supported on the
+    coordinates with P == 0 (a and v in the scenario-cut QP) in the null
+    space of B restricted to those columns, found from that small block
+    alone. If the objective falls along a flat direction, the pass is a ray
+    to the first blocking row instead (a flat ray costs one pass); if it is
+    level, extra rows of B pin it, so the step leaves it alone. A row that
+    blocks has G_j d > 0 for d in the null space of B, so it is independent
+    of the working rows and B keeps full row rank; a singular solve all the
+    same ends in NumericalError, never Optimal.
     """
     P, c = prog.quad_diag, prog.lin
     G, h, A, b = prog.ineq_G, prog.ineq_h, prog.eq_A, prog.eq_b
     n, m, p = prog.n, h.size, b.size
     x = np.array(x, dtype=float)
     work = [int(i) for i in work]
-    flat_tol = _FLAT_TOL * float(P.max())
+    flat = np.flatnonzero(P == 0.0)
+    P_block = np.diag(P)
     # a flat face whose objective falls by less than grad_tol counts as
     # level; a multiplier above -lam_tol is rounding, and clamping it to 0
     # moves the dual residual far less than the KKT gate allows
@@ -726,35 +733,54 @@ def _active_set(prog: ConvexProgram, x: np.ndarray, work: list) -> Solution:
     row_norm = np.linalg.norm(G, axis=1)
     max_iter = 50 + 5 * (n + m)
     for it in range(1, max_iter + 1):
-        act = np.vstack([A, G[work]])
-        if act.shape[0]:
-            U, sv, Vt = np.linalg.svd(act)
-            rank = int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
-        else:
-            U, sv, Vt, rank = None, None, np.eye(n), 0
+        B = np.vstack([A, G[work]])
+        r = B.shape[0]
         g = P * x + c
-        if rank < n:
-            d, ray = _face_step(P, g, Vt[rank:].T, flat_tol, grad_tol)
-            if ray or np.abs(d).max() > 1e-13 * (1.0 + np.abs(x).max()):
-                Gd = G @ d
-                Gd[work] = 0.0
-                moving = np.flatnonzero(
-                    Gd > _BLOCK_TOL * np.sqrt(d @ d) * row_norm)
-                ratios = (np.maximum(h[moving] - G[moving] @ x, 0.0)
-                          / Gd[moving])
-                j = int(np.argmin(ratios)) if moving.size else -1
-                if ray and j < 0:
-                    return Solution(UNBOUNDED, x, -np.inf, np.zeros(m),
-                                    np.zeros(p), np.array(work), it)
-                blocked = j >= 0 and (ray or ratios[j] < 1.0)
-                x = x + (ratios[j] if blocked else 1.0) * d
-                if blocked:
-                    work.append(int(moving[j]))
-                    continue
-                g = P * x + c
-        # x minimizes the objective on the working face: price the rows
-        y = (U[:, :rank] @ ((Vt[:rank] @ -g) / sv[:rank]) if rank
-             else np.zeros(p + len(work)))
+        ray = False
+        if flat.size:
+            N = _flat_null(B, flat)
+            if N.shape[0]:
+                fall = N.T @ (N @ g[flat])
+                if np.abs(fall).max() > grad_tol:
+                    d = np.zeros(n)
+                    d[flat] = -fall / np.sqrt(fall @ fall)
+                    ray = True
+                else:
+                    pins = np.zeros((N.shape[0], n))
+                    pins[:, flat] = N
+                    B = np.vstack([B, pins])
+        if not ray:
+            s = n + B.shape[0]
+            K = np.zeros((s, s))
+            K[:n, :n] = P_block
+            K[:n, n:] = B.T
+            K[n:, :n] = B
+            try:
+                sol = np.linalg.solve(K, np.concatenate([-g, np.zeros(s - n)]))
+            except np.linalg.LinAlgError:
+                return _stopped(NUMERICAL_ERROR, prog, x, work, it)
+            if not np.isfinite(sol).all():
+                return _stopped(NUMERICAL_ERROR, prog, x, work, it)
+            d, y = sol[:n], sol[n:n + r]
+        # on a face that is a single point (n rows in B) d is rounding
+        # noise, and a row it seems to turn into cannot be independent
+        if ray or (B.shape[0] < n
+                   and np.abs(d).max() > 1e-13 * (1.0 + np.abs(x).max())):
+            Gd = G @ d
+            Gd[work] = 0.0
+            moving = np.flatnonzero(
+                Gd > _BLOCK_TOL * np.sqrt(d @ d) * row_norm)
+            ratios = np.maximum(h[moving] - G[moving] @ x, 0.0) / Gd[moving]
+            j = int(np.argmin(ratios)) if moving.size else -1
+            if ray and j < 0:
+                return Solution(UNBOUNDED, x, -np.inf, np.zeros(m),
+                                np.zeros(p), np.array(work), it)
+            blocked = j >= 0 and (ray or ratios[j] < 1.0)
+            x = x + (ratios[j] if blocked else 1.0) * d
+            if blocked:
+                work.append(int(moving[j]))
+                continue
+        # x minimizes the objective on the working face; y prices the rows
         lam_w = y[p:]
         if lam_w.size and lam_w.min() < -lam_tol:
             work.pop(int(np.argmin(lam_w)))
@@ -771,9 +797,14 @@ def _active_set(prog: ConvexProgram, x: np.ndarray, work: list) -> Solution:
         status = (OPTIMAL if _kkt_converged(prim_res, dual_res, comp, obj,
                                             h, b, c) else NUMERICAL_ERROR)
         return Solution(status, x, obj, lam, nu, np.array(work), it)
-    obj = float(0.5 * (x @ (P * x)) + c @ x)
-    return Solution(ITER_LIMIT, x, obj, np.zeros(m), np.zeros(p),
-                    np.array(work), max_iter)
+    return _stopped(ITER_LIMIT, prog, x, work, max_iter)
+
+
+def _stopped(status, prog, x, work, iters) -> Solution:
+    """An active-set result without multipliers (iteration cap, breakdown)."""
+    obj = float(0.5 * (x @ (prog.quad_diag * x)) + prog.lin @ x)
+    return Solution(status, x, obj, np.zeros(prog.ineq_h.size),
+                    np.zeros(prog.eq_b.size), np.array(work), iters)
 
 
 def solve(prog, skip_phase1: bool = False) -> Solution:

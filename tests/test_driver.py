@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cardcvar
-from cardcvar import driver, lower, oracle
+from cardcvar import cli, driver, lower, oracle
 from cardcvar.model import (
     Instance,
     SelectionVector,
@@ -274,6 +274,23 @@ def test_time_sec_includes_portfolio_extraction(monkeypatch):
     report = driver.solve_bcp(two_asset_instance())
     assert report.status == driver.OPTIMAL
     assert report.time_sec >= 0.2
+
+
+def test_oracle_time_sec_includes_portfolio_extraction(monkeypatch):
+    extract = driver.extract_portfolio
+
+    def slow_extract(z_hat, instance):
+        time.sleep(0.2)
+        return extract(z_hat, instance)
+
+    monkeypatch.setattr(driver, "extract_portfolio", slow_extract)
+    report = cli.run_method(two_asset_instance(k=1),
+                            cli.RunConfig(method="oracle", k=1))
+    assert report.status == driver.OPTIMAL
+    assert report.time_sec >= 0.2
+    assert report.gap_pct == 0.0
+    assert report.obj == pytest.approx(
+        oracle.brute_force(two_asset_instance(k=1), 1).best_f, abs=1e-7)
 
 
 def test_bcp_solves_never_import_scipy():

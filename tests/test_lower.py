@@ -317,6 +317,45 @@ def test_warm_and_cold_reduced_qps_agree(monkeypatch):
         np.testing.assert_allclose(w.x[2:], c.x[2:], atol=1e-7)
 
 
+@pytest.mark.parametrize("capacity", [1, 3])
+def test_cut_workspace_growth_keeps_bounds_and_views(monkeypatch, capacity):
+    """Lower solves with more cuts than the row workspace starts with (so it
+    doubles) keep the sandwich property and the QP dimension K + 2, and no
+    QP handed to the solver sees its rows change afterwards: each cut is
+    written past every earlier QP's view."""
+    monkeypatch.setattr(lower, "_CUT_CAPACITY", capacity)
+    captured = []
+    real_solve = numeric.solve
+
+    def spy(prog, skip_phase1=False):
+        if isinstance(prog, numeric.ConvexProgram):
+            captured.append((prog, prog.ineq_G.copy(), prog.ineq_h.copy()))
+        return real_solve(prog, skip_phase1)
+
+    monkeypatch.setattr(numeric, "solve", spy)
+    rng = np.random.default_rng(37)
+    most_cuts = 0
+    for trial in range(8):
+        n = int(rng.integers(2, 8))
+        inst = random_instance(rng, n, int(rng.integers(40, 150)),
+                               with_return_row=bool(trial % 2))
+        z = random_selection(rng, n)
+        captured.clear()
+        res = lower.solve_lower_cp(z, inst, 1e-7)
+        assert captured
+        for prog, G, h in captured:
+            assert prog.n == z.count() + 2
+            assert np.array_equal(prog.ineq_G, G)
+            assert np.array_equal(prog.ineq_h, h)
+        most_cuts = max(most_cuts,
+                        np.count_nonzero(captured[-1][0].ineq_G[:, 0]))
+        f = lower.solve_lower_lifted(z, inst)[0]
+        assert res.f_lo <= f + 1e-9
+        assert f <= res.f_hi + 1e-9
+        assert res.f_hi <= res.f_lo + 1e-7 + 1e-9
+    assert most_cuts > 2 * capacity
+
+
 # Scenario grids with few distinct values: rows repeat, assets can be
 # constant, and losses tie at the beta-quantile (S (1 - beta) is integral
 # for S = 10 or 20 at beta = 0.9 or 0.5).

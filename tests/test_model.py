@@ -181,6 +181,15 @@ def test_expected_returns_weighted():
     np.testing.assert_allclose(inst.expected_returns, [0.25, 0.75])
 
 
+def test_expected_returns_computed_once():
+    rng = np.random.default_rng(3)
+    inst = make_instance(rng.normal(size=(50, 4)), probs=np.full(50, 0.02))
+    first = inst.expected_returns
+    assert inst.expected_returns is first
+    assert np.array_equal(first, inst.probs @ inst.scenarios)
+    assert not first.flags.writeable
+
+
 def test_selection_vector():
     z = SelectionVector(np.array([1, 0, 1, 0]))
     assert z.count() == 2

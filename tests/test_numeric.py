@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardcvar.numeric import (
     INFEASIBLE,
@@ -445,6 +448,39 @@ def test_infeasible_start_is_not_reported_optimal():
     assert sol.status == NUMERICAL_ERROR
 
 
+def test_point_face_at_a_degenerate_vertex():
+    # x0 is level and pinned; at the phase-1 vertex four rows are tight (one
+    # twice another), so after the budget row and one blocking row the face
+    # is a single point. The step solved there is rounding noise; a row it
+    # seems to turn into is dependent and must not join, or the method cycles.
+    G = np.array([[0.0, 1.2772973982659264, 0.32179609385001606],
+                  [0.0, -1.0296447088465561, -0.630510574835709],
+                  [0.0, -0.737136403324803, -0.3947090745501312],
+                  [0.0, -1.6170843665089203, -0.7370540398698225],
+                  [0.0, -0.2200252696796866, 0.9394756510155914],
+                  [0.0, -2.0592894176931122, -1.261021149671418],
+                  [0.0, -0.7819920194271859, -0.939225055821402]])
+    h = np.array([-0.06319700675807038, 0.770862142950974, 0.9299562878069827,
+                  1.0993399413888831, -0.30758917729151697, 1.541724285901948,
+                  1.4785272791438775])
+    prog = make_prog(P=[0.0, 2.291276389666784, 2.565310028665969],
+                     q=[0.0, -1.0881083108057028, -0.37927685005694023],
+                     G=G, h=h,
+                     A=[[0.0, -0.06126932502544388, 0.2586878702316414]],
+                     b=[-0.08436752807028185])
+    x0 = np.array([0.949975835259374, -0.4794230629502961,
+                   -0.4396860797416898])
+    cold = solve(prog)
+    warm = solve(dataclasses.replace(prog, start=x0, working=[3]),
+                 skip_phase1=True)
+    for sol in (cold, warm):
+        assert sol.status == OPTIMAL
+        assert max(kkt_residuals(prog, sol)) <= 1e-9
+        assert sol.obj == pytest.approx(lagrangian_dual_value(prog, sol),
+                                        abs=1e-9)
+    assert warm.obj == pytest.approx(cold.obj, abs=1e-12)
+
+
 def test_program_validation():
     with pytest.raises(ValueError):
         make_prog(P=[-1.0], q=[0.0])
@@ -457,3 +493,96 @@ def test_program_validation():
     with pytest.raises(ValueError):
         ConvexProgram(quad_diag=[1.0], lin=[0.0], ineq_G=[[1.0]],
                       ineq_h=[1.0], eq_A=None, eq_b=None, working=[1])
+
+
+@st.composite
+def diagonal_qps(draw):
+    """Feasible diagonal-Hessian QPs around an anchor point x0, with zero-
+    curvature coordinates, equality rows, duplicate and linearly dependent
+    inequality rows and, optionally, a level flat direction u: every row and
+    the cost are orthogonal to u on the flat coordinates, so the objective
+    neither rises nor falls along u on any face."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    n_flat = draw(st.integers(0, n - 1))
+    p = draw(st.integers(0, min(2, n - 1)))
+    m = draw(st.integers(0, 6))
+    flat = np.arange(n_flat)
+    P = np.concatenate([np.zeros(n_flat), rng.uniform(0.2, 3.0, n - n_flat)])
+    c = rng.normal(size=n)
+    G = rng.normal(size=(m, n))
+    A = rng.normal(size=(p, n))
+    if n_flat and draw(st.booleans()):
+        # box the flat coordinates, so most of these programs are bounded
+        G = np.vstack([G, np.eye(n)[flat], -np.eye(n)[flat]])
+    if n_flat and draw(st.booleans()):
+        u = np.zeros(n)
+        u[flat] = rng.normal(size=n_flat)
+        u /= np.linalg.norm(u)
+        G -= np.outer(G @ u, u)
+        A -= np.outer(A @ u, u)
+        c -= (c @ u) * u
+    x0 = rng.normal(size=n)
+    tight = rng.random(G.shape[0]) < 0.5
+    h = G @ x0 + np.where(tight, 0.0, rng.uniform(0.1, 1.0, G.shape[0]))
+    for _ in range(draw(st.integers(0, 3))):
+        if not h.size:
+            break
+        i, j = rng.integers(h.size, size=2)
+        kind = draw(st.sampled_from(["duplicate", "scaled", "sum"]))
+        if kind == "duplicate":
+            row, rhs = G[i], h[i]
+        elif kind == "scaled":
+            row, rhs = 2.0 * G[i], 2.0 * h[i]
+        else:
+            row, rhs = G[i] + G[j], h[i] + h[j]
+        G, h = np.vstack([G, row]), np.append(h, rhs)
+    prog = ConvexProgram(quad_diag=P, lin=c, ineq_G=G, ineq_h=h, eq_A=A,
+                         eq_b=A @ x0)
+    # warm start: an independent set of the rows tight at x0, in random order
+    working = []
+    for i in rng.permutation(h.size):
+        if abs(G[i] @ x0 - h[i]) > 1e-12 * (1.0 + abs(h[i])):
+            continue
+        rows = np.vstack([A, G[working + [i]]])
+        if np.linalg.matrix_rank(rows) == rows.shape[0]:
+            working.append(int(i))
+    return prog, x0, working
+
+
+def has_falling_flat_ray(prog):
+    """Independent check (HiGHS) for a direction u on the zero-curvature
+    coordinates with G u <= 0, A u = 0 and c @ u < 0."""
+    from scipy.optimize import linprog
+
+    flat = prog.quad_diag == 0.0
+    if not flat.any():
+        return False
+    m, p = prog.ineq_h.size, prog.eq_b.size
+    res = linprog(prog.lin[flat],
+                  A_ub=prog.ineq_G[:, flat] if m else None,
+                  b_ub=np.zeros(m) if m else None,
+                  A_eq=prog.eq_A[:, flat] if p else None,
+                  b_eq=np.zeros(p) if p else None,
+                  bounds=(-1.0, 1.0), method="highs")
+    return res.status == 0 and res.fun < -1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(diagonal_qps())
+def test_active_set_cold_and_warm_on_degenerate_qps(case):
+    prog, x0, working = case
+    cold = solve(prog)
+    warm = solve(dataclasses.replace(prog, start=x0, working=working),
+                 skip_phase1=True)
+    if has_falling_flat_ray(prog):
+        assert cold.status == warm.status == UNBOUNDED
+        return
+    for sol in (cold, warm):
+        assert sol.status == OPTIMAL
+        prim, dual, comp = kkt_residuals(prog, sol)
+        assert max(prim, dual, comp) <= 1e-9
+        assert sol.obj == pytest.approx(lagrangian_dual_value(prog, sol),
+                                        abs=1e-9 * (1.0 + abs(sol.obj)))
+    assert warm.obj == pytest.approx(cold.obj,
+                                     abs=1e-9 * (1.0 + abs(cold.obj)))
