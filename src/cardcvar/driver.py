@@ -1,10 +1,13 @@
-"""Outer solve orchestration: cutting-plane loops and the big-M baseline.
+"""Outer solve orchestration: one cutting-plane loop and the big-M baseline.
 
-solve_bcp alternates the master problem with the scenario cutting-plane
-lower solver and cuts built from its reduced dual certificate; solve_cp uses
-exact lifted lower solves instead; solve_bigm skips cuts entirely and runs
-branch and bound on one QP containing the selection variables. All three
-share bound bookkeeping, a wall-clock budget, and SolveReport assembly. The
+solve_bcp and solve_cp run one driver. Its step solves the lower level at a
+candidate selection, adds the cut, lowers the upper bound and reports the
+iteration: bcp solves by the scenario cutting-plane algorithm and cuts from
+its reduced dual certificate, cp solves the exact lifting. Multi-tree mode
+re-solves the master after each step; single-tree mode (bcp only) runs one
+master search that takes the steps through its callback. solve_bigm skips
+cuts entirely and runs branch and bound on one QP containing the selection
+variables. All share a wall-clock budget and SolveReport assembly. The
 reported objective always comes from an exact re-solve at the incumbent
 selection, so it is a true upper bound regardless of inner tolerances.
 """
@@ -119,77 +122,107 @@ def _echo(eps, delta, time_limit, params) -> dict:
     return out
 
 
-def _run_cutting_plane(method, instance, eps, delta, time_limit, params,
-                       on_iteration):
-    """Shared outer loop: master, lower solve, cut, bounds, termination.
+def _lower_cut(method, z, instance, delta):
+    """Lower solve at z and the cut it yields: (cut, f_lo, f_hi) with
+    f_lo <= f(z) <= f_hi.
 
-    method "bcp" solves the lower level by the scenario cutting-plane
-    algorithm and cuts from its certificate; "cp" solves the exact lifting
-    and cuts from its multipliers. Termination is the gap test for both,
-    plus repeated selections for "bcp" whose cuts are delta-inexact.
+    method "bcp" runs the scenario cutting-plane algorithm and cuts from its
+    certificate, so f_hi <= f_lo + delta; "cp" solves the exact lifting and
+    cuts from its multipliers, so f_lo = f_hi. An infeasible z gets a
+    no-good cut and f_lo = f_hi = inf.
     """
+    if method == "bcp":
+        res = lower.solve_lower_cp(z, instance, delta)
+        if res is not None:
+            grad = lower.subgradient(res.certificate, instance.gamma)
+            return (master.Cut(master.OPTIMALITY, z, res.f_lo, grad),
+                    res.f_lo, res.f_hi)
+    else:
+        res = lower.solve_lower_lifted(z, instance)
+        if res is not None:
+            f_z, _, duals = res
+            grad = -(instance.gamma / 2.0) * duals["omega"] ** 2
+            return master.Cut(master.OPTIMALITY, z, f_z, grad), f_z, f_z
+    return master.Cut(master.NO_GOOD, z), np.inf, np.inf
+
+
+def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
+                   params, on_iteration):
+    """The outer loop of bcp, single-tree bcp and cp.
+
+    Every lower solve is one step (evaluate): add the cut of _lower_cut,
+    lower the upper bound, count the iteration and report it. Multi-tree
+    re-solves the master after each step and stops on the gap test or, for
+    "bcp" whose cuts are delta-inexact, on a repeated selection. Single-tree
+    runs one master search that takes the steps through its callback at
+    each new integer candidate and ends at that search's optimum; a
+    candidate seen before already satisfies its cut and is accepted, so gap
+    closure plus cut-driven rejection carry the termination argument.
+    """
+    name = "bcp_single_tree" if single_tree else method
     t0 = time.monotonic()
     deadline = t0 + time_limit
     echo = _echo(eps, delta, time_limit, params)
     tlb = theta_lb(instance, delta)
     if tlb is None:
-        return _report(method, INFEASIBLE, instance, t0, 0, 0, 0, None,
+        return _report(name, INFEASIBLE, instance, t0, 0, 0, 0, None,
                        float("nan"), float("nan"), echo)
     state = master.MasterState(n_assets=instance.n_assets, k=instance.k,
                                theta_lb=tlb)
-    visited = set()
+    seen = set()
     lb, ub = tlb, float("inf")
     z_hat = None
     t = 0
 
     def out(status):
-        return _report(method, status, instance, t0, t, state.node_count,
+        return _report(name, status, instance, t0, t, state.node_count,
                        len(state.cuts), z_hat, lb, ub, echo)
+
+    def evaluate(z):
+        nonlocal ub, z_hat, t
+        cut, f_lo, f_hi = _lower_cut(method, z, instance, delta)
+        master.add_cut(state, cut)
+        if f_hi < ub:
+            ub, z_hat = f_hi, z
+        t += 1
+        if on_iteration is not None:
+            on_iteration(t, z, lb, ub)
+        return f_lo
+
+    def callback(z, theta):
+        if z.as_tuple() in seen:
+            # its cut is in the pool, so theta already satisfies it
+            return True
+        seen.add(z.as_tuple())
+        f_lo = evaluate(z)
+        return f_lo < np.inf and theta >= f_lo - 1e-9 * (1.0 + abs(f_lo))
 
     while True:
         if time.monotonic() > deadline:
             return out(TIME_LIMIT)
-        t += 1
         try:
-            solved = master.master_solve(state, deadline=deadline)
+            solved = master.master_solve(
+                state, callback=callback if single_tree else None,
+                deadline=deadline)
         except master.MasterTimeout:
             return out(TIME_LIMIT)
         if solved is None:
             # no-good cuts exhausted every selection
             return out(INFEASIBLE if z_hat is None else OPTIMAL)
-        z_t, theta_t = solved
-        lb = max(lb, theta_t)
-        repeated = z_t.as_tuple() in visited
-        visited.add(z_t.as_tuple())
-
-        if method == "bcp":
-            res = lower.solve_lower_cp(z_t, instance, delta)
-            if res is None:
-                master.add_cut(state, master.Cut(master.NO_GOOD, z_t))
-            else:
-                grad = lower.subgradient(res.certificate, instance.gamma)
-                master.add_cut(state, master.Cut(
-                    master.OPTIMALITY, z_t, res.f_lo, grad))
-                if res.f_hi < ub:
-                    ub, z_hat = res.f_hi, z_t
-        else:
-            res = lower.solve_lower_lifted(z_t, instance)
-            if res is None:
-                master.add_cut(state, master.Cut(master.NO_GOOD, z_t))
-            else:
-                f_z, _, duals = res
-                grad = -(instance.gamma / 2.0) * duals["omega"] ** 2
-                master.add_cut(state, master.Cut(
-                    master.OPTIMALITY, z_t, f_z, grad))
-                if f_z < ub:
-                    ub, z_hat = f_z, z_t
-
-        if on_iteration is not None:
-            on_iteration(t, z_t, lb, ub)
+        z, theta = solved
+        lb = max(lb, theta)
+        if single_tree:
+            if ub - lb > max(eps, delta) + 1e-9 * (1.0 + abs(ub)):
+                raise lower.SolverError(
+                    f"single-tree search closed with gap {ub - lb:.3e}")
+            return out(OPTIMAL)
+        repeated = z.as_tuple() in seen
+        seen.add(z.as_tuple())
+        f_lo = evaluate(z)
         if method == "bcp" and repeated:
             # a repeated selection is delta-optimal; its fresh lower bound
-            # f_delta(z_t) <= f* closes the reported gap honestly
-            lb = max(lb, res.f_lo)
+            # f_delta(z) <= f* closes the reported gap honestly
+            lb = max(lb, f_lo)
             return out(OPTIMAL)
         if ub - lb <= eps:
             return out(OPTIMAL)
@@ -200,85 +233,35 @@ def solve_bcp(instance: Instance, eps: float = EPS_DEFAULT,
               time_limit: float = TIME_LIMIT_DEFAULT, params: dict = None,
               on_iteration=None) -> SolveReport:
     """Bilevel cutting-plane solve; delta-inexact cuts from Algorithm-2
-    certificates keep every subproblem dimension independent of S."""
+    certificates keep every subproblem dimension independent of S.
+
+    mode "multi_tree" re-solves the master after each cut; "single_tree"
+    (reported as method "bcp_single_tree") takes the cuts inside one master
+    search. on_iteration(t, z, lb, ub) is called after each lower solve,
+    t = 1, 2, ..., with the selection z and the bounds after its cut; in
+    single-tree mode lb stays theta_lb until the search ends. The report's
+    iterations counts lower solves, which equals n_cuts.
+    """
     if eps < 0 or delta < 0:
         raise ValueError("eps and delta must be nonnegative")
-    if mode == "multi_tree":
-        return _run_cutting_plane("bcp", instance, eps, delta, time_limit,
-                                  params, on_iteration)
-    if mode == "single_tree":
-        return _run_single_tree(instance, eps, delta, time_limit, params,
-                                on_iteration)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("multi_tree", "single_tree"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return _cutting_plane("bcp", mode == "single_tree", instance, eps, delta,
+                          time_limit, params, on_iteration)
 
 
 def solve_cp(instance: Instance, eps: float = EPS_DEFAULT,
              time_limit: float = TIME_LIMIT_DEFAULT, params: dict = None,
              on_iteration=None) -> SolveReport:
-    """Cutting-plane solve with exact lifted lower solves (zero-delta cuts)."""
+    """Cutting-plane solve with exact lifted lower solves (zero-delta cuts).
+
+    The multi-tree loop of solve_bcp, with the same on_iteration contract
+    and the same meaning of iterations.
+    """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    return _run_cutting_plane("cp", instance, eps, DELTA_DEFAULT, time_limit,
-                              params, on_iteration)
-
-
-def _run_single_tree(instance, eps, delta, time_limit, params, on_iteration):
-    """One master tree; cuts injected at integer candidates via callback.
-
-    There is no repeated-selection test here: a candidate whose cut is
-    already present satisfies it and is accepted, so gap closure plus
-    cut-driven rejection carry the termination argument.
-    """
-    t0 = time.monotonic()
-    deadline = t0 + time_limit
-    echo = _echo(eps, delta, time_limit, params)
-    tlb = theta_lb(instance, delta)
-    if tlb is None:
-        return _report("bcp_single_tree", INFEASIBLE, instance, t0, 0, 0, 0,
-                       None, float("nan"), float("nan"), echo)
-    state = master.MasterState(n_assets=instance.n_assets, k=instance.k,
-                               theta_lb=tlb)
-    seen = set()
-    bounds = {"ub": float("inf"), "z_hat": None, "calls": 0}
-
-    def callback(z_cand, theta_cand):
-        if z_cand.as_tuple() in seen:
-            # its cut is in the pool, so theta_cand already satisfies it
-            return True
-        seen.add(z_cand.as_tuple())
-        bounds["calls"] += 1
-        res = lower.solve_lower_cp(z_cand, instance, delta)
-        if res is None:
-            master.add_cut(state, master.Cut(master.NO_GOOD, z_cand))
-            return False
-        grad = lower.subgradient(res.certificate, instance.gamma)
-        master.add_cut(state, master.Cut(
-            master.OPTIMALITY, z_cand, res.f_lo, grad))
-        if res.f_hi < bounds["ub"]:
-            bounds["ub"], bounds["z_hat"] = res.f_hi, z_cand
-        if on_iteration is not None:
-            on_iteration(bounds["calls"], z_cand, state.theta_lb,
-                         bounds["ub"])
-        return theta_cand >= res.f_lo - 1e-9 * (1.0 + abs(res.f_lo))
-
-    def out(status, lb):
-        return _report("bcp_single_tree", status, instance, t0,
-                       bounds["calls"], state.node_count, len(state.cuts),
-                       bounds["z_hat"], lb, bounds["ub"], echo)
-
-    try:
-        solved = master.master_solve(state, callback=callback,
-                                     deadline=deadline)
-    except master.MasterTimeout:
-        return out(TIME_LIMIT, tlb)
-    if solved is None:
-        return out(INFEASIBLE if bounds["z_hat"] is None else OPTIMAL, tlb)
-    _, theta_star = solved
-    lb = max(tlb, theta_star)
-    if bounds["ub"] - lb > max(eps, delta) + 1e-9 * (1.0 + abs(bounds["ub"])):
-        raise lower.SolverError(
-            f"single-tree search closed with gap {bounds['ub'] - lb:.3e}")
-    return out(OPTIMAL, lb)
+    return _cutting_plane("cp", False, instance, eps, DELTA_DEFAULT,
+                          time_limit, params, on_iteration)
 
 
 def _bigm_program(instance: Instance):

@@ -192,7 +192,7 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
         iters += 1
         if iters > MAX_INNER_ITERS:
             raise SolverError("inner cutting-plane loop exceeded iteration cap")
-        sol = numeric.solve(qp.program(start, working), skip_phase1=True)
+        sol = numeric.solve(qp.program(start, working))
         if sol.status != numeric.OPTIMAL:
             raise SolverError(f"lower-level QP ended with status {sol.status}")
         a_t = float(sol.x[0])
@@ -309,8 +309,6 @@ def solve_lower_lifted(z: SelectionVector, instance: Instance):
     lambda, and the completed omega vector.
     """
     support = z.support()
-    if _support_feasible(instance, support) is None:
-        return None
     K = support.size
     S = instance.n_scenarios
     one_m_beta = 1.0 - instance.beta
@@ -335,7 +333,9 @@ def solve_lower_lifted(z: SelectionVector, instance: Instance):
                                  loss_rhs=np.zeros(S), agg_core=agg_core,
                                  agg_tail=instance.probs / one_m_beta,
                                  agg_rhs=0.0)
-    sol = numeric.solve(sp, skip_phase1=True)
+    sol = numeric.solve(sp)
+    if sol.status == numeric.INFEASIBLE:
+        return None
     if sol.status != numeric.OPTIMAL:
         raise SolverError(f"lifted QP ended with status {sol.status}")
 

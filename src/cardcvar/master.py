@@ -49,7 +49,7 @@ OPTIMALITY = "Optimality"
 NO_GOOD = "NoGood"
 
 _BB_TOL = 1e-9         # relative pruning and tie tolerance
-_NODE_LIMIT = 100_000_000
+_NODE_LIMIT = 100_000_000  # branch-and-bound nodes per master solve
 _ENUM_LIMIT = 8_000_000   # tabulate the selection space up to this many rows
 _ENUM_BITS = 64           # tabulated selection codes fit in uint64
 _ENUM_CHUNK = 65_536      # selections per chunk of the lazily scored table
@@ -59,19 +59,11 @@ _MW_ROUNDS = 8            # weight-ascent rounds per node bound
 
 
 class MasterNodeLimit(RuntimeError):
-    """Node budget exhausted; carries the best incumbent found, if any."""
-
-    def __init__(self, message: str, incumbent=None):
-        super().__init__(message)
-        self.incumbent = incumbent
+    """Branch and bound spent its node budget (_NODE_LIMIT) in one solve."""
 
 
 class MasterTimeout(RuntimeError):
-    """Deadline passed mid-search; carries the best incumbent found, if any."""
-
-    def __init__(self, message: str, incumbent=None):
-        super().__init__(message)
-        self.incumbent = incumbent
+    """Deadline passed mid-search."""
 
 
 @dataclass
@@ -353,8 +345,7 @@ def _refresh(cache: dict, c: int) -> None:
     cache["bound"][c] = rows.min()
 
 
-def _enumerate_solve(state: MasterState, node_limit: int,
-                     deadline: float | None):
+def _enumerate_solve(state: MasterState, deadline: float | None):
     """Exact master solve over the tabulated selection space, best-first
     over chunks (_enum_cache): the chunk of least bound is brought up to
     date until the least bound belongs to a chunk already up to date, which
@@ -370,8 +361,7 @@ def _enumerate_solve(state: MasterState, node_limit: int,
     theta, chunks = cache["theta"], cache["chunks"]
     bound, done = cache["bound"], cache["done"]
     n_cuts = len(cache["cuts"])
-    total = sum(block.size for block in theta)
-    state.node_count += total
+    state.node_count += sum(block.size for block in theta)
     while True:
         c = int(np.argmin(bound))
         if done[c] == n_cuts:
@@ -402,9 +392,6 @@ def _enumerate_solve(state: MasterState, node_limit: int,
             if pick is None or code < pick[0]:
                 pick = (code, float(rows[row, col]))
         best = (SelectionVector(_decode(pick[0], state.n_assets)), pick[1])
-    if total > node_limit:
-        raise MasterNodeLimit(f"master node limit {node_limit} exceeded",
-                              best)
     return best
 
 
@@ -504,9 +491,8 @@ class _CutTable:
 class _Search:
     """Bookkeeping shared by the best-bound pass and the lex pass."""
 
-    def __init__(self, state, node_limit, deadline):
+    def __init__(self, state, deadline):
         self.state = state
-        self.node_limit = node_limit
         self.deadline = deadline
         self.nodes = 0
         self.best = np.inf
@@ -515,17 +501,10 @@ class _Search:
     def charge(self) -> None:
         self.nodes += 1
         self.state.node_count += 1
-        if self.nodes > self.node_limit:
-            raise MasterNodeLimit(
-                f"master node limit {self.node_limit} exceeded",
-                self._incumbent())
+        if self.nodes > _NODE_LIMIT:
+            raise MasterNodeLimit(f"master node limit {_NODE_LIMIT} exceeded")
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise MasterTimeout("master deadline passed", self._incumbent())
-
-    def _incumbent(self):
-        if self.best_bits is None:
-            return None
-        return SelectionVector(self.best_bits.copy()), self.best
+            raise MasterTimeout("master deadline passed")
 
 
 def _seed_incumbent(search: _Search) -> None:
@@ -633,7 +612,7 @@ def _lex_pass(search: _Search, table: _CutTable, theta_star: float):
 
 
 def master_solve(state: MasterState, callback=None,
-                 node_limit: int = _NODE_LIMIT, deadline: float | None = None):
+                 deadline: float | None = None):
     """Exact solve of the master problem; returns (z, theta) or None when the
     no-good cuts exclude all feasible selections.
 
@@ -649,9 +628,9 @@ def master_solve(state: MasterState, callback=None,
     """
     if (callback is None and state.n_assets <= _ENUM_BITS
             and _selection_count(state.n_assets, state.k) <= _ENUM_LIMIT):
-        return _enumerate_solve(state, node_limit, deadline)
+        return _enumerate_solve(state, deadline)
     table = _CutTable(state)
-    search = _Search(state, node_limit, deadline)
+    search = _Search(state, deadline)
     if callback is None:
         _seed_incumbent(search)
     theta_star = _best_bound_pass(search, table, callback)

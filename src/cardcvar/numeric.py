@@ -807,29 +807,28 @@ def _stopped(status, prog, x, work, iters) -> Solution:
                     np.zeros(prog.eq_b.size), np.array(work), iters)
 
 
-def solve(prog, skip_phase1: bool = False) -> Solution:
+def solve(prog) -> Solution:
     """Solve a ConvexProgram or ScenarioProgram.
 
     Infeasibility is decided by a phase-1 check before the main solve
-    (integrated into phase 1 of the simplex on the LP path). skip_phase1
-    lets hot loops that already verified feasibility of the same polytope
-    bypass the repeated check; a dense QP without a start point still runs
-    phase 1, since its point is where the active-set method begins.
+    (integrated into phase 1 of the simplex on the LP path). A dense QP
+    runs it only when it has no start point, and then begins the
+    active-set method at its point; a start point is the caller's promise
+    of feasibility.
     """
     if isinstance(prog, ScenarioProgram):
-        return _solve_scenario(prog, skip_phase1)
+        return _solve_scenario(prog)
     if np.all(prog.quad_diag == 0.0):
         return _lp_solve(prog.lin, prog.ineq_G, prog.ineq_h,
                          prog.eq_A, prog.eq_b)
     start = prog.start
-    if start is None or not skip_phase1:
+    if start is None:
         chk = feasible(prog.ineq_G, prog.ineq_h, prog.eq_A, prog.eq_b)
         if not chk.feasible:
             return Solution(INFEASIBLE, np.zeros(prog.n), np.nan,
                             np.zeros(prog.ineq_h.size),
                             np.zeros(prog.eq_b.size))
-        if start is None:
-            start = chk.point
+        start = chk.point
     return _active_set(prog, start,
                        [] if prog.working is None else prog.working)
 
@@ -879,7 +878,7 @@ def _rescue_scenario(sp: ScenarioProgram, kk: _ArrowKKT, x: np.ndarray,
         agg_tail=c[cand],
         agg_rhs=sp.agg_rhs + c[pin] @ sp.loss_rhs[pin],
     )
-    sub = _solve_scenario(reduced, skip_phase1=True, _depth=depth + 1)
+    sub = _solve_scenario(reduced, _depth=depth + 1)
     if sub.status != OPTIMAL:
         return None
     Sc = int(cand.sum())
@@ -913,10 +912,12 @@ def _rescue_scenario(sp: ScenarioProgram, kk: _ArrowKKT, x: np.ndarray,
     return np.concatenate([t, q]), lam, sub.eq_duals
 
 
-def _solve_scenario(sp: ScenarioProgram, skip_phase1: bool,
-                    _depth: int = 0) -> Solution:
+def _solve_scenario(sp: ScenarioProgram, _depth: int = 0) -> Solution:
+    """IPM solve after a phase-1 check of the core rows. A rescue re-solve
+    (_depth > 0) skips the check: its core rows are the checked rows of the
+    caller plus guard rows that hold at the stalled iterate by construction."""
     core = sp.core
-    if not skip_phase1:
+    if _depth == 0:
         chk = feasible(core.ineq_G, core.ineq_h, core.eq_A, core.eq_b)
         if not chk.feasible:
             n = sp.core.n + sp.n_scenarios

@@ -238,10 +238,10 @@ def test_criterion_08_scale_smoke(monkeypatch):
     seen = []
     real_solve = numeric.solve
 
-    def spy(prog, skip_phase1=False):
+    def spy(prog):
         seen.append((type(prog).__name__, int(np.asarray(prog.lin).size)
                      if isinstance(prog, numeric.ConvexProgram) else -1))
-        return real_solve(prog, skip_phase1)
+        return real_solve(prog)
 
     monkeypatch.setattr(numeric, "solve", spy)
     rep = driver.solve_bcp(inst)

@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cardcvar
-from cardcvar import cli, driver, lower, oracle
+from cardcvar import cli, driver, lower, master, oracle
 from cardcvar.model import (
     Instance,
     SelectionVector,
@@ -50,6 +51,11 @@ def infeasible_instance():
 def exact_value(bits, inst):
     res = lower.solve_lower_lifted(SelectionVector(bits), inst)
     return None if res is None else res[0]
+
+
+CUTTING_PLANE_SOLVES = (driver.solve_bcp,
+                        partial(driver.solve_bcp, mode="single_tree"),
+                        driver.solve_cp)
 
 
 def all_methods(inst, **kwargs):
@@ -176,18 +182,52 @@ def test_bounds_monotone_and_bracket_oracle():
     rng = np.random.default_rng(13)
     inst = random_instance(rng, 6, 30, k=2)
     orc = oracle.brute_force(inst, inst.k)
-    for solve in (driver.solve_bcp, driver.solve_cp):
+    for solve in CUTTING_PLANE_SOLVES:
         trace = []
         rep = solve(inst, on_iteration=lambda t, z, lb, ub:
                     trace.append((t, lb, ub)))
         assert rep.status == driver.OPTIMAL
+        # one call per lower solve, no-good cuts included
         assert [t for t, _, _ in trace] == list(range(1, len(trace) + 1))
+        assert len(trace) == rep.iterations == rep.n_cuts
         for (_, lb0, ub0), (_, lb1, ub1) in zip(trace, trace[1:]):
             assert lb1 >= lb0 - 1e-12
             assert ub1 <= ub0 + 1e-12
         for _, lb, ub in trace:
             assert lb <= orc.best_f + 1e-9
             assert ub >= orc.best_f - 1e-9
+
+
+def test_iterations_count_lower_solves_when_master_times_out(monkeypatch):
+    # the master runs out of time on its second call (multi-tree) or at the
+    # third candidate it offers (single-tree), after that many lower solves
+    rng = np.random.default_rng(23)
+    inst = random_instance(rng, 6, 40, k=3)
+    real_solve = master.master_solve
+    calls = []
+
+    def timing_out(state, callback=None, deadline=None):
+        calls.append(None)
+        if callback is None:
+            if len(calls) == 2:
+                raise master.MasterTimeout("master deadline passed")
+            return real_solve(state, deadline=deadline)
+        offered = []
+
+        def cb(z, theta):
+            offered.append(None)
+            if len(offered) == 3:
+                raise master.MasterTimeout("master deadline passed")
+            return callback(z, theta)
+
+        return real_solve(state, callback=cb, deadline=deadline)
+
+    monkeypatch.setattr(master, "master_solve", timing_out)
+    for solve, done in zip(CUTTING_PLANE_SOLVES, (1, 2, 1)):
+        calls.clear()
+        rep = solve(inst)
+        assert rep.status == driver.TIME_LIMIT
+        assert rep.iterations == rep.n_cuts == done
 
 
 def test_single_tree_matches_multi_tree():
@@ -223,10 +263,12 @@ def test_infeasible_instance_all_methods():
 
 def test_time_limit_reports_honestly():
     inst = two_asset_instance(k=1)
-    rep = driver.solve_bcp(inst, time_limit=0.0)
-    assert rep.status == driver.TIME_LIMIT
-    assert np.isnan(rep.obj)
-    assert np.isinf(rep.gap_pct)
+    for solve in CUTTING_PLANE_SOLVES:
+        rep = solve(inst, time_limit=0.0)
+        assert rep.status == driver.TIME_LIMIT
+        assert np.isnan(rep.obj)
+        assert np.isinf(rep.gap_pct)
+        assert rep.iterations == rep.n_cuts == 0
     rep = driver.solve_bigm(inst, time_limit=0.0)
     assert rep.status == driver.TIME_LIMIT
     assert rep.nodes == 0

@@ -144,7 +144,7 @@ def test_solver_failure_is_not_reported_as_infeasible():
     inst = two_asset_instance()
     orig = numeric.solve
 
-    def failing(prog, skip_phase1=False):
+    def failing(prog):
         return numeric.Solution(status=numeric.ITER_LIMIT, x=None, obj=np.nan,
                                 ineq_duals=None, eq_duals=None)
 
@@ -294,9 +294,9 @@ def test_warm_and_cold_reduced_qps_agree(monkeypatch):
     progs = []
     real_solve = numeric.solve
 
-    def spy(prog, skip_phase1=False):
+    def spy(prog):
         progs.append(prog)
-        return real_solve(prog, skip_phase1)
+        return real_solve(prog)
 
     monkeypatch.setattr(numeric, "solve", spy)
     for trial in range(12):
@@ -310,7 +310,7 @@ def test_warm_and_cold_reduced_qps_agree(monkeypatch):
     warm = [p for p in progs if np.count_nonzero(p.ineq_G[:, 0]) > 1]
     assert len(warm) >= 10
     for prog in warm:
-        w = real_solve(prog, skip_phase1=True)
+        w = real_solve(prog)
         c = real_solve(dataclasses.replace(prog, start=None, working=None))
         assert w.status == numeric.OPTIMAL and c.status == numeric.OPTIMAL
         assert w.obj == pytest.approx(c.obj, abs=1e-9 * (1 + abs(c.obj)))
@@ -327,10 +327,10 @@ def test_cut_workspace_growth_keeps_bounds_and_views(monkeypatch, capacity):
     captured = []
     real_solve = numeric.solve
 
-    def spy(prog, skip_phase1=False):
+    def spy(prog):
         if isinstance(prog, numeric.ConvexProgram):
             captured.append((prog, prog.ineq_G.copy(), prog.ineq_h.copy()))
-        return real_solve(prog, skip_phase1)
+        return real_solve(prog)
 
     monkeypatch.setattr(numeric, "solve", spy)
     rng = np.random.default_rng(37)

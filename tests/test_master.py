@@ -182,14 +182,19 @@ def test_root_bound_is_a_lower_bound():
         assert bound <= result[1] + 1e-9
 
 
-def test_node_limit_raises_and_carries_incumbent():
-    state = master.MasterState(n_assets=2, k=1, theta_lb=-10.0)
-    master.add_cut(state, opt_cut([0, 0], 0.0, [-1.0, 0.0]))
-    master.add_cut(state, opt_cut([0, 0], 0.0, [0.0, -1.0]))
-    with pytest.raises(master.MasterNodeLimit) as info:
-        master.master_solve(state, node_limit=1)
-    inc = info.value.incumbent
-    assert inc is None or isinstance(inc[0], SelectionVector)
+def test_node_limit_raises_in_branch_and_bound(monkeypatch):
+    # the node budget binds branch and bound, so tabulation is switched off
+    rng = np.random.default_rng(17)
+    state = random_state(rng, 7, 3, n_opt=5, n_ng=1)
+    z_enum, theta_enum = master.master_solve(state)
+    monkeypatch.setattr(master, "_ENUM_LIMIT", 0)
+    monkeypatch.setattr(master, "_NODE_LIMIT", 1)
+    with pytest.raises(master.MasterNodeLimit):
+        master.master_solve(state)
+    monkeypatch.setattr(master, "_NODE_LIMIT", 10_000)
+    z, theta = master.master_solve(state)
+    assert z.as_tuple() == z_enum.as_tuple()
+    assert theta == pytest.approx(theta_enum, abs=1e-12)
 
 
 def test_node_count_accumulates_across_solves():

@@ -416,7 +416,7 @@ def test_flat_ray_reaches_optimal_in_few_iterations():
     x = np.array([0.0, 0.0, 0.5, 0.5])
     x[1] = prog.ineq_G[1, [0, 2, 3]] @ x[[0, 2, 3]]
     prog.start, prog.working = x, np.array([1])
-    warm = solve(prog, skip_phase1=True)
+    warm = solve(prog)
     for sol in (cold, warm):
         assert sol.status == OPTIMAL
         assert sol.iters <= 6
@@ -444,7 +444,7 @@ def test_infeasible_start_is_not_reported_optimal():
     # the KKT gate must catch the violation
     prog = make_prog(P=[1.0], q=[0.0], G=[[1.0]], h=[-1.0])
     prog.start = np.array([0.0])
-    sol = solve(prog, skip_phase1=True)
+    sol = solve(prog)
     assert sol.status == NUMERICAL_ERROR
 
 
@@ -471,8 +471,7 @@ def test_point_face_at_a_degenerate_vertex():
     x0 = np.array([0.949975835259374, -0.4794230629502961,
                    -0.4396860797416898])
     cold = solve(prog)
-    warm = solve(dataclasses.replace(prog, start=x0, working=[3]),
-                 skip_phase1=True)
+    warm = solve(dataclasses.replace(prog, start=x0, working=[3]))
     for sol in (cold, warm):
         assert sol.status == OPTIMAL
         assert max(kkt_residuals(prog, sol)) <= 1e-9
@@ -573,8 +572,7 @@ def has_falling_flat_ray(prog):
 def test_active_set_cold_and_warm_on_degenerate_qps(case):
     prog, x0, working = case
     cold = solve(prog)
-    warm = solve(dataclasses.replace(prog, start=x0, working=working),
-                 skip_phase1=True)
+    warm = solve(dataclasses.replace(prog, start=x0, working=working))
     if has_falling_flat_ray(prog):
         assert cold.status == warm.status == UNBOUNDED
         return
