@@ -151,9 +151,12 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     """The outer loop of bcp, single-tree bcp and cp.
 
     Every lower solve is one step (evaluate): add the cut of _lower_cut,
-    lower the upper bound, count the iteration and report it. Multi-tree
-    re-solves the master after each step and stops on the gap test or, for
-    "bcp" whose cuts are delta-inexact, on a repeated selection. Single-tree
+    lower the upper bound, count the iteration and report it, and keep the
+    selection's f_lo. Multi-tree re-solves the master after each step and
+    stops on the gap test or, for "bcp" whose cuts are delta-inexact, on a
+    repeated selection: that one is not solved again (the solve would only
+    reproduce its cut), and its kept f_lo closes the lower bound, so
+    iterations and n_cuts count distinct selections. Single-tree
     runs one master search that takes the steps through its callback at
     each new integer candidate and ends at that search's optimum; a
     candidate seen before already satisfies its cut and is accepted, so gap
@@ -169,7 +172,7 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
                        float("nan"), float("nan"), echo)
     state = master.MasterState(n_assets=instance.n_assets, k=instance.k,
                                theta_lb=tlb)
-    seen = set()
+    seen = {}    # f_lo of every selection solved so far
     lb, ub = tlb, float("inf")
     z_hat = None
     t = 0
@@ -181,6 +184,7 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     def evaluate(z):
         nonlocal ub, z_hat, t
         cut, f_lo, f_hi = _lower_cut(method, z, instance, delta)
+        seen[z.as_tuple()] = f_lo
         master.add_cut(state, cut)
         if f_hi < ub:
             ub, z_hat = f_hi, z
@@ -193,7 +197,6 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
         if z.as_tuple() in seen:
             # its cut is in the pool, so theta already satisfies it
             return True
-        seen.add(z.as_tuple())
         f_lo = evaluate(z)
         return f_lo < np.inf and theta >= f_lo - 1e-9 * (1.0 + abs(f_lo))
 
@@ -216,14 +219,12 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
                 raise lower.SolverError(
                     f"single-tree search closed with gap {ub - lb:.3e}")
             return out(OPTIMAL)
-        repeated = z.as_tuple() in seen
-        seen.add(z.as_tuple())
-        f_lo = evaluate(z)
-        if method == "bcp" and repeated:
-            # a repeated selection is delta-optimal; its fresh lower bound
+        if method == "bcp" and z.as_tuple() in seen:
+            # a repeated selection is delta-optimal; its lower bound
             # f_delta(z) <= f* closes the reported gap honestly
-            lb = max(lb, f_lo)
+            lb = max(lb, seen[z.as_tuple()])
             return out(OPTIMAL)
+        evaluate(z)
         if ub - lb <= eps:
             return out(OPTIMAL)
 
@@ -240,7 +241,9 @@ def solve_bcp(instance: Instance, eps: float = EPS_DEFAULT,
     search. on_iteration(t, z, lb, ub) is called after each lower solve,
     t = 1, 2, ..., with the selection z and the bounds after its cut; in
     single-tree mode lb stays theta_lb until the search ends. The report's
-    iterations counts lower solves, which equals n_cuts.
+    iterations counts lower solves, which equals n_cuts. Multi-tree mode
+    ends when the master repeats a selection, without solving it again, so
+    no z is reported twice.
     """
     if eps < 0 or delta < 0:
         raise ValueError("eps and delta must be nonnegative")

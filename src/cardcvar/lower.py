@@ -7,7 +7,13 @@ over (a, v, x_support), with the inequality rows in the order
     v >= 0, side rows, x_support >= 0, one cut row per scenario subset
 (the subsets in the order they were added) and the budget row as the one
 equality. The rows live in one workspace per call (_CutQP); a new cut is
-written after the last, so no earlier row moves.
+written after the last, so no earlier row moves. Each call gathers the
+support columns of the scenario matrix once (S x |supp(z)|, no copy when
+z selects every asset), and every inner iteration computes its losses,
+scenario subset J and excess v' on that block; the subset aggregates stay
+full width, so a certificate needs no second pass. The first QP starts at
+the unit vertex of the first support asset that satisfies every side row,
+and only when no vertex does at the phase-1 point of the support polytope.
 solve_lower_lifted solves the exact per-scenario lifting as an oracle. Both
 expose the dual structure needed to build upper-level cuts: a
 DualCertificate whose objective -(gamma/2) z @ (omega * omega) - b @ zeta +
@@ -78,18 +84,22 @@ def scenario_cut(x, a, z: SelectionVector, instance: Instance):
     """Scenarios whose loss at the masked portfolio exceeds a, and the
     resulting CVaR excess v' = E[(loss - a)_+ ; J] / (1 - beta)."""
     xm = np.asarray(x, dtype=float) * z.bits
-    losses = -(instance.scenarios @ xm)
+    return _tail(-(instance.scenarios @ xm), a, instance)
+
+
+def _tail(losses: np.ndarray, a, instance: Instance):
+    """The scenarios whose loss exceeds a, and their excess v'."""
     excess = losses - float(a)
     J = np.flatnonzero(excess > J_TOL)
-    v_prime = float(instance.probs[J] @ excess[J]) / (1.0 - instance.beta)
+    v_prime = (float(instance.probs.take(J) @ excess.take(J))
+               / (1.0 - instance.beta))
     return J, v_prime
 
 
 def _aggregate(instance: Instance, J: np.ndarray):
     """Total probability and probability-weighted return sum over J."""
-    pJ = float(instance.probs[J].sum())
-    rho = instance.probs[J] @ instance.scenarios[J]
-    return pJ, rho
+    probs = instance.probs.take(J)
+    return float(probs.sum()), probs @ instance.scenarios.take(J, axis=0)
 
 
 class _CutQP:
@@ -116,11 +126,14 @@ class _CutQP:
         self.G[1:1 + M, 2:] = instance.side_A[:, support]
         self.h[1:1 + M] = instance.side_b
         self.G[1 + M:self.fixed, 2:] = -np.eye(K)
-        self.quad_diag = np.concatenate([[0.0, 0.0],
-                                         np.full(K, 1.0 / instance.gamma)])
-        self.lin = np.concatenate([[1.0, 1.0], np.zeros(K)])
-        self.eq_A = np.concatenate([[0.0, 0.0], np.ones(K)])[None, :]
-        self.eq_b = np.ones(1)
+        # the objective and the budget row, validated once per lower solve
+        self.base = numeric.ConvexProgram(
+            quad_diag=np.concatenate([[0.0, 0.0],
+                                      np.full(K, 1.0 / instance.gamma)]),
+            lin=np.concatenate([[1.0, 1.0], np.zeros(K)]),
+            ineq_G=None, ineq_h=None,
+            eq_A=np.concatenate([[0.0, 0.0], np.ones(K)])[None, :],
+            eq_b=np.ones(1))
 
     def add_cut(self, pJ: float, rho: np.ndarray) -> int:
         """Write the cut of the aggregate (p_J, rho_J); returns its row."""
@@ -137,19 +150,25 @@ class _CutQP:
     def program(self, start: np.ndarray, working: list):
         """The QP over the rows written so far, warm-started at start with
         the given working rows."""
-        return numeric.ConvexProgram(
-            quad_diag=self.quad_diag, lin=self.lin,
-            ineq_G=self.G[:self.count], ineq_h=self.h[:self.count],
-            eq_A=self.eq_A, eq_b=self.eq_b, start=start, working=working)
+        return self.base.with_rows(self.G[:self.count], self.h[:self.count],
+                                   start, working)
 
 
 def _support_feasible(instance: Instance, support: np.ndarray):
-    """Phase-1 point of {side_A x <= side_b, sum x = 1, x >= 0, x off-support = 0}
-    in support coordinates, or None when that set is empty."""
+    """A point of {side_A x <= side_b, sum x = 1, x >= 0, x off-support = 0}
+    in support coordinates, or None when that set is empty: the unit vertex
+    of the first support asset whose column satisfies every side row, else
+    the phase-1 point."""
     K = support.size
     if K == 0:
         return None
-    G = np.vstack([instance.side_A[:, support], -np.eye(K)])
+    A = instance.side_A[:, support]
+    fits = np.flatnonzero(np.all(A <= instance.side_b[:, None], axis=0))
+    if fits.size:
+        x = np.zeros(K)
+        x[fits[0]] = 1.0
+        return x
+    G = np.vstack([A, -np.eye(K)])
     h = np.concatenate([instance.side_b, np.zeros(K)])
     chk = numeric.feasible(G, h, np.ones((1, K)), np.array([1.0]))
     return chk.point if chk.feasible else None
@@ -175,6 +194,9 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
     if x0 is None:
         return None
 
+    # the support columns, gathered once; every asset needs no gather
+    cols = (instance.scenarios if support.size == instance.n_assets
+            else instance.scenarios.take(support, axis=1))
     S = instance.n_scenarios
     subsets = [np.arange(S)]
     # the all-scenario subset aggregates to the expected returns, no gather
@@ -182,8 +204,8 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
     seen = {subsets[0].tobytes()}
     qp = _CutQP(instance, support)
     first = qp.add_cut(*aggregates[0])
-    # cold start at the phase-1 point with a = 0 and v on the row holding
-    # it: the all-scenario cut or v >= 0 (row 0)
+    # cold start at x0 (a vertex, or the phase-1 point) with a = 0 and v
+    # on the row holding it: the all-scenario cut or v >= 0 (row 0)
     v0 = float(qp.G[first, 2:] @ x0)
     start = np.concatenate([[0.0, max(v0, 0.0)], x0])
     working = [first if v0 >= 0.0 else 0]
@@ -197,10 +219,10 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
             raise SolverError(f"lower-level QP ended with status {sol.status}")
         a_t = float(sol.x[0])
         v_t = float(sol.x[1])
-        x_full = _embed(support, sol.x[2:], instance.n_assets)
-        J, v_prime = scenario_cut(x_full, a_t, z, instance)
+        J, v_prime = _tail(-(cols @ sol.x[2:]), a_t, instance)
 
-        duplicate = J.tobytes() in seen
+        key = J.tobytes()
+        duplicate = key in seen
         if v_prime - v_t <= delta or duplicate:
             f_lo = float(sol.obj)
             if (duplicate and v_prime - v_t - delta
@@ -209,6 +231,7 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
                             "on solver tolerance", v_prime - v_t)
             if not duplicate:
                 subsets = subsets + [J]
+            x_full = _embed(support, sol.x[2:], instance.n_assets)
             portfolio = Portfolio(x_full, a_t, max(v_prime, 0.0))
             f_hi = float(x_full @ x_full / (2.0 * instance.gamma)
                          + a_t + max(v_prime, 0.0))
@@ -219,7 +242,7 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
                 log.warning("inner loop took %d iterations", iters)
             return LowerResult(f_lo=f_lo, f_hi=f_hi, portfolio=portfolio,
                                subsets=subsets, certificate=cert, iters=iters)
-        seen.add(J.tobytes())
+        seen.add(key)
         subsets.append(J)
         aggregates.append(_aggregate(instance, J))
         # warm start: v rises onto the new cut, which is tight there; the

@@ -200,14 +200,16 @@ def _encode(bits: np.ndarray) -> int:
 
 class _Chunks(NamedTuple):
     """Row groups of about _ENUM_CHUNK entries of each block: chunk c is
-    rows start[c]:stop[c] of block[c], and flat[c] is start[c] counted
-    across the blocks' rows laid end to end. Chunks run in block order and
-    row order within a block; order lists them by the high part of their
-    first row, which is ascending order of the smallest code each holds."""
+    rows start[c]:stop[c] of block[c], whose rows hold width[c] entries,
+    and flat[c] is start[c] counted across the blocks' rows laid end to
+    end. Chunks run in block order and row order within a block; order
+    lists them by the high part of their first row, which is ascending
+    order of the smallest code each holds."""
 
     block: np.ndarray
     start: np.ndarray
     stop: np.ndarray
+    width: np.ndarray
     flat: np.ndarray
     order: np.ndarray
 
@@ -222,19 +224,20 @@ class _CutSums(NamedTuple):
 
 
 def _chunks(layout: _Layout) -> _Chunks:
-    block, start, stop, flat, first = [], [], [], [], []
+    block, start, stop, widths, flat, first = [], [], [], [], [], []
     offset = 0
     for p, (hi, width) in enumerate(zip(layout.hi_codes, layout.widths)):
         r0 = np.arange(0, hi.size, max(1, _ENUM_CHUNK // width))
         block.append(np.full(r0.size, p))
         start.append(r0)
         stop.append(np.append(r0[1:], hi.size))
+        widths.append(np.full(r0.size, width))
         flat.append(offset + r0)
         first.append(hi[r0])
         offset += hi.size
     order = np.argsort(np.concatenate(first), kind="stable")
     return _Chunks(*(np.concatenate(part)
-                     for part in (block, start, stop, flat)), order)
+                     for part in (block, start, stop, widths, flat)), order)
 
 
 def _cut_sums(cut: Cut, layout: _Layout, dtype: np.dtype) -> _CutSums:
@@ -274,14 +277,15 @@ def _enum_cache(state: MasterState) -> dict:
     """Per-state theta table of every selection, scored lazily chunk by
     chunk, with every cut of the pool taken in.
 
-    "theta" holds one 2-D array per block of the popcount layout (_Layout),
-    cut into the row groups of "chunks" (_Chunks). Chunk c has applied the
-    first "done"[c] cuts of the pool to theta_lb, or is not written yet
-    while "done"[c] is -1, so the chunks a search never reaches are never
-    paged in. "bound"[c] is a lower bound of its theta: the larger of its
-    exact minimum after those cuts and each pending cut's exact minimum over
-    it (_chunk_bounds), so the exact minimum once nothing is pending. Cuts
-    only raise theta, so a stale bound stays valid.
+    "theta" holds one 2-D array per chunk of "chunks" (_Chunks), the row
+    groups of the popcount layout's blocks (_Layout). Chunk c has applied
+    the first "done"[c] cuts of the pool to theta_lb, or is None while
+    "done"[c] is -1: a chunk is allocated when a search first reaches it,
+    so the chunks a search never reaches take no memory. "bound"[c] is a
+    lower bound of its theta: the larger of its exact minimum after those
+    cuts and each pending cut's exact minimum over it (_chunk_bounds), so
+    the exact minimum once nothing is pending. Cuts only raise theta, so a
+    stale bound stays valid.
     "cuts" holds, per cut, what applying it takes, computed once when the
     cut joins: an optimality cut's subset sums (_CutSums), or the location
     of the one selection a no-good excludes (_locate).
@@ -300,9 +304,7 @@ def _enum_cache(state: MasterState) -> dict:
                                                         state.k)
                          <= _F64_ROWS else np.float32)
         chunks = _chunks(layout)
-        cache = {"theta": [np.empty((hi.size, width), dtype=dtype)
-                           for hi, width in zip(layout.hi_codes,
-                                                layout.widths)],
+        cache = {"theta": [None] * chunks.block.size,
                  "chunks": chunks,
                  "done": np.full(chunks.block.size, -1),
                  "bound": np.full(chunks.block.size, state.theta_lb,
@@ -325,13 +327,15 @@ def _enum_cache(state: MasterState) -> dict:
 
 def _refresh(cache: dict, c: int) -> None:
     """Apply chunk c's pending cuts, in pool order, and record its exact
-    minimum as its bound; a chunk not written yet starts from theta_lb."""
+    minimum as its bound; a chunk not allocated yet starts from theta_lb."""
     chunks = cache["chunks"]
     p, r0, r1 = (int(chunks.block[c]), int(chunks.start[c]),
                  int(chunks.stop[c]))
-    rows = cache["theta"][p][r0:r1]
-    if cache["done"][c] < 0:
-        rows.fill(cache["theta_lb"])
+    rows = cache["theta"][c]
+    if rows is None:
+        rows = np.full((r1 - r0, int(chunks.width[c])), cache["theta_lb"],
+                       dtype=cache["bound"].dtype)
+        cache["theta"][c] = rows
     vals = np.empty_like(rows)
     for entry in cache["cuts"][max(cache["done"][c], 0):]:
         if isinstance(entry, _CutSums):
@@ -361,7 +365,7 @@ def _enumerate_solve(state: MasterState, deadline: float | None):
     theta, chunks = cache["theta"], cache["chunks"]
     bound, done = cache["bound"], cache["done"]
     n_cuts = len(cache["cuts"])
-    state.node_count += sum(block.size for block in theta)
+    state.node_count += _selection_count(state.n_assets, state.k)
     while True:
         c = int(np.argmin(bound))
         if done[c] == n_cuts:
@@ -383,7 +387,7 @@ def _enumerate_solve(state: MasterState, deadline: float | None):
                 _refresh(cache, c)
             if bound[c] > limit:
                 continue
-            rows = theta[p][r0:int(chunks.stop[c])]
+            rows = theta[c]
             row = int(np.argmax(rows.ravel() <= limit)) // rows.shape[1]
             cols = np.flatnonzero(rows[row] <= limit)
             col = int(cols[np.argmin(layout.lo_codes[cols])])

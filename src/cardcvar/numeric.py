@@ -92,10 +92,6 @@ class ConvexProgram:
         self.lin = np.asarray(self.lin, dtype=float).ravel()
         n = self.lin.size
         self.quad_diag = np.asarray(self.quad_diag, dtype=float).ravel()
-        self.ineq_G = (_empty_rows(n) if self.ineq_G is None
-                       else np.asarray(self.ineq_G, dtype=float).reshape(-1, n))
-        self.ineq_h = (np.zeros(0) if self.ineq_h is None
-                       else np.asarray(self.ineq_h, dtype=float).ravel())
         self.eq_A = (_empty_rows(n) if self.eq_A is None
                      else np.asarray(self.eq_A, dtype=float).reshape(-1, n))
         self.eq_b = (np.zeros(0) if self.eq_b is None
@@ -104,18 +100,40 @@ class ConvexProgram:
             raise ValueError("quad_diag length must match lin")
         if np.any(self.quad_diag < 0):
             raise ValueError("quad_diag must be nonnegative (convexity)")
-        if self.ineq_G.shape[0] != self.ineq_h.size:
-            raise ValueError("ineq_G rows must match ineq_h")
         if self.eq_A.shape[0] != self.eq_b.size:
             raise ValueError("eq_A rows must match eq_b")
+        self._check_rows()
+
+    def _check_rows(self) -> None:
+        """Validate the inequality rows and the warm start."""
+        n = self.lin.size
+        self.ineq_G = (_empty_rows(n) if self.ineq_G is None
+                       else np.asarray(self.ineq_G, dtype=float).reshape(-1, n))
+        self.ineq_h = (np.zeros(0) if self.ineq_h is None
+                       else np.asarray(self.ineq_h, dtype=float).ravel())
+        if self.ineq_G.shape[0] != self.ineq_h.size:
+            raise ValueError("ineq_G rows must match ineq_h")
         if self.start is not None:
             self.start = np.asarray(self.start, dtype=float).ravel()
             if self.start.size != n:
                 raise ValueError("start length must match lin")
         if self.working is not None:
             self.working = np.asarray(self.working, dtype=int).ravel()
-            if np.any((self.working < 0) | (self.working >= self.ineq_h.size)):
+            if self.working.size and (self.working.min() < 0 or
+                                      self.working.max() >= self.ineq_h.size):
                 raise ValueError("working rows out of range")
+
+    def with_rows(self, ineq_G, ineq_h, start=None,
+                  working=None) -> ConvexProgram:
+        """This program over other inequality rows and another warm start.
+        Only those are validated; the objective and the equality rows were
+        validated when this program was built, and are shared."""
+        prog = object.__new__(ConvexProgram)
+        prog.__dict__.update(self.__dict__)
+        prog.ineq_G, prog.ineq_h = ineq_G, ineq_h
+        prog.start, prog.working = start, working
+        prog._check_rows()
+        return prog
 
     @property
     def n(self) -> int:
@@ -713,7 +731,11 @@ def _active_set(prog: ConvexProgram, x: np.ndarray, work: list) -> Solution:
     space of B restricted to those columns, found from that small block
     alone. If the objective falls along a flat direction, the pass is a ray
     to the first blocking row instead (a flat ray costs one pass); if it is
-    level, extra rows of B pin it, so the step leaves it alone. A row that
+    level, extra rows of B pin it, so the step leaves it alone. That null
+    space N is kept across passes, since joining rows only shrink it: it is
+    unchanged when the new row is zero on the flat columns, and empty when
+    the row blocks a one-dimensional flat ray; any other join, and every
+    row that leaves, has it recomputed on the next pass. A row that
     blocks has G_j d > 0 for d in the null space of B, so it is independent
     of the working rows and B keeps full row rank; a singular solve all the
     same ends in NumericalError, never Optimal.
@@ -732,13 +754,15 @@ def _active_set(prog: ConvexProgram, x: np.ndarray, work: list) -> Solution:
     lam_tol = 0.01 * grad_tol
     row_norm = np.linalg.norm(G, axis=1)
     max_iter = 50 + 5 * (n + m)
+    N = None    # flat null space of the working rows; None when stale
     for it in range(1, max_iter + 1):
         B = np.vstack([A, G[work]])
         r = B.shape[0]
         g = P * x + c
         ray = False
         if flat.size:
-            N = _flat_null(B, flat)
+            if N is None:
+                N = _flat_null(B, flat)
             if N.shape[0]:
                 fall = N.T @ (N @ g[flat])
                 if np.abs(fall).max() > grad_tol:
@@ -778,12 +802,18 @@ def _active_set(prog: ConvexProgram, x: np.ndarray, work: list) -> Solution:
             blocked = j >= 0 and (ray or ratios[j] < 1.0)
             x = x + (ratios[j] if blocked else 1.0) * d
             if blocked:
-                work.append(int(moving[j]))
+                j = int(moving[j])
+                work.append(j)
+                # a joining row shrinks N: not at all when it is zero on
+                # the flat columns, to nothing when it blocks a 1-D ray
+                if N is not None and N.shape[0] and G[j, flat].any():
+                    N = N[:0] if ray and N.shape[0] == 1 else None
                 continue
         # x minimizes the objective on the working face; y prices the rows
         lam_w = y[p:]
         if lam_w.size and lam_w.min() < -lam_tol:
             work.pop(int(np.argmin(lam_w)))
+            N = None
             continue
         lam = np.zeros(m)
         lam[work] = np.maximum(lam_w, 0.0)

@@ -198,6 +198,33 @@ def test_bounds_monotone_and_bracket_oracle():
             assert ub >= orc.best_f - 1e-9
 
 
+def test_multi_tree_bcp_stops_on_a_repeat_without_solving_it(monkeypatch):
+    # the selections these seeds' master offers last are repeats: the run
+    # ends there with the repeat's kept f_lo, and no lower solve beyond
+    # theta_lb, one per iteration and the final extraction
+    real = lower.solve_lower_cp
+    for seed in (0, 2, 5):
+        inst = random_instance(np.random.default_rng(seed), 10, 50, k=3)
+        solved = []
+
+        def spy(z, instance, delta):
+            solved.append(z.as_tuple())
+            return real(z, instance, delta)
+
+        monkeypatch.setattr(lower, "solve_lower_cp", spy)
+        offered = []
+        rep = driver.solve_bcp(inst, on_iteration=lambda t, z, lb, ub:
+                               offered.append(z.as_tuple()))
+        monkeypatch.setattr(lower, "solve_lower_cp", real)
+        assert rep.status == driver.OPTIMAL
+        assert len(solved) == rep.iterations + 2
+        assert len(set(offered)) == len(offered) == rep.iterations
+        assert rep.n_cuts == rep.iterations
+        assert rep.gap_pct <= 100.0 * driver.DELTA_DEFAULT / abs(rep.obj)
+        assert rep.obj == pytest.approx(
+            oracle.brute_force(inst, inst.k).best_f, abs=1e-5)
+
+
 def test_iterations_count_lower_solves_when_master_times_out(monkeypatch):
     # the master runs out of time on its second call (multi-tree) or at the
     # third candidate it offers (single-tree), after that many lower solves

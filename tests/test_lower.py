@@ -1,13 +1,14 @@
 """Tests for the fixed-selection lower-level solvers."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardcvar import lower, numeric
+from cardcvar import driver, lower, numeric
 from cardcvar.model import (
     Instance,
     SelectionVector,
@@ -138,6 +139,86 @@ def test_return_row_restricts_only_low_return_selections():
     res = lower.solve_lower_cp(SelectionVector([1, 1]), mid, 1e-8)
     assert res is not None
     assert inst.expected_returns @ res.portfolio.weights >= 0.15 - 1e-8
+
+
+def capped_instance(cap):
+    """Three assets and the side rows x_j <= cap; below cap = 1 they exclude
+    every single-asset vertex, and below cap = 1/3 every portfolio."""
+    rng = np.random.default_rng(3)
+    scen = rng.normal(0.01, 0.05, size=(40, 3))
+    return Instance(n_assets=3, scenarios=scen, probs=np.full(40, 1.0 / 40),
+                    side_A=np.eye(3), side_b=np.full(3, cap), beta=0.9,
+                    gamma=1.0, k=3)
+
+
+def count_feasible_calls(monkeypatch):
+    calls = []
+    real = numeric.feasible
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numeric, "feasible", spy)
+    return calls
+
+
+def test_vertex_start_skips_phase1(monkeypatch):
+    # the return floor admits the best asset's vertex: no simplex runs
+    rng = np.random.default_rng(8)
+    inst = random_instance(rng, 5, 60, with_return_row=True)
+    calls = count_feasible_calls(monkeypatch)
+    z = SelectionVector([1, 1, 1, 1, 1])
+    res = lower.solve_lower_cp(z, inst, 1e-7)
+    assert calls == []
+    f = lower.solve_lower_lifted(z, inst)[0]
+    assert res.f_lo <= f + 1e-9
+    assert f <= res.f_hi + 1e-9
+
+
+@pytest.mark.parametrize("bits", [[1, 1, 1], [1, 1, 0], [0, 1, 1]])
+def test_side_rows_excluding_every_vertex_fall_back_to_phase1(monkeypatch,
+                                                              bits):
+    inst = capped_instance(0.6)
+    calls = count_feasible_calls(monkeypatch)
+    z = SelectionVector(bits)
+    delta = 1e-7
+    res = lower.solve_lower_cp(z, inst, delta)
+    assert len(calls) == 1
+    exact = lower.solve_lower_lifted(z, inst)
+    f = exact[0]
+    assert res.f_lo <= f + 1e-9
+    assert f <= res.f_hi + 1e-9
+    assert res.f_hi <= res.f_lo + delta + 1e-9
+    assert np.all(res.portfolio.weights <= 0.6 + 1e-9)
+    res.portfolio.validate()
+
+
+@pytest.mark.parametrize("cap, bits", [(0.3, [1, 1, 1]), (0.6, [0, 1, 0])])
+def test_side_rows_excluding_every_portfolio_give_none(monkeypatch, cap,
+                                                       bits):
+    inst = capped_instance(cap)
+    calls = count_feasible_calls(monkeypatch)
+    z = SelectionVector(bits)
+    assert lower.solve_lower_cp(z, inst, 1e-5) is None
+    assert len(calls) == 1
+    assert lower.solve_lower_lifted(z, inst) is None
+
+
+def test_theta_lb_does_not_copy_the_scenario_matrix():
+    # the all-ones lower solve reads the scenario matrix in place: a copy
+    # alone would take S * n * 8 bytes
+    rng = np.random.default_rng(11)
+    n, s = 20, 5000
+    inst = random_instance(rng, n, s, with_return_row=True)
+    driver.theta_lb(inst)    # first-use allocations (expected returns)
+    tracemalloc.start()
+    try:
+        driver.theta_lb(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < s * n * 8
 
 
 def test_solver_failure_is_not_reported_as_infeasible():

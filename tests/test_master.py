@@ -261,7 +261,9 @@ def test_float32_blocks_match_enumeration_with_ties(monkeypatch):
         for _ in range(3):
             ref_theta, ref_bits = enumerate_master(state)
             z, theta = master.master_solve(state)
-            assert state._enum_cache["theta"][0].dtype == np.float32
+            scored = [t for t in state._enum_cache["theta"] if t is not None]
+            assert scored
+            assert all(t.dtype == np.float32 for t in scored)
             assert theta == ref_theta
             assert z.as_tuple() == ref_bits
             master.add_cut(state, no_good(z.bits))
@@ -341,7 +343,20 @@ def test_enumeration_layout_stays_small():
     for arr in cached:
         assert arr.size < 1 << n
         assert not (arr.dtype == np.intp and arr.size >= rows)
-    assert sum(b.size for b in state._enum_cache["theta"]) == rows
+    # the chunks tile the table, and only those a search reached are
+    # allocated, each as its rows of the table
+    cache = state._enum_cache
+    chunks = cache["chunks"]
+    sizes = (chunks.stop - chunks.start) * chunks.width
+    assert int(sizes.sum()) == rows
+    for c, theta in enumerate(cache["theta"]):
+        if cache["done"][c] < 0:
+            assert theta is None
+        else:
+            assert theta.shape == (chunks.stop[c] - chunks.start[c],
+                                   chunks.width[c])
+    reached = sum(t.size for t in cache["theta"] if t is not None)
+    assert 0 < reached < rows
 
 
 def test_codes_wider_than_64_bits_fall_back_to_branch_and_bound():
@@ -401,8 +416,10 @@ def test_lazy_master_matches_brute_force_over_cut_sequences(monkeypatch,
             assert (theta, z.as_tuple()) == brute_force(state, selections)
             cache = state._enum_cache
             stale += int((cache["done"] < len(state.cuts)).sum())
-        assert cache["theta"][0].dtype == (np.float32 if f64_rows == 0
-                                           else np.float64)
+        scored = [t for t in cache["theta"] if t is not None]
+        assert scored
+        assert all(t.dtype == (np.float32 if f64_rows == 0 else np.float64)
+                   for t in scored)
         assert cache["chunks"].block.size >= 8
         assert stale > 0
 
@@ -427,8 +444,9 @@ def test_chunk_bound_is_the_cut_minimum(monkeypatch):
     chunks = cache["chunks"]
     for c in range(bounds.size):
         master._refresh(cache, c)
-        rows = cache["theta"][chunks.block[c]][chunks.start[c]:
-                                              chunks.stop[c]]
+        rows = cache["theta"][c]
+        assert rows.shape == (chunks.stop[c] - chunks.start[c],
+                              chunks.width[c])
         assert bounds[c] == rows.min()
     assert bounds.size > 50
 

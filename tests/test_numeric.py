@@ -584,3 +584,12 @@ def test_active_set_cold_and_warm_on_degenerate_qps(case):
                                         abs=1e-9 * (1.0 + abs(sol.obj)))
     assert warm.obj == pytest.approx(cold.obj,
                                      abs=1e-9 * (1.0 + abs(cold.obj)))
+    # each returned working set holds its optimum: resumed there, the method
+    # stops in one pass (the flat space is computed afresh for that set)
+    for sol in (cold, warm):
+        again = solve(dataclasses.replace(prog, start=sol.x,
+                                          working=sol.working))
+        assert again.status == OPTIMAL
+        assert again.iters == 1
+        assert again.obj == pytest.approx(sol.obj,
+                                          abs=1e-12 * (1.0 + abs(sol.obj)))
