@@ -160,7 +160,8 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     runs one master search that takes the steps through its callback at
     each new integer candidate and ends at that search's optimum; a
     candidate seen before already satisfies its cut and is accepted, so gap
-    closure plus cut-driven rejection carry the termination argument.
+    closure plus cut-driven rejection carry the termination argument, and
+    lb follows the bound the search hands over with each candidate.
     """
     name = "bcp_single_tree" if single_tree else method
     t0 = time.monotonic()
@@ -193,7 +194,9 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
             on_iteration(t, z, lb, ub)
         return f_lo
 
-    def callback(z, theta):
+    def callback(z, theta, bound):
+        nonlocal lb
+        lb = max(lb, bound)
         if z.as_tuple() in seen:
             # its cut is in the pool, so theta already satisfies it
             return True
@@ -240,10 +243,10 @@ def solve_bcp(instance: Instance, eps: float = EPS_DEFAULT,
     (reported as method "bcp_single_tree") takes the cuts inside one master
     search. on_iteration(t, z, lb, ub) is called after each lower solve,
     t = 1, 2, ..., with the selection z and the bounds after its cut; in
-    single-tree mode lb stays theta_lb until the search ends. The report's
-    iterations counts lower solves, which equals n_cuts. Multi-tree mode
-    ends when the master repeats a selection, without solving it again, so
-    no z is reported twice.
+    single-tree mode lb is the master search's bound when it offered z. The
+    report's iterations counts lower solves, which equals n_cuts. Multi-tree
+    mode ends when the master repeats a selection, without solving it again,
+    so no z is reported twice.
     """
     if eps < 0 or delta < 0:
         raise ValueError("eps and delta must be nonnegative")

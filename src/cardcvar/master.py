@@ -2,8 +2,10 @@
 
 The feasible region is theta >= theta_lb, one affine row per optimality cut,
 one exclusion row per no-good cut, and the cardinality bound 1'z <= k with z
-binary. When the selection space is small enough to tabulate, master_solve
-keeps every selection's theta in a table. Selection codes split into a high
+binary. MasterState stores the pool once, and every path reads it in place:
+theta at z is max(theta_lb, max(base + grad @ z)) everywhere (theta_at).
+When the selection space is small enough to tabulate, master_solve keeps
+every selection's theta in a table. Selection codes split into a high
 part and a low part of up to 13 bits; block p pairs every high part with p
 ones with every low part with at most k - p ones, so each block is a dense
 2-D array and a cut is scored into it by one broadcast outer sum of the
@@ -26,7 +28,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +58,7 @@ _ENUM_CHUNK = 65_536      # selections per chunk of the lazily scored table
 _F64_ROWS = 100_000       # exact float64 scoring up to this table size
 _LO_BITS = 13             # code bits in the low part of the block layout
 _MW_ROUNDS = 8            # weight-ascent rounds per node bound
+_CUT_CAPACITY = 64        # optimality rows stored before the first doubling
 
 
 class MasterNodeLimit(RuntimeError):
@@ -92,25 +95,23 @@ class Cut:
                     and np.all(np.isfinite(self.grad))):
                 raise ValueError("cut coefficients must be finite")
 
-    def value(self, bits: np.ndarray) -> float:
-        if self.kind != OPTIMALITY:
-            raise ValueError("no-good cuts have no value")
-        return self.intercept + float(self.grad @ (bits - self.origin.bits))
 
-    def excludes(self, bits: np.ndarray) -> bool:
-        if self.kind != NO_GOOD:
-            raise ValueError("optimality cuts exclude nothing")
-        return bool(np.array_equal(bits, self.origin.bits))
+def _key(bits: np.ndarray) -> bytes:
+    return np.asarray(bits, dtype=np.int64).tobytes()
 
 
-@dataclass
+@dataclass(eq=False)
 class MasterState:
-    """Accumulated cuts plus the region parameters of one outer solve."""
+    """The append-only cut pool of one outer solve (add_cut is its writer)
+    and the region parameters. The first n_opt rows of base, grad and
+    _origins are the optimality cuts theta >= base + grad @ z, with base =
+    intercept - grad @ origin, in arrays that double when full. no_goods
+    maps each excluded selection's _key to its bits; cuts records every Cut
+    added. node_count sums the solves' work: box nodes, or entries scored."""
 
     n_assets: int
     k: int
     theta_lb: float
-    cuts: list = field(default_factory=list)
     node_count: int = 0
 
     def __post_init__(self) -> None:
@@ -119,26 +120,50 @@ class MasterState:
             raise ValueError("theta_lb must be finite")
         if not 1 <= self.k <= self.n_assets:
             raise ValueError("need 1 <= k <= n_assets")
-        for cut in self.cuts:
-            if cut.origin.bits.size != self.n_assets:
-                raise ValueError("cut dimension does not match n_assets")
+        self.cuts, self.n_opt, self.no_goods = [], 0, {}
+        self._base = np.empty(_CUT_CAPACITY)
+        self._grad = np.empty((_CUT_CAPACITY, self.n_assets))
+        self._origins = np.empty_like(self._grad)
+        self._enum_cache = None
+
+    @property
+    def base(self) -> np.ndarray:
+        return self._base[:self.n_opt]
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self._grad[:self.n_opt]
+
+    def excluded(self, bits: np.ndarray) -> bool:
+        return _key(bits) in self.no_goods
 
 
 def add_cut(state: MasterState, cut: Cut) -> MasterState:
-    if cut.origin.bits.size != state.n_assets:
+    bits = cut.origin.bits
+    if bits.size != state.n_assets:
         raise ValueError("cut dimension does not match n_assets")
     state.cuts.append(cut)
+    if cut.kind == NO_GOOD:
+        state.no_goods.setdefault(_key(bits), bits)
+        return state
+    if state.n_opt == state._base.size:
+        state._base, state._grad, state._origins = (
+            np.concatenate([a, np.empty_like(a)])
+            for a in (state._base, state._grad, state._origins))
+    row = state.n_opt
+    state._base[row] = cut.intercept - float(cut.grad @ bits)
+    state._grad[row] = cut.grad
+    state._origins[row] = bits
+    state.n_opt += 1
     return state
 
 
 def theta_at(state: MasterState, bits: np.ndarray) -> float:
-    """Exact master objective at a binary point: the max of theta_lb and
-    every optimality cut evaluated at bits."""
-    theta = state.theta_lb
-    for cut in state.cuts:
-        if cut.kind == OPTIMALITY:
-            theta = max(theta, cut.value(bits))
-    return theta
+    """Exact master objective at a binary point, max(theta_lb, max(base +
+    grad @ bits)); node_eval bounds a one-point box by the same expression,
+    so the two agree bit for bit."""
+    rows = state.base + state.grad @ np.asarray(bits, dtype=float)
+    return max(state.theta_lb, float(rows.max(initial=-np.inf)))
 
 
 def _selection_count(n: int, k: int) -> int:
@@ -240,14 +265,14 @@ def _chunks(layout: _Layout) -> _Chunks:
                      for part in (block, start, stop, widths, flat)), order)
 
 
-def _cut_sums(cut: Cut, layout: _Layout, dtype: np.dtype) -> _CutSums:
-    n_hi = cut.grad.size - layout.lo_bits
-    lo = np.concatenate(_subset_sums(cut.grad[n_hi:][::-1],
+def _cut_sums(grad: np.ndarray, base: float, layout: _Layout,
+              dtype: np.dtype) -> _CutSums:
+    n_hi = grad.size - layout.lo_bits
+    lo = np.concatenate(_subset_sums(grad[n_hi:][::-1],
                                      min(layout.k, layout.lo_bits)))
-    hi = _subset_sums(cut.grad[:n_hi][::-1], len(layout.hi_codes) - 1)
-    lift = dtype.type(cut.intercept - float(cut.grad @ cut.origin.bits))
+    hi = _subset_sums(grad[:n_hi][::-1], len(layout.hi_codes) - 1)
     return _CutSums(lo.astype(dtype), tuple(h.astype(dtype) for h in hi),
-                    lift)
+                    dtype.type(base))
 
 
 def _chunk_bounds(sums: _CutSums, layout: _Layout,
@@ -275,31 +300,26 @@ def _locate(bits: np.ndarray, layout: _Layout):
 
 def _enum_cache(state: MasterState) -> dict:
     """Per-state theta table of every selection, scored lazily chunk by
-    chunk, with every cut of the pool taken in.
+    chunk from the pool's store.
 
     "theta" holds one 2-D array per chunk of "chunks" (_Chunks), the row
-    groups of the popcount layout's blocks (_Layout). Chunk c has applied
-    the first "done"[c] cuts of the pool to theta_lb, or is None while
-    "done"[c] is -1: a chunk is allocated when a search first reaches it,
-    so the chunks a search never reaches take no memory. "bound"[c] is a
-    lower bound of its theta: the larger of its exact minimum after those
-    cuts and each pending cut's exact minimum over it (_chunk_bounds), so
-    the exact minimum once nothing is pending. Cuts only raise theta, so a
-    stale bound stays valid.
-    "cuts" holds, per cut, what applying it takes, computed once when the
-    cut joins: an optimality cut's subset sums (_CutSums), or the location
-    of the one selection a no-good excludes (_locate).
-
-    An optimality cut is applied to a chunk as the broadcast outer sum
-    (low-part sums + high-part sums) + lift, taken in by np.maximum; a
-    no-good sets its one selection to +inf. Up to _F64_ROWS selections the
-    scores are float64, above it float32: the rounding (well under 1e-6 at
-    portfolio scales) can only sway which of two near-tied selections is
-    returned, never the exactness of the cut model or the monotonicity of
-    successive solves."""
+    groups of the popcount layout's blocks (_Layout). Chunk c has taken in
+    the first "done"[c] optimality rows, or is None while "done"[c] is -1:
+    a chunk is allocated when a search first reaches it. "bound"[c] is the
+    larger of its exact minimum after those rows and each pending row's
+    exact minimum over it (_chunk_bounds); cuts only raise theta, so a
+    stale bound stays a valid lower bound.
+    "cuts" holds each row's subset sums (_CutSums), applied to a chunk as
+    the broadcast outer sum (low-part sums + high-part sums) + lift and
+    taken in by np.maximum. "no_goods" holds each no-good's location
+    (_locate), set to +inf when its chunk is allocated, so a new no-good
+    frees its chunk. Up to _F64_ROWS selections the scores are float64,
+    above it float32: the rounding (well under 1e-6 at portfolio scales)
+    can only sway which of two near-tied selections is returned, never the
+    exactness of the cut model or the monotonicity of successive solves."""
     layout = _layout(state.n_assets, state.k)
-    cache = getattr(state, "_enum_cache", None)
-    if cache is None or len(cache["cuts"]) > len(state.cuts):
+    cache = state._enum_cache
+    if cache is None:
         dtype = np.dtype(np.float64 if _selection_count(state.n_assets,
                                                         state.k)
                          <= _F64_ROWS else np.float32)
@@ -310,24 +330,29 @@ def _enum_cache(state: MasterState) -> dict:
                  "bound": np.full(chunks.block.size, state.theta_lb,
                                   dtype=dtype),
                  "cuts": [],
+                 "no_goods": [],
                  "theta_lb": state.theta_lb}
         state._enum_cache = cache
-    dtype = cache["bound"].dtype
-    for cut in state.cuts[len(cache["cuts"]):]:
-        if cut.kind == OPTIMALITY:
-            sums = _cut_sums(cut, layout, dtype)
-            np.maximum(cache["bound"],
-                       _chunk_bounds(sums, layout, cache["chunks"]),
-                       out=cache["bound"])
-            cache["cuts"].append(sums)
-        else:
-            cache["cuts"].append(_locate(cut.origin.bits, layout))
+    chunks, bound = cache["chunks"], cache["bound"]
+    for row in range(len(cache["cuts"]), state.n_opt):
+        sums = _cut_sums(state.grad[row], state.base[row], layout,
+                         bound.dtype)
+        np.maximum(bound, _chunk_bounds(sums, layout, chunks), out=bound)
+        cache["cuts"].append(sums)
+    for bits in itertools.islice(state.no_goods.values(),
+                                 len(cache["no_goods"]), None):
+        loc = _locate(bits, layout)
+        cache["no_goods"].append(loc)
+        if loc is not None:
+            c = np.flatnonzero((chunks.block == loc[0])
+                               & (chunks.start <= loc[1]))[-1]
+            cache["theta"][c], cache["done"][c] = None, -1
     return cache
 
 
-def _refresh(cache: dict, c: int) -> None:
-    """Apply chunk c's pending cuts, in pool order, and record its exact
-    minimum as its bound; a chunk not allocated yet starts from theta_lb."""
+def _refresh(cache: dict, c: int) -> int:
+    """Apply chunk c's pending rows and record its exact minimum as its
+    bound; returns its entry count. A new chunk starts from theta_lb."""
     chunks = cache["chunks"]
     p, r0, r1 = (int(chunks.block[c]), int(chunks.start[c]),
                  int(chunks.stop[c]))
@@ -335,18 +360,18 @@ def _refresh(cache: dict, c: int) -> None:
     if rows is None:
         rows = np.full((r1 - r0, int(chunks.width[c])), cache["theta_lb"],
                        dtype=cache["bound"].dtype)
+        for q, row, col in filter(None, cache["no_goods"]):
+            if q == p and r0 <= row < r1:
+                rows[row - r0, col] = np.inf
         cache["theta"][c] = rows
     vals = np.empty_like(rows)
-    for entry in cache["cuts"][max(cache["done"][c], 0):]:
-        if isinstance(entry, _CutSums):
-            np.add(entry.lo[:rows.shape[1]], entry.hi[p][r0:r1, None],
-                   out=vals)
-            vals += entry.lift
-            np.maximum(rows, vals, out=rows)
-        elif entry is not None and entry[0] == p and r0 <= entry[1] < r1:
-            rows[entry[1] - r0, entry[2]] = np.inf
+    for sums in cache["cuts"][max(cache["done"][c], 0):]:
+        np.add(sums.lo[:rows.shape[1]], sums.hi[p][r0:r1, None], out=vals)
+        vals += sums.lift
+        np.maximum(rows, vals, out=rows)
     cache["done"][c] = len(cache["cuts"])
     cache["bound"][c] = rows.min()
+    return rows.size
 
 
 def _enumerate_solve(state: MasterState, deadline: float | None):
@@ -357,7 +382,8 @@ def _enumerate_solve(state: MasterState, deadline: float | None):
     bound is within the cutoff are visited in ascending order of their
     smallest code, each brought up to date, and each that has a selection
     within the cutoff offers the smallest low part of its first such row,
-    until the next chunk's smallest code exceeds the best offer."""
+    until the next chunk's smallest code exceeds the best offer. Each
+    chunk brought up to date adds its entries to state.node_count."""
     if deadline is not None and time.monotonic() > deadline:
         raise MasterTimeout("master deadline passed")
     layout = _layout(state.n_assets, state.k)
@@ -365,12 +391,11 @@ def _enumerate_solve(state: MasterState, deadline: float | None):
     theta, chunks = cache["theta"], cache["chunks"]
     bound, done = cache["bound"], cache["done"]
     n_cuts = len(cache["cuts"])
-    state.node_count += _selection_count(state.n_assets, state.k)
     while True:
         c = int(np.argmin(bound))
         if done[c] == n_cuts:
             break
-        _refresh(cache, c)
+        state.node_count += _refresh(cache, c)
     theta_star = float(bound[c])
     best = None
     if np.isfinite(theta_star):
@@ -384,7 +409,7 @@ def _enumerate_solve(state: MasterState, deadline: float | None):
             if pick is not None and smallest > pick[0]:
                 break
             if done[c] < n_cuts:
-                _refresh(cache, c)
+                state.node_count += _refresh(cache, c)
             if bound[c] > limit:
                 continue
             rows = theta[c]
@@ -399,97 +424,66 @@ def _enumerate_solve(state: MasterState, deadline: float | None):
     return best
 
 
-class _CutTable:
-    """Vectorized cut pool bounds for box nodes.
+def node_eval(state: MasterState, lb: np.ndarray, ub: np.ndarray,
+              cutoff: float = np.inf):
+    """Bound, witness, and branch coordinate for one box node.
 
     Gradients are nonpositive, so any nonnegative unit-sum weighting lam of
-    the optimality cuts bounds the node from below by lam'b plus the exact
-    minimum of (lam'G)z over binary z in [lb, ub] with 1'z <= k, which is the
-    sum of the aggregate's most negative free entries up to the remaining
-    cardinality budget. Unit weightings give the cheap per-cut bound; when
-    that fails to prune, multiplicative-weights ascent on lam tightens the
-    bound toward the node's relaxation value. Every aggregate's minimizer is
-    a feasible selection that doubles as an incumbent candidate.
+    the rows bounds the node by lam'base plus the sum of (lam'grad)'s most
+    negative free entries up to the remaining cardinality budget. Unit
+    weightings give the per-cut bound; when it fails to prune, multiplicative-
+    weights ascent on lam tightens it, stopping once it reaches cutoff.
+    Returns (bound, bits, branch): that bound, the selection attaining the
+    strongest aggregate's minimum (an incumbent candidate), and the free
+    coordinate that sways it most, or -1 when the node is the single point
+    lb, whose bound is exactly theta_at(lb).
     """
-
-    def __init__(self, state: MasterState):
-        self.rebuild(state)
-
-    def rebuild(self, state: MasterState) -> None:
-        self.state = state
-        N = state.n_assets
-        opt = [c for c in state.cuts if c.kind == OPTIMALITY]
-        if opt:
-            self.grad = np.array([c.grad for c in opt])
-            self.base = np.array([c.intercept - float(c.grad @ c.origin.bits)
-                                  for c in opt])
-        else:
-            self.grad = np.zeros((0, N))
-            self.base = np.zeros(0)
-        self.no_goods = [c for c in state.cuts if c.kind == NO_GOOD]
-
-    def excluded(self, bits: np.ndarray) -> bool:
-        return any(c.excludes(bits) for c in self.no_goods)
-
-    def node_eval(self, lb: np.ndarray, ub: np.ndarray,
-                  cutoff: float = np.inf):
-        """Bound, witness, and branch coordinate for one box node.
-
-        Returns (bound, bits, branch): a valid lower bound of the exact
-        master objective over the node, the selection attaining the
-        strongest aggregate's minimum, and the free coordinate that sways
-        that aggregate the most (-1 when the node is the single point lb,
-        in which case the bound is exact). A bound at or above cutoff is
-        good enough for the caller, so refinement stops there.
-        """
-        state = self.state
-        budget = max(0, state.k - int(lb.sum()))
-        free = (lb < 0.5) & (ub > 0.5)
-        n_free = int(free.sum())
-        bits = lb.astype(np.int64)
-        if self.base.size == 0:
-            branch = int(np.argmax(free)) if n_free and budget else -1
-            return state.theta_lb, bits, branch
-        vals0 = self.base + self.grad @ lb
-        take = min(budget, n_free)
-        if take == 0:
-            return max(state.theta_lb, float(vals0.max())), bits, -1
-        fidx = np.flatnonzero(free)
-        gfree = self.grad[:, fidx]
-        colmin = gfree.min(axis=0)
-        if float(colmin.min()) >= 0.0:
-            # every cut is flat on the free coordinates, so the bound is
-            # exact; still hand back a branch because the box is not a
-            # single point and its witness may be excluded by a no-good
-            bound = max(state.theta_lb, float(vals0.max()))
-            return bound, bits, int(fidx[0])
-        mins = vals0 + np.sort(gfree, axis=1)[:, :take].sum(axis=1)
-        binding = int(np.argmax(mins))
-        bound = float(mins[binding])
-        h_best = gfree[binding]
-        if bound < cutoff:
-            lam = np.full(vals0.size, 1.0 / vals0.size)
-            for _ in range(_MW_ROUNDS):
-                h = lam @ gfree
-                order = np.argsort(h, kind="stable")[:take]
-                sel = order[h[order] < 0.0]
-                s = vals0 + gfree[:, sel].sum(axis=1)
-                phi = float(lam @ s)
-                if phi > bound:
-                    bound = phi
-                    h_best = h
-                spread = float(s.max() - s.min())
-                if spread <= 0.0 or bound >= cutoff:
-                    break
-                lam = lam * np.exp((2.0 / spread) * (s - s.max()))
-                lam = lam / lam.sum()
-        bound = max(bound, state.theta_lb)
-        order = np.argsort(h_best, kind="stable")[:take]
-        sel = order[h_best[order] < 0.0]
-        bits[fidx[sel]] = 1
-        branch = int(fidx[int(np.argmin(h_best))]) if h_best.min() < 0.0 \
-            else int(fidx[int(np.argmin(colmin))])
-        return bound, bits, branch
+    base, grad = state.base, state.grad
+    budget = max(0, state.k - int(lb.sum()))
+    free = (lb < 0.5) & (ub > 0.5)
+    n_free = int(free.sum())
+    bits = lb.astype(np.int64)
+    if base.size == 0:
+        branch = int(np.argmax(free)) if n_free and budget else -1
+        return state.theta_lb, bits, branch
+    vals0 = base + grad @ lb
+    take = min(budget, n_free)
+    fidx = np.flatnonzero(free)
+    gfree = grad[:, fidx]
+    colmin = gfree.min(axis=0)
+    if take == 0 or float(colmin.min()) >= 0.0:
+        # the bound is exact: the box is the point lb, or every cut is flat
+        # on its free coordinates; then it still hands back a branch, as
+        # its witness may be excluded by a no-good
+        return (max(state.theta_lb, float(vals0.max())), bits,
+                int(fidx[0]) if take else -1)
+    mins = vals0 + np.sort(gfree, axis=1)[:, :take].sum(axis=1)
+    binding = int(np.argmax(mins))
+    bound = float(mins[binding])
+    h_best = gfree[binding]
+    if bound < cutoff:
+        lam = np.full(vals0.size, 1.0 / vals0.size)
+        for _ in range(_MW_ROUNDS):
+            h = lam @ gfree
+            order = np.argsort(h, kind="stable")[:take]
+            sel = order[h[order] < 0.0]
+            s = vals0 + gfree[:, sel].sum(axis=1)
+            phi = float(lam @ s)
+            if phi > bound:
+                bound = phi
+                h_best = h
+            spread = float(s.max() - s.min())
+            if spread <= 0.0 or bound >= cutoff:
+                break
+            lam = lam * np.exp((2.0 / spread) * (s - s.max()))
+            lam = lam / lam.sum()
+    bound = max(bound, state.theta_lb)
+    order = np.argsort(h_best, kind="stable")[:take]
+    sel = order[h_best[order] < 0.0]
+    bits[fidx[sel]] = 1
+    branch = int(fidx[int(np.argmin(h_best))]) if h_best.min() < 0.0 \
+        else int(fidx[int(np.argmin(colmin))])
+    return bound, bits, branch
 
 
 class _Search:
@@ -513,20 +507,18 @@ class _Search:
 
 def _seed_incumbent(search: _Search) -> None:
     """Prime the incumbent with the best previously proposed selection so the
-    search prunes against a realistic value instead of infinity."""
+    search prunes against a realistic value instead of infinity: one matmul
+    scores every cut's origin against every row."""
     state = search.state
-    for cut in state.cuts:
-        if cut.kind != OPTIMALITY:
-            continue
-        bits = cut.origin.bits
-        if int(bits.sum()) > state.k:
-            continue
-        if any(c.kind == NO_GOOD and c.excludes(bits) for c in state.cuts):
-            continue
-        val = theta_at(state, bits)
-        if val < search.best:
-            search.best = val
-            search.best_bits = bits.astype(np.int64)
+    origins = state._origins[:state.n_opt]
+    scores = (state.base[:, None] + state.grad @ origins.T).max(
+        axis=0, initial=-np.inf)
+    scores[origins.sum(axis=1) > state.k] = np.inf
+    for j in np.argsort(scores, kind="stable"):
+        bits = origins[j].astype(np.int64)
+        if scores[j] < np.inf and not state.excluded(bits):
+            search.best, search.best_bits = theta_at(state, bits), bits
+            return
 
 
 def _propagate(lb: np.ndarray, ub: np.ndarray, k: int) -> bool:
@@ -539,9 +531,11 @@ def _propagate(lb: np.ndarray, ub: np.ndarray, k: int) -> bool:
     return True
 
 
-def _best_bound_pass(search: _Search, table: _CutTable, callback):
+def _best_bound_pass(search: _Search, callback):
     """Best-bound branch and bound; returns the optimal theta or None when
-    the no-good cuts exclude every selection."""
+    the no-good cuts exclude every selection. The callback also gets the
+    search's current lower bound: the least key of the open nodes, the
+    current one included, capped at the incumbent's theta."""
     state = search.state
     N = state.n_assets
     tick = itertools.count()
@@ -553,16 +547,18 @@ def _best_bound_pass(search: _Search, table: _CutTable, callback):
         if bound >= prune_at:
             break
         search.charge()
-        bound, bits, branch = table.node_eval(lb, ub, cutoff=prune_at)
+        bound, bits, branch = node_eval(state, lb, ub, cutoff=prune_at)
         if bound >= search.best - _BB_TOL * (1.0 + abs(search.best)):
             continue
-        if not table.excluded(bits):
+        if not state.excluded(bits):
             theta_z = theta_at(state, bits)
             if callback is not None:
                 n_before = len(state.cuts)
-                accepted = callback(SelectionVector(bits.copy()), theta_z)
+                least = min(bound, heap[0][0] if heap else np.inf,
+                            search.best)
+                accepted = callback(SelectionVector(bits.copy()), theta_z,
+                                    least)
                 if len(state.cuts) != n_before:
-                    table.rebuild(state)
                     theta_z = theta_at(state, bits)
                 if not accepted:
                     if len(state.cuts) == n_before:
@@ -584,7 +580,7 @@ def _best_bound_pass(search: _Search, table: _CutTable, callback):
     return None if search.best_bits is None else search.best
 
 
-def _lex_pass(search: _Search, table: _CutTable, theta_star: float):
+def _lex_pass(search: _Search, theta_star: float):
     """Depth-first extraction of the lexicographically smallest z whose
     exact master objective matches theta_star; zero branches first."""
     state = search.state
@@ -597,13 +593,13 @@ def _lex_pass(search: _Search, table: _CutTable, theta_star: float):
             continue
         if depth == N:
             bits = lb.astype(np.int64)
-            if table.excluded(bits):
+            if state.excluded(bits):
                 continue
             if theta_at(state, bits) <= cutoff:
                 return bits
             continue
         search.charge()
-        bound, _, _ = table.node_eval(lb, ub, cutoff=cutoff)
+        bound, _, _ = node_eval(state, lb, ub, cutoff=cutoff)
         if bound > cutoff:
             continue
         hi = (depth + 1, lb.copy(), ub.copy())
@@ -625,22 +621,22 @@ def master_solve(state: MasterState, callback=None,
     the cut binding at the node, and every node contributes the selection
     attaining that cut's minimum as an incumbent candidate. Ties among
     optimal z go to the lexicographically smallest. With a callback the
-    search always runs single-tree branch and bound: the callback sees every
-    integer-feasible candidate (z, theta) and either accepts it or injects
-    at least one cut and rejects; the best accepted candidate is returned
-    as-is since the cut pool is in flux.
+    search always runs single-tree branch and bound: callback(z, theta,
+    bound) sees every integer-feasible candidate with its master value and
+    the search's current lower bound on the master optimum, and either
+    accepts it or injects at least one cut and rejects; the best accepted
+    candidate is returned as-is since the cut pool is in flux.
     """
     if (callback is None and state.n_assets <= _ENUM_BITS
             and _selection_count(state.n_assets, state.k) <= _ENUM_LIMIT):
         return _enumerate_solve(state, deadline)
-    table = _CutTable(state)
     search = _Search(state, deadline)
     if callback is None:
         _seed_incumbent(search)
-    theta_star = _best_bound_pass(search, table, callback)
+    theta_star = _best_bound_pass(search, callback)
     if theta_star is None:
         return None
     if callback is not None:
         return SelectionVector(search.best_bits.copy()), search.best
-    bits = _lex_pass(search, table, theta_star)
+    bits = _lex_pass(search, theta_star)
     return SelectionVector(bits), theta_at(state, bits)

@@ -198,6 +198,23 @@ def test_bounds_monotone_and_bracket_oracle():
             assert ub >= orc.best_f - 1e-9
 
 
+def test_single_tree_lower_bound_rises_during_the_search():
+    # every candidate carries the master search's bound, so the lb trace
+    # moves before the search ends, never falls and stays below f*
+    for seed in (0, 5):
+        inst = random_instance(np.random.default_rng(seed), 10, 50, k=3)
+        best_f = oracle.brute_force(inst, inst.k).best_f
+        lbs = []
+        rep = driver.solve_bcp(inst, mode="single_tree",
+                               on_iteration=lambda t, z, lb, ub:
+                               lbs.append(lb))
+        assert rep.status == driver.OPTIMAL
+        assert lbs[0] == driver.theta_lb(inst)
+        assert lbs[-2] > lbs[0]
+        assert all(b >= a for a, b in zip(lbs, lbs[1:]))
+        assert lbs[-1] <= best_f + 1e-9
+
+
 def test_multi_tree_bcp_stops_on_a_repeat_without_solving_it(monkeypatch):
     # the selections these seeds' master offers last are repeats: the run
     # ends there with the repeat's kept f_lo, and no lower solve beyond
@@ -241,11 +258,11 @@ def test_iterations_count_lower_solves_when_master_times_out(monkeypatch):
             return real_solve(state, deadline=deadline)
         offered = []
 
-        def cb(z, theta):
+        def cb(z, theta, bound):
             offered.append(None)
             if len(offered) == 3:
                 raise master.MasterTimeout("master deadline passed")
-            return callback(z, theta)
+            return callback(z, theta, bound)
 
         return real_solve(state, callback=cb, deadline=deadline)
 

@@ -76,6 +76,18 @@ def test_no_good_shifts_optimum():
     assert z.as_tuple() == (1, 0)
 
 
+def test_excluded_cut_origin_does_not_seed_the_search(monkeypatch):
+    # theta is 1 at the cut's origin, which a no-good excludes, and 2, 3
+    # and 4 elsewhere: branch and bound must not start from the origin
+    monkeypatch.setattr(master, "_ENUM_LIMIT", 0)
+    state = master.MasterState(n_assets=3, k=1, theta_lb=-10.0)
+    master.add_cut(state, opt_cut([1, 0, 0], 1.0, [-3.0, -1.0, -2.0]))
+    master.add_cut(state, no_good([1, 0, 0]))
+    z, theta = master.master_solve(state)
+    assert theta == 2.0
+    assert z.as_tuple() == (0, 0, 1)
+
+
 def test_lexicographic_tie_break():
     # theta >= -sum(z) ties every single-asset selection at -1
     state = master.MasterState(n_assets=3, k=1, theta_lb=-10.0)
@@ -173,13 +185,89 @@ def test_root_bound_is_a_lower_bound():
     rng = np.random.default_rng(19)
     for _ in range(10):
         state = random_state(rng, 9, 3, n_opt=5, n_ng=2)
-        table = master._CutTable(state)
-        bound, bits, _ = table.node_eval(np.zeros(9), np.ones(9))
+        bound, bits, _ = master.node_eval(state, np.zeros(9), np.ones(9))
         assert bits.sum() <= state.k
         result = master.master_solve(state)
         if result is None:
             continue
         assert bound <= result[1] + 1e-9
+
+
+def test_leaf_bound_is_theta_at_bit_for_bit():
+    # theta has one definition: node_eval bounds a one-point box by exactly
+    # theta_at, on float pools where differently ordered sums round apart
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        n = int(rng.integers(8, 41))
+        k = int(rng.integers(1, n + 1))
+        state = random_state(rng, n, k, n_opt=int(rng.integers(1, 40)),
+                             n_ng=0)
+        for _ in range(20):
+            bits = np.zeros(n, dtype=np.int64)
+            bits[rng.choice(n, rng.integers(0, k + 1), replace=False)] = 1
+            lb = bits.astype(float)
+            bound, witness, branch = master.node_eval(state, lb, lb.copy())
+            assert branch == -1
+            assert witness.tolist() == bits.tolist()
+            assert bound == master.theta_at(state, bits)
+            # the per-cut form sums in another order: equal up to rounding
+            per_cut = max([state.theta_lb] + [
+                c.intercept + float(c.grad @ (bits - c.origin.bits))
+                for c in state.cuts])
+            assert bound == pytest.approx(per_cut, rel=1e-12, abs=1e-12)
+
+
+def milp_master(state):
+    """HiGHS's solve of the master as a MILP over (z, theta)."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = state.n_assets
+    rows = [np.hstack([state.grad, -np.ones((state.n_opt, 1))]),
+            np.append(np.ones(n), 0.0)[None, :]]
+    lo = [np.full(state.n_opt, -np.inf), [-np.inf]]
+    hi = [-state.base, [state.k]]
+    for bits in state.no_goods.values():
+        # at least one coordinate differs from the excluded selection
+        rows.append(np.append(1.0 - 2.0 * bits, 0.0)[None, :])
+        lo.append([1.0 - bits.sum()])
+        hi.append([np.inf])
+    return milp(np.append(np.zeros(n), 1.0),
+                constraints=LinearConstraint(np.vstack(rows),
+                                             np.concatenate(lo),
+                                             np.concatenate(hi)),
+                integrality=np.append(np.ones(n), 0.0),
+                bounds=Bounds(np.append(np.zeros(n), state.theta_lb),
+                              np.append(np.ones(n), np.inf)),
+                options={"mip_rel_gap": 0.0})
+
+
+def test_branch_and_bound_matches_milp(monkeypatch):
+    # n = 40-80 is far past enumeration; every other pool is on the quarter
+    # grid, where distinct selections tie exactly, and the no-goods exclude
+    # the master's own earlier optima
+    monkeypatch.setattr(master, "_ENUM_LIMIT", 0)
+    rng = np.random.default_rng(1)
+    for trial in range(12):
+        n = int(rng.integers(40, 81))
+        k = int(rng.integers(2, 6))
+        n_opt = int(rng.integers(3, 12))
+        if trial % 2 == 0:
+            state = dyadic_state(rng, n, k, n_opt)
+        else:
+            state = random_state(rng, n, k, n_opt, n_ng=0)
+        for _ in range(int(rng.integers(0, 4))):
+            master.add_cut(state, no_good(master.master_solve(state)[0].bits))
+        z, theta = master.master_solve(state)
+        ref = milp_master(state)
+        assert ref.status == 0
+        assert abs(theta - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+        assert z.count() <= k
+        assert not state.excluded(z.bits)
+        assert master.theta_at(state, z.bits) == theta
+        z_ref = np.round(ref.x[:n]).astype(np.int64)
+        if master.theta_at(state, z_ref) == theta:
+            # a tie goes to the lexicographically smallest selection
+            assert z.as_tuple() <= tuple(z_ref)
 
 
 def test_node_limit_raises_in_branch_and_bound(monkeypatch):
@@ -198,11 +286,17 @@ def test_node_limit_raises_in_branch_and_bound(monkeypatch):
 
 
 def test_node_count_accumulates_across_solves():
+    # node_count adds each solve's work: a repeat over the same pool finds
+    # the table up to date, and a new cut makes the next solve score again
     rng = np.random.default_rng(23)
     state = random_state(rng, 7, 3, n_opt=5, n_ng=0)
     master.master_solve(state)
     first = state.node_count
     assert first > 0
+    master.master_solve(state)
+    assert state.node_count == first
+    master.add_cut(state, opt_cut(np.ones(7, dtype=int), 5.0,
+                                  -np.ones(7)))
     master.master_solve(state)
     assert state.node_count > first
 
@@ -218,7 +312,7 @@ def test_callback_single_tree_injects_and_accepts():
     state = master.MasterState(n_assets=3, k=1, theta_lb=-10.0)
     seen = []
 
-    def callback(z, theta):
+    def callback(z, theta, bound):
         seen.append((z.as_tuple(), theta))
         if len(state.cuts) == 0:
             master.add_cut(state, opt_cut([0, 0, 0], 3.0,
@@ -236,7 +330,7 @@ def test_callback_single_tree_injects_and_accepts():
 def test_callback_reject_without_cut_is_an_error():
     state = master.MasterState(n_assets=2, k=1, theta_lb=0.0)
     with pytest.raises(RuntimeError):
-        master.master_solve(state, callback=lambda z, theta: False)
+        master.master_solve(state, callback=lambda z, theta, bound: False)
 
 
 def dyadic_state(rng, n, k, n_opt):
@@ -301,8 +395,7 @@ def test_high_part_wider_than_low_part(monkeypatch, f64_rows):
         for combo in itertools.combinations(range(n), count):
             bits = np.zeros(n, dtype=np.int64)
             bits[list(combo)] = 1
-            if not any(c.kind == master.NO_GOOD and c.excludes(bits)
-                       for c in state.cuts):
+            if not state.excluded(bits):
                 scored.append((master.theta_at(state, bits), tuple(bits)))
     best = min(scored)
     assert sum(theta == best[0] for theta, _ in scored) > 1
@@ -316,7 +409,10 @@ def test_empty_pool_returns_the_empty_selection():
     z, theta = master.master_solve(state)
     assert z.as_tuple() == (0,) * 25
     assert theta == -1.5
-    assert state.node_count == master._selection_count(25, 10)
+    # the master counts the entries it scored: the chunks it reached, not
+    # the 7.1M-entry table
+    scored = sum(t.size for t in state._enum_cache["theta"] if t is not None)
+    assert state.node_count == scored < master._selection_count(25, 10)
 
 
 def test_enumeration_layout_stays_small():
@@ -415,7 +511,7 @@ def test_lazy_master_matches_brute_force_over_cut_sequences(monkeypatch,
             z, theta = master.master_solve(state)
             assert (theta, z.as_tuple()) == brute_force(state, selections)
             cache = state._enum_cache
-            stale += int((cache["done"] < len(state.cuts)).sum())
+            stale += int((cache["done"] < state.n_opt).sum())
         scored = [t for t in cache["theta"] if t is not None]
         assert scored
         assert all(t.dtype == (np.float32 if f64_rows == 0 else np.float64)
