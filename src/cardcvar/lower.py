@@ -9,16 +9,20 @@ over (a, v, x_support), with the inequality rows in the order
 equality. The rows live in one workspace per call (_CutQP); a new cut is
 written after the last, so no earlier row moves. Each call gathers the
 support columns of the scenario matrix once (S x |supp(z)|, no copy when
-z selects every asset), and every inner iteration computes its losses,
-scenario subset J and excess v' on that block; the subset aggregates stay
-full width, so a certificate needs no second pass. The first QP starts at
-the unit vertex of the first support asset that satisfies every side row,
-and only when no vertex does at the phase-1 point of the support polytope.
-solve_lower_lifted solves the exact per-scenario lifting as an oracle. Both
-expose the dual structure needed to build upper-level cuts: a
-DualCertificate whose objective -(gamma/2) z @ (omega * omega) - b @ zeta +
-lambda reproduces the lower bound and whose omega yields the subgradient
--(gamma/2) omega^2.
+z selects every asset), and every inner iteration computes its losses on
+that block. Each cut is anchored at the left beta-quantile a_ref of the
+losses of the QP's portfolio (_var_level, O(S) by partition), where the
+cut is tight on the true CVaR: its subset is the loss tail at a_ref, so it
+holds about (1 - beta) S scenarios, and the loop stops on the exact gap
+between the QP value and the objective of the QP's portfolio. The subset
+aggregates stay full width, so a certificate needs no second pass. The
+first QP starts at the unit vertex of the first support asset that
+satisfies every side row, and only when no vertex does at the phase-1
+point of the support polytope. solve_lower_lifted solves the exact
+per-scenario lifting as an oracle. Both expose the dual structure needed
+to build upper-level cuts: a DualCertificate whose objective
+-(gamma/2) z @ (omega * omega) - b @ zeta + lambda reproduces the lower
+bound and whose omega yields the subgradient -(gamma/2) omega^2.
 """
 
 from __future__ import annotations
@@ -84,16 +88,47 @@ def scenario_cut(x, a, z: SelectionVector, instance: Instance):
     """Scenarios whose loss at the masked portfolio exceeds a, and the
     resulting CVaR excess v' = E[(loss - a)_+ ; J] / (1 - beta)."""
     xm = np.asarray(x, dtype=float) * z.bits
-    return _tail(-(instance.scenarios @ xm), a, instance)
-
-
-def _tail(losses: np.ndarray, a, instance: Instance):
-    """The scenarios whose loss exceeds a, and their excess v'."""
-    excess = losses - float(a)
+    excess = -(instance.scenarios @ xm) - float(a)
     J = np.flatnonzero(excess > J_TOL)
     v_prime = (float(instance.probs.take(J) @ excess.take(J))
                / (1.0 - instance.beta))
     return J, v_prime
+
+
+def _quantile_window(probs: np.ndarray, beta: float):
+    """(reach, q) for _var_level: the probability the walk from the largest
+    loss may pass, and how many of the largest losses it can reach."""
+    S = probs.size
+    one_m_beta = 1.0 - beta
+    p_min = float(probs.min())
+    q = (S if one_m_beta >= p_min * (S - 2)
+         else int(np.ceil(one_m_beta / p_min)) + 2)
+    return float(probs.sum()) - beta + 1e-12, q
+
+
+def _var_level(losses: np.ndarray, probs: np.ndarray, reach: float, q: int):
+    """The left beta-quantile of the losses, as model.cvar defines it, and
+    the scenarios whose loss is at or above the q-th largest loss, in index
+    order.
+
+    The quantile is the smallest loss whose cumulative probability reaches
+    beta - 1e-12: walking down the losses from the largest, the last one
+    with at most reach = sum(p) - beta + 1e-12 of probability before it.
+    Each scenario passed adds at least p_min, so the walk ends within the
+    q largest losses for q = ceil((1 - beta) / p_min) + 2 (_quantile_window):
+    a partition finds the q-th largest in O(S), and only the losses at or
+    above it are sorted.
+    """
+    S = losses.size
+    if q < S:
+        top = np.flatnonzero(losses >= np.partition(losses, S - q)[S - q])
+    else:
+        top = np.arange(S)
+    # ties may come in any order: they share the value the walk returns
+    desc = top[np.argsort(losses.take(top))[::-1]]
+    above = np.cumsum(probs.take(desc))
+    j = min(int(np.searchsorted(above, reach, side="right")), desc.size - 1)
+    return float(losses[desc[j]]), top
 
 
 def _aggregate(instance: Instance, J: np.ndarray):
@@ -186,6 +221,27 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
     Returns a LowerResult with f_lo <= f(z) <= f_hi <= f_lo + delta, or None
     when the selection admits no feasible portfolio. Subproblem failures
     raise SolverError (distinct from infeasibility by contract).
+
+    After each inner QP at (a_t, v_t, x_t), with losses L = -r @ x_t, the
+    loop takes a_ref, the left beta-quantile of L, and v' = E[(L - a_ref)_+]
+    / (1 - beta). By Rockafellar and Uryasev, a_ref + v' = CVaR(x_t), so
+    f_hi = |x_t|^2 / (2 gamma) + a_ref + v' is the exact objective of x_t,
+    f_lo is the QP value, and gap = f_hi - f_lo = a_ref + v' - a_t - v_t.
+    The loop stops when gap <= delta, or when the subset it would cut is
+    already a row (a rounding-level gap), and returns Portfolio(x_t, a_ref,
+    v'). Otherwise it cuts the subset J = {L > a_ref} when a_t >= a_ref and
+    J = {L >= a_ref} when a_t < a_ref. Either way E[(L - a_ref) ; J] =
+    (1 - beta) v', so the cut v >= E[(L - a) ; J] / (1 - beta) takes at
+    (a_t, x_t) the value
+        v' + (a_ref - a_t) p_J / (1 - beta)
+        = v_t + gap + (a_t - a_ref) (1 - p_J / (1 - beta)).
+    The left quantile has P(L > a_ref) <= 1 - beta and P(L >= a_ref) >=
+    1 - beta, so with the tail picked by the sign of a_t - a_ref the last
+    term is nonnegative: every cut is violated at the QP point by at least
+    the gap, which exceeds delta. The next QP is warm-started there with v
+    raised onto the new cut, the one working row that holds v. (The strict
+    tail alone for a_t < a_ref can make a cut the QP point satisfies, and
+    then the warm start is not tight on its working row.)
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
@@ -197,10 +253,13 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
     # the support columns, gathered once; every asset needs no gather
     cols = (instance.scenarios if support.size == instance.n_assets
             else instance.scenarios.take(support, axis=1))
+    probs = instance.probs
     S = instance.n_scenarios
+    one_m_beta = 1.0 - instance.beta
+    reach, q = _quantile_window(probs, instance.beta)
     subsets = [np.arange(S)]
     # the all-scenario subset aggregates to the expected returns, no gather
-    aggregates = [(float(instance.probs.sum()), instance.expected_returns)]
+    aggregates = [(float(probs.sum()), instance.expected_returns)]
     seen = {subsets[0].tobytes()}
     qp = _CutQP(instance, support)
     first = qp.add_cut(*aggregates[0])
@@ -219,22 +278,28 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
             raise SolverError(f"lower-level QP ended with status {sol.status}")
         a_t = float(sol.x[0])
         v_t = float(sol.x[1])
-        J, v_prime = _tail(-(cols @ sol.x[2:]), a_t, instance)
+        losses = -(cols @ sol.x[2:])
+        a_ref, top = _var_level(losses, probs, reach, q)
+        excess = losses.take(top) - a_ref
+        above = excess > 0.0
+        tail = top[above]
+        v_ref = float(probs.take(tail) @ excess[above]) / one_m_beta
+        gap = a_ref + v_ref - a_t - v_t
+        J = tail if a_t >= a_ref else top[excess >= 0.0]
 
         key = J.tobytes()
         duplicate = key in seen
-        if v_prime - v_t <= delta or duplicate:
+        if gap <= delta or duplicate:
             f_lo = float(sol.obj)
-            if (duplicate and v_prime - v_t - delta
-                    > GAP_NOISE * (1.0 + abs(f_lo))):
+            if duplicate and gap - delta > GAP_NOISE * (1.0 + abs(f_lo)):
                 log.warning("duplicate scenario subset at gap %.3e; stopping "
-                            "on solver tolerance", v_prime - v_t)
+                            "on solver tolerance", gap)
             if not duplicate:
                 subsets = subsets + [J]
             x_full = _embed(support, sol.x[2:], instance.n_assets)
-            portfolio = Portfolio(x_full, a_t, max(v_prime, 0.0))
+            portfolio = Portfolio(x_full, a_ref, v_ref)
             f_hi = float(x_full @ x_full / (2.0 * instance.gamma)
-                         + a_t + max(v_prime, 0.0))
+                         + a_ref + v_ref)
             cert = recover_certificate(_collect_duals(sol, qp.fixed, instance),
                                        subsets, z, instance, aggregates)
             _check_certificate_value(cert, z, instance, f_lo)
@@ -245,8 +310,9 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
         seen.add(key)
         subsets.append(J)
         aggregates.append(_aggregate(instance, J))
-        # warm start: v rises onto the new cut, which is tight there; the
-        # rows that held v (v >= 0 and the old cuts) leave the working set
+        # warm start: v rises onto the new cut, which the QP point violates
+        # (see above); the rows that held v (v >= 0 and the old cuts) leave
+        # the working set
         cut = qp.add_cut(*aggregates[-1])
         row = qp.G[cut]
         start = sol.x.copy()

@@ -13,6 +13,7 @@ from cardcvar.model import (
     Instance,
     SelectionVector,
     build_feasible_set,
+    cvar,
     objective,
 )
 
@@ -439,8 +440,10 @@ def test_cut_workspace_growth_keeps_bounds_and_views(monkeypatch, capacity):
 
 # Scenario grids with few distinct values: rows repeat, assets can be
 # constant, and losses tie at the beta-quantile (S (1 - beta) is integral
-# for S = 10 or 20 at beta = 0.9 or 0.5).
-_grid = st.sampled_from([-0.04, -0.02, 0.0, 0.01, 0.03])
+# for S = 10 or 20 at beta = 0.9 or 0.5). Probabilities are uniform or
+# integer weights.
+_GRID = [-0.04, -0.02, 0.0, 0.01, 0.03]
+_grid = st.sampled_from(_GRID)
 
 
 @st.composite
@@ -455,7 +458,15 @@ def lower_cases(draw):
     flat = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     scen[:, flat] = 0.01            # zero-variance assets
     beta = draw(st.sampled_from([0.5, 0.9]))
-    inst = Instance(n_assets=n, scenarios=scen, probs=np.full(S, 1.0 / S),
+    probs = np.full(S, 1.0 / S)
+    if draw(st.booleans()):
+        # integer weights, zeros included: the cumulative probability can
+        # land on beta exactly, and some scenarios can carry none
+        w = np.array(draw(st.lists(st.integers(0, 3), min_size=S,
+                                   max_size=S)), dtype=float)
+        w[draw(st.integers(0, S - 1))] += 1.0
+        probs = w / w.sum()
+    inst = Instance(n_assets=n, scenarios=scen, probs=probs,
                     side_A=np.zeros((0, n)), side_b=[], beta=beta,
                     gamma=draw(st.sampled_from([0.5, 2.0])), k=n)
     if draw(st.booleans()):
@@ -518,3 +529,141 @@ def test_zero_delta_rounding_gap_logs_nothing(scen, caplog):
                                    inst, 0.0)
     assert caplog.records == []
     assert res.f_hi <= res.f_lo + 1e-12 * (1.0 + abs(res.f_lo))
+
+
+def sorted_quantile(losses, probs, beta):
+    """model.cvar's a_star for the given losses: a one-asset instance whose
+    returns are the negated losses."""
+    inst = Instance(n_assets=1, scenarios=-np.asarray(losses)[:, None],
+                    probs=probs, side_A=np.zeros((0, 1)), side_b=[],
+                    beta=beta, gamma=1.0, k=1)
+    return cvar(np.ones(1), inst)[0]
+
+
+def var_level(losses, probs, beta):
+    return lower._var_level(np.asarray(losses), np.asarray(probs),
+                            *lower._quantile_window(np.asarray(probs), beta))[0]
+
+
+def test_var_level_matches_sort_and_cumsum():
+    rng = np.random.default_rng(41)
+    for trial in range(400):
+        S = int(rng.integers(2, 61))
+        beta = float(rng.choice([0.5, 0.8, 0.9, 0.95]))
+        if trial % 3 == 0:
+            probs = rng.dirichlet(np.ones(S))
+        elif trial % 3 == 1:
+            # integer weights: cumulative sums land on beta exactly
+            w = rng.integers(0, 4, size=S).astype(float)
+            w[rng.integers(S)] += 1.0
+            probs = w / w.sum()
+        else:
+            probs = np.full(S, 1.0 / S)
+        losses = (rng.choice(_GRID, size=S) if trial % 2
+                  else rng.normal(0.0, 0.05, size=S))
+        assert var_level(losses, probs, beta) == sorted_quantile(
+            losses, probs, beta)
+
+
+def test_var_level_with_tiny_probabilities_sorts_every_loss():
+    # p_min near 0 puts q at or past S: the walk reads every loss
+    rng = np.random.default_rng(43)
+    for S in (3, 17, 60):
+        for p_min in (0.0, 1e-300, 1e-14):
+            probs = rng.dirichlet(np.ones(S))
+            probs[rng.integers(S)] = p_min
+            probs /= probs.sum()
+            assert lower._quantile_window(probs, 0.9)[1] >= S
+            losses = rng.normal(size=S)
+            assert var_level(losses, probs, 0.9) == sorted_quantile(
+                losses, probs, 0.9)
+
+
+def test_var_level_at_large_s():
+    rng = np.random.default_rng(47)
+    S = 20_000
+    probs = np.full(S, 1.0 / S)
+    reach, q = lower._quantile_window(probs, 0.9)
+    assert q < S // 5
+    losses = rng.normal(size=S)
+    a_ref, top = lower._var_level(losses, probs, reach, q)
+    assert a_ref == sorted_quantile(losses, probs, 0.9)
+    assert np.array_equal(top, np.flatnonzero(losses >= np.sort(losses)[-q]))
+
+
+def dirichlet_instance(rng, n, s, beta, with_return_row=False):
+    inst = random_instance(rng, n, s, beta, with_return_row)
+    return dataclasses.replace(inst, probs=rng.dirichlet(np.ones(s)))
+
+
+def grid_instance(rng, n, s, beta):
+    """Repeated rows on a return grid: losses tie at the beta-quantile."""
+    rows = rng.choice(_GRID, size=(int(rng.integers(1, s + 1)), n))
+    scen = rows[rng.integers(rows.shape[0], size=s)]
+    w = rng.integers(1, 4, size=s).astype(float)
+    probs = w / w.sum() if rng.integers(2) else np.full(s, 1.0 / s)
+    return Instance(n_assets=n, scenarios=scen, probs=probs,
+                    side_A=np.zeros((0, n)), side_b=[], beta=beta,
+                    gamma=2.0, k=n)
+
+
+def test_every_cut_is_violated_by_the_exact_gap(monkeypatch):
+    """Spy on the inner QPs of lower solves over tie grids and random
+    instances. Each cut that does not stop the loop is violated at the QP
+    point before it by at least that point's exact gap CVaR(x_t) - a_t - v_t
+    (so v rises onto the new cut in the warm start); each subset after the
+    all-scenario one holds at most 1 - beta of probability plus the
+    probability tied at the quantile; the returned portfolio sits at the
+    quantile with f_hi its exact objective."""
+    state = {}
+    real_solve = numeric.solve
+
+    def spy(prog):
+        prev = state.get("prev")
+        if prev is not None:
+            # the program after a QP adds one cut row, violated at its point
+            old_prog, sol, gap, f = prev
+            assert prog.ineq_h.size == old_prog.ineq_h.size + 1
+            violation = float(prog.ineq_G[-1] @ sol.x - prog.ineq_h[-1])
+            slack = 1e-9 * (1.0 + abs(f))
+            assert violation >= gap - slack
+            assert gap > state["delta"] - slack
+        sol = real_solve(prog)
+        x = sol.x[2:]
+        x_full = np.zeros(state["inst"].n_assets)
+        x_full[state["support"]] = x
+        a_star, cv = cvar(x_full, state["inst"])
+        state["points"].append((x_full, a_star))
+        state["prev"] = (prog, sol, cv - sol.x[0] - sol.x[1], sol.obj)
+        return sol
+
+    monkeypatch.setattr(numeric, "solve", spy)
+    rng = np.random.default_rng(53)
+    solves = 0
+    for trial in range(60):
+        n = int(rng.integers(1, 6))
+        s = int(rng.integers(2, 80))
+        beta = float(rng.choice([0.5, 0.8, 0.9, 0.95]))
+        inst = (grid_instance(rng, n, s, beta) if trial % 2
+                else dirichlet_instance(rng, n, s, beta,
+                                        with_return_row=bool(trial % 4)))
+        z = random_selection(rng, n)
+        delta = float(rng.choice([0.0, 1e-6, 1e-4]))
+        state.update(inst=inst, support=z.support(), delta=delta,
+                     prev=None, points=[])
+        res = lower.solve_lower_cp(z, inst, delta)
+        if res is None:
+            continue
+        solves += 1
+        assert len(state["points"]) == res.iters
+        # subsets[t + 1] is the cut made at QP t
+        for (x_full, a_star), J in zip(state["points"], res.subsets[1:]):
+            losses = -(inst.scenarios @ x_full)
+            tied = np.abs(losses - a_star) <= 1e-12 * (1.0 + abs(a_star))
+            bound = 1.0 - inst.beta + inst.probs[tied].sum()
+            assert inst.probs[J].sum() <= bound + 1e-12
+        assert res.portfolio.var_level == pytest.approx(
+            cvar(res.portfolio.weights, inst)[0], abs=1e-12)
+        assert res.f_hi == pytest.approx(objective(res.portfolio, inst),
+                                         abs=1e-12)
+    assert solves >= 40

@@ -161,6 +161,56 @@ def test_feasible_examples():
     assert chk.point[0] == pytest.approx(0.3, abs=1e-9)
 
 
+def random_polytope(rng, kind):
+    """{G x <= h, A x = b} around an anchor x0: feasible (kind 0), cut off
+    by two opposing rows (1) or by an equality row repeated with a shifted
+    right-hand side (2), or with h drawn at random about G x0 (3)."""
+    n = int(rng.integers(1, 8))
+    m = int(rng.integers(0, 10))
+    p = int(rng.integers(1 if kind == 2 else 0, min(n, 3) + 1))
+    G = rng.normal(size=(m, n))
+    A = rng.normal(size=(p, n))
+    x0 = rng.normal(size=n)
+    h = G @ x0 + rng.uniform(0.0, 1.0, size=m)
+    b = A @ x0
+    if kind == 1:
+        g = rng.normal(size=n)
+        G = np.vstack([G, g, -g])
+        h = np.concatenate([h, [g @ x0, -(g @ x0) - rng.uniform(0.01, 1.0)]])
+    elif kind == 2:
+        A = np.vstack([A, A[0]])
+        b = np.append(b, b[0] + rng.uniform(0.01, 1.0))
+    elif kind == 3:
+        h = G @ x0 + rng.normal(0.0, 1.0, size=m)
+    return G, h, A, b
+
+
+def test_feasible_agrees_with_highs():
+    """feasible() against HiGHS on random polytopes with equality rows:
+    both reach the same verdict, and a feasible one comes with a point that
+    meets every row to 1e-9."""
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(61)
+    verdicts = []
+    for trial in range(240):
+        G, h, A, b = random_polytope(rng, trial % 4)
+        n = G.shape[1]
+        chk = feasible(G, h, A, b)
+        ref = linprog(np.zeros(n), A_ub=G if h.size else None,
+                      b_ub=h if h.size else None,
+                      A_eq=A if b.size else None, b_eq=b if b.size else None,
+                      bounds=(None, None), method="highs")
+        assert ref.status in (0, 2)
+        assert chk.feasible == (ref.status == 0)
+        verdicts.append(chk.feasible)
+        if chk.feasible:
+            x = chk.point
+            assert np.all(G @ x <= h + 1e-9)
+            assert np.all(np.abs(A @ x - b) <= 1e-9)
+    assert 60 <= sum(verdicts) <= 180
+
+
 def test_lp_infeasible_and_unbounded():
     sol = solve(make_prog(q=[1.0], G=[[-1.0], [1.0]], h=[-2.0, 1.0]))
     assert sol.status == INFEASIBLE
