@@ -41,7 +41,6 @@ __all__ = [
     "SolverError",
     "CertificateError",
     "solve_lower_cp",
-    "scenario_cut",
     "solve_lower_lifted",
     "recover_certificate",
     "certificate_objective",
@@ -50,7 +49,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-J_TOL = 1e-10          # strict-positivity tolerance for scenario selection
 GAP_NOISE = 1e-12      # relative size of a rounding-level gap past delta
 MAX_INNER_ITERS = 10_000
 _CUT_CAPACITY = 16     # cut rows a lower solve's workspace starts with
@@ -82,17 +80,6 @@ class LowerResult:
     subsets: list
     certificate: DualCertificate
     iters: int
-
-
-def scenario_cut(x, a, z: SelectionVector, instance: Instance):
-    """Scenarios whose loss at the masked portfolio exceeds a, and the
-    resulting CVaR excess v' = E[(loss - a)_+ ; J] / (1 - beta)."""
-    xm = np.asarray(x, dtype=float) * z.bits
-    excess = -(instance.scenarios @ xm) - float(a)
-    J = np.flatnonzero(excess > J_TOL)
-    v_prime = (float(instance.probs.take(J) @ excess.take(J))
-               / (1.0 - instance.beta))
-    return J, v_prime
 
 
 def _quantile_window(probs: np.ndarray, beta: float):

@@ -14,11 +14,12 @@ chunks of rows: cuts only raise theta, so a chunk's last exact minimum and
 each pending cut's exact minimum over it bound it from below, and a solve
 scores the pending cuts into a chunk only when that bound reaches the
 optimum, best-first. Ties go to the lexicographically smallest selection.
-Otherwise master_solve runs branch and bound over coordinate
-boxes, bounding each box by every cut's exact minimum over it (cheap because
-cut gradients are nonpositive), with a second, depth-first pass extracting
-the lexicographically smallest optimal z. Either way reruns are
-reproducible.
+Otherwise master_solve runs one best-bound branch and bound over
+coordinate boxes, bounding each box by every cut's exact minimum over it
+(cheap because cut gradients are nonpositive); ties go to the
+lexicographically smallest z there too, by keeping a box within the tie
+tolerance only while its smallest member comes first. Either way reruns
+are reproducible.
 """
 
 from __future__ import annotations
@@ -486,15 +487,26 @@ def node_eval(state: MasterState, lb: np.ndarray, ub: np.ndarray,
     return bound, bits, branch
 
 
-class _Search:
-    """Bookkeeping shared by the best-bound pass and the lex pass."""
+def _lex_key(bits: np.ndarray) -> bytes:
+    """Bytes that order selections lexicographically."""
+    return np.packbits(bits > 0.5).tobytes()
 
-    def __init__(self, state, deadline):
+
+class _Search:
+    """Incumbent and node budget of one branch-and-bound solve. Boxes and
+    selections carry a key: _lex_key of the selection, or of a box's
+    smallest member lb, while the pool is fixed; b"" while a callback may
+    add cuts, so ties then have no order. best is the least theta of the
+    incumbents, theta the current one's; the tie window is best -/+ the
+    relative tolerance _BB_TOL."""
+
+    def __init__(self, state, deadline, ordered: bool):
         self.state = state
         self.deadline = deadline
+        self.key = _lex_key if ordered else lambda bits: b""
         self.nodes = 0
         self.best = np.inf
-        self.best_bits = None
+        self.best_bits = self.best_key = self.theta = None
 
     def charge(self) -> None:
         self.nodes += 1
@@ -503,6 +515,39 @@ class _Search:
             raise MasterNodeLimit(f"master node limit {_NODE_LIMIT} exceeded")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise MasterTimeout("master deadline passed")
+
+    def _window(self):
+        tol = _BB_TOL * (1.0 + abs(self.best))
+        return self.best - tol, self.best + tol
+
+    def dominated(self, bound: float, key: bytes) -> bool:
+        """No member of the box can replace the incumbent: all lie above the
+        tie window, or none lies below it and none comes first."""
+        if self.best_bits is None:
+            return False
+        lo, hi = self._window()
+        return bound > hi or (bound >= lo and key >= self.best_key)
+
+    def cutoff(self, key: bytes) -> float:
+        """node_eval's cutoff: the bound that dominates the box, or -inf
+        before the first incumbent, when no bound prunes."""
+        if self.best_bits is None:
+            return -np.inf
+        lo, hi = self._window()
+        return hi if key < self.best_key else lo
+
+    def offer(self, bits: np.ndarray, theta: float) -> None:
+        """Make bits the incumbent when its theta is below the tie window,
+        or within it and first in (key, theta) order."""
+        key = self.key(bits)
+        if self.best_bits is not None:
+            lo, hi = self._window()
+            if not (theta < lo or (theta <= hi
+                                   and (key, theta) < (self.best_key,
+                                                       self.best))):
+                return
+        self.best = min(self.best, theta)
+        self.best_bits, self.best_key, self.theta = bits.copy(), key, theta
 
 
 def _seed_incumbent(search: _Search) -> None:
@@ -517,38 +562,29 @@ def _seed_incumbent(search: _Search) -> None:
     for j in np.argsort(scores, kind="stable"):
         bits = origins[j].astype(np.int64)
         if scores[j] < np.inf and not state.excluded(bits):
-            search.best, search.best_bits = theta_at(state, bits), bits
+            search.offer(bits, theta_at(state, bits))
             return
 
 
-def _propagate(lb: np.ndarray, ub: np.ndarray, k: int) -> bool:
-    """Cardinality propagation in place; False when the fix is infeasible."""
-    ones = int(lb.sum())
-    if ones > k:
-        return False
-    if ones == k:
-        np.copyto(ub, lb)
-    return True
-
-
-def _best_bound_pass(search: _Search, callback):
-    """Best-bound branch and bound; returns the optimal theta or None when
-    the no-good cuts exclude every selection. The callback also gets the
-    search's current lower bound: the least key of the open nodes, the
-    current one included, capped at the incumbent's theta."""
+def _branch_and_bound(search: _Search, callback) -> None:
+    """Best-bound branch and bound, heap ties to the smaller key, then the
+    older box; the answer is the search's incumbent, none when the no-good
+    cuts exclude every selection. The callback also gets the search's
+    current lower bound: the least bound of the open boxes, the current one
+    included, capped at the best theta."""
     state = search.state
     N = state.n_assets
     tick = itertools.count()
     root = (np.zeros(N), np.ones(N))
-    heap = [(-np.inf, next(tick), root)]
+    heap = [(-np.inf, search.key(root[0]), next(tick), root)]
     while heap:
-        bound, _, (lb, ub) = heapq.heappop(heap)
-        prune_at = search.best - _BB_TOL * (1.0 + abs(search.best))
-        if bound >= prune_at:
-            break
+        bound, key, _, (lb, ub) = heapq.heappop(heap)
+        if search.dominated(bound, key):
+            continue
         search.charge()
-        bound, bits, branch = node_eval(state, lb, ub, cutoff=prune_at)
-        if bound >= search.best - _BB_TOL * (1.0 + abs(search.best)):
+        bound, bits, branch = node_eval(state, lb, ub,
+                                        cutoff=search.cutoff(key))
+        if search.dominated(bound, key):
             continue
         if not state.excluded(bits):
             theta_z = theta_at(state, bits)
@@ -564,11 +600,9 @@ def _best_bound_pass(search: _Search, callback):
                     if len(state.cuts) == n_before:
                         raise RuntimeError(
                             "callback rejected a node without adding a cut")
-                    heapq.heappush(heap, (bound, next(tick), (lb, ub)))
+                    heapq.heappush(heap, (bound, key, next(tick), (lb, ub)))
                     continue
-            if theta_z < search.best:
-                search.best = theta_z
-                search.best_bits = bits.copy()
+            search.offer(bits, theta_z)
         if branch < 0:
             continue
         lo = (lb.copy(), ub.copy())
@@ -576,39 +610,8 @@ def _best_bound_pass(search: _Search, callback):
         hi = (lb.copy(), ub.copy())
         hi[0][branch] = 1.0
         for child in (lo, hi):
-            heapq.heappush(heap, (bound, next(tick), child))
-    return None if search.best_bits is None else search.best
-
-
-def _lex_pass(search: _Search, theta_star: float):
-    """Depth-first extraction of the lexicographically smallest z whose
-    exact master objective matches theta_star; zero branches first."""
-    state = search.state
-    N, k = state.n_assets, state.k
-    cutoff = theta_star + _BB_TOL * (1.0 + abs(theta_star))
-    stack = [(0, np.zeros(N), np.ones(N))]
-    while stack:
-        depth, lb, ub = stack.pop()
-        if np.any(lb > ub) or not _propagate(lb, ub, k):
-            continue
-        if depth == N:
-            bits = lb.astype(np.int64)
-            if state.excluded(bits):
-                continue
-            if theta_at(state, bits) <= cutoff:
-                return bits
-            continue
-        search.charge()
-        bound, _, _ = node_eval(state, lb, ub, cutoff=cutoff)
-        if bound > cutoff:
-            continue
-        hi = (depth + 1, lb.copy(), ub.copy())
-        hi[1][depth] = 1.0
-        lo = (depth + 1, lb, ub)
-        lo[2][depth] = 0.0
-        stack.append(hi)
-        stack.append(lo)
-    raise RuntimeError("lex pass found no certified optimum")
+            heapq.heappush(heap, (bound, search.key(child[0]), next(tick),
+                                  child))
 
 
 def master_solve(state: MasterState, callback=None,
@@ -616,27 +619,26 @@ def master_solve(state: MasterState, callback=None,
     """Exact solve of the master problem; returns (z, theta) or None when the
     no-good cuts exclude all feasible selections.
 
-    Small selection spaces are scored exhaustively. Otherwise node selection
-    is best-bound first, branching on the free coordinate that most sways
+    Small selection spaces are scored exhaustively. Otherwise one best-bound
+    branch and bound runs, branching on the free coordinate that most sways
     the cut binding at the node, and every node contributes the selection
-    attaining that cut's minimum as an incumbent candidate. Ties among
-    optimal z go to the lexicographically smallest. With a callback the
-    search always runs single-tree branch and bound: callback(z, theta,
-    bound) sees every integer-feasible candidate with its master value and
-    the search's current lower bound on the master optimum, and either
-    accepts it or injects at least one cut and rejects; the best accepted
-    candidate is returned as-is since the cut pool is in flux.
+    attaining that cut's minimum as an incumbent candidate. Without a
+    callback, ties among optimal z go to the lexicographically smallest:
+    a box within the tie tolerance of the incumbent is kept only while its
+    smallest member comes first. With a callback the search always runs
+    single-tree branch and bound: callback(z, theta, bound) sees every
+    integer-feasible candidate with its master value and the search's
+    current lower bound on the master optimum, and either accepts it or
+    injects at least one cut and rejects; ties have no order while the cut
+    pool is in flux, and the best accepted candidate is returned as-is.
     """
     if (callback is None and state.n_assets <= _ENUM_BITS
             and _selection_count(state.n_assets, state.k) <= _ENUM_LIMIT):
         return _enumerate_solve(state, deadline)
-    search = _Search(state, deadline)
+    search = _Search(state, deadline, ordered=callback is None)
     if callback is None:
         _seed_incumbent(search)
-    theta_star = _best_bound_pass(search, callback)
-    if theta_star is None:
+    _branch_and_bound(search, callback)
+    if search.best_bits is None:
         return None
-    if callback is not None:
-        return SelectionVector(search.best_bits.copy()), search.best
-    bits = _lex_pass(search, theta_star)
-    return SelectionVector(bits), theta_at(state, bits)
+    return SelectionVector(search.best_bits), search.theta

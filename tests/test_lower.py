@@ -45,25 +45,6 @@ def random_selection(rng, n):
     return SelectionVector(bits)
 
 
-def test_scenario_cut_splits_on_threshold():
-    inst = two_asset_instance()
-    z = SelectionVector([1, 1])
-    J, v_prime = lower.scenario_cut([0.0, 1.0], -0.2, z, inst)
-    assert J.size == 0
-    assert v_prime == 0.0
-    J, v_prime = lower.scenario_cut([0.0, 1.0], -0.25, z, inst)
-    assert J.tolist() == [0]
-    assert v_prime == pytest.approx(0.1)
-
-
-def test_scenario_cut_masks_unselected_assets():
-    inst = two_asset_instance()
-    J, v_prime = lower.scenario_cut([0.0, 1.0], -0.15, SelectionVector([1, 0]),
-                                    inst)
-    assert J.tolist() == [0]
-    assert v_prime == pytest.approx(0.3)
-
-
 def test_two_asset_example_converges_in_one_iteration():
     inst = two_asset_instance()
     res = lower.solve_lower_cp(SelectionVector([1, 1]), inst, delta=1e-6)

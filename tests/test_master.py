@@ -37,13 +37,17 @@ def enumerate_master(state):
     return best_theta, best_bits
 
 
-def random_state(rng, n, k, n_opt, n_ng):
+def random_state(rng, n, k, n_opt, n_ng, p_zero=0.0):
+    """Continuous cuts; with p_zero, each gradient entry is exactly 0 with
+    that probability, as a clipped omega makes it."""
     state = master.MasterState(n_assets=n, k=k,
                                theta_lb=float(rng.normal(-2.0, 1.0)))
     for _ in range(n_opt):
         bits = np.zeros(n, dtype=int)
         bits[rng.choice(n, rng.integers(0, k + 1), replace=False)] = 1
         g = -rng.uniform(0.0, 2.0, n)
+        if p_zero:
+            g[rng.random(n) < p_zero] = 0.0
         master.add_cut(state, opt_cut(bits, float(rng.normal()), g))
     for _ in range(n_ng):
         bits = np.zeros(n, dtype=int)
@@ -120,18 +124,32 @@ def test_matches_enumeration_on_random_pools():
 
 def test_branch_and_bound_matches_enumeration(monkeypatch):
     # force the box search even for tiny pools and check it agrees with
-    # the tabulated path on value, selection, and lexicographic ties
+    # the tabulated path on value, selection, and lexicographic ties: on
+    # continuous pools, on quarter-grid pools, where distinct selections
+    # tie exactly, and on pools whose gradients are 0 on most coordinates;
+    # each pool is solved again after a no-good on each optimum
     monkeypatch.setattr(master, "_ENUM_LIMIT", 0)
     rng = np.random.default_rng(91)
-    for trial in range(20):
+    for trial in range(60):
         n = int(rng.integers(3, 13))
         k = int(rng.integers(1, n + 1))
-        state = random_state(rng, n, k, n_opt=int(rng.integers(1, 9)),
-                             n_ng=int(rng.integers(0, 4)))
-        ref_theta, ref_bits = enumerate_master(state)
-        z, theta = master.master_solve(state)
-        assert abs(theta - ref_theta) <= 1e-9 * (1.0 + abs(ref_theta))
-        assert z.as_tuple() == ref_bits
+        n_opt = int(rng.integers(1, 9))
+        if trial % 3 == 0:
+            state = random_state(rng, n, k, n_opt,
+                                 n_ng=int(rng.integers(0, 4)))
+        elif trial % 3 == 1:
+            state = dyadic_state(rng, n, k, n_opt)
+        else:
+            state = random_state(rng, n, k, n_opt, n_ng=0, p_zero=0.7)
+        for _ in range(3):
+            ref_theta, ref_bits = enumerate_master(state)
+            if ref_bits is None:
+                assert master.master_solve(state) is None
+                break
+            z, theta = master.master_solve(state)
+            assert abs(theta - ref_theta) <= 1e-9 * (1.0 + abs(ref_theta))
+            assert z.as_tuple() == ref_bits
+            master.add_cut(state, no_good(z.bits))
 
 
 def test_theta_nondecreasing_as_cuts_accumulate():
