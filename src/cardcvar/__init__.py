@@ -4,7 +4,7 @@ The package solves min x@x/(2 gamma) + CVaR_beta(loss) over portfolios
 supported on at most k assets, exactly, with all convex and combinatorial
 machinery in-house. `driver` holds the outer solvers, `lower` the
 fixed-selection subproblem, `master` the selection search, `numeric` the
-cone-free QP/LP kernel, `ingest` the file formats, `oracle` the enumeration
+cone-free QP kernel, `ingest` the file formats, `oracle` the enumeration
 ground truth, and `cli` the command-line front end.
 """
 

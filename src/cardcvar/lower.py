@@ -192,8 +192,7 @@ def _support_feasible(instance: Instance, support: np.ndarray):
         return x
     G = np.vstack([A, -np.eye(K)])
     h = np.concatenate([instance.side_b, np.zeros(K)])
-    chk = numeric.feasible(G, h, np.ones((1, K)), np.array([1.0]))
-    return chk.point if chk.feasible else None
+    return numeric.feasible(G, h, np.ones((1, K)), np.array([1.0]))
 
 
 def _embed(support: np.ndarray, x_s: np.ndarray, n: int) -> np.ndarray:

@@ -41,7 +41,6 @@ __all__ = [
     "NO_GOOD",
     "Cut",
     "MasterState",
-    "MasterNodeLimit",
     "MasterTimeout",
     "add_cut",
     "theta_at",
@@ -52,7 +51,6 @@ OPTIMALITY = "Optimality"
 NO_GOOD = "NoGood"
 
 _BB_TOL = 1e-9         # relative pruning and tie tolerance
-_NODE_LIMIT = 100_000_000  # branch-and-bound nodes per master solve
 _ENUM_LIMIT = 8_000_000   # tabulate the selection space up to this many rows
 _ENUM_BITS = 64           # tabulated selection codes fit in uint64
 _ENUM_CHUNK = 65_536      # selections per chunk of the lazily scored table
@@ -60,10 +58,6 @@ _F64_ROWS = 100_000       # exact float64 scoring up to this table size
 _LO_BITS = 13             # code bits in the low part of the block layout
 _MW_ROUNDS = 8            # weight-ascent rounds per node bound
 _CUT_CAPACITY = 64        # optimality rows stored before the first doubling
-
-
-class MasterNodeLimit(RuntimeError):
-    """Branch and bound spent its node budget (_NODE_LIMIT) in one solve."""
 
 
 class MasterTimeout(RuntimeError):
@@ -493,7 +487,7 @@ def _lex_key(bits: np.ndarray) -> bytes:
 
 
 class _Search:
-    """Incumbent and node budget of one branch-and-bound solve. Boxes and
+    """Incumbent and deadline of one branch-and-bound solve. Boxes and
     selections carry a key: _lex_key of the selection, or of a box's
     smallest member lb, while the pool is fixed; b"" while a callback may
     add cuts, so ties then have no order. best is the least theta of the
@@ -504,15 +498,11 @@ class _Search:
         self.state = state
         self.deadline = deadline
         self.key = _lex_key if ordered else lambda bits: b""
-        self.nodes = 0
         self.best = np.inf
         self.best_bits = self.best_key = self.theta = None
 
     def charge(self) -> None:
-        self.nodes += 1
         self.state.node_count += 1
-        if self.nodes > _NODE_LIMIT:
-            raise MasterNodeLimit(f"master node limit {_NODE_LIMIT} exceeded")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise MasterTimeout("master deadline passed")
 

@@ -1,23 +1,24 @@
-"""LP and convex-QP solvers with dual-multiplier extraction.
+"""Convex-QP solvers with dual-multiplier extraction.
 
-Three engines behind one entry point, one per kind of problem:
-- a two-phase tableau simplex for pure LPs and for the phase-1 feasibility
-  check (`feasible`), whose point also starts the active-set method;
+One engine per kind of program, behind one entry point (`solve`):
 - a primal active-set method for dense ConvexProgram QPs, such as the
-  (|supp z| + 2)-dimensional scenario-cut QP of the lower level. It starts
-  from a feasible point, optionally with a working set carried over from a
-  related solve (ConvexProgram.start / .working), and hands its final
-  working set back on the Solution so a caller adding one row can resume.
-  Each pass solves one bordered KKT system [[diag(P), B'], [B, 0]] over the
-  working rows B for the step and the multipliers together. Zero-curvature
-  directions are looked for only on the coordinates with P == 0 (a and v in
-  the scenario-cut QP): along one where the objective falls the pass is a
-  ray to the first blocking row, and one where it is level is pinned by
-  extra rows of B;
+  (|supp z| + 2)-dimensional scenario-cut QP of the lower level, whose x
+  block always has curvature 1/gamma > 0. It starts from a feasible point,
+  optionally with a working set carried over from a related solve
+  (ConvexProgram.start / .working), and hands its final working set back
+  on the Solution so a caller adding one row can resume. Each pass solves
+  one bordered KKT system [[diag(P), B'], [B, 0]] over the working rows B
+  for the step and the multipliers together. Zero-curvature directions are
+  looked for only on the coordinates with P == 0 (a and v in the
+  scenario-cut QP): along one where the objective falls the pass is a ray
+  to the first blocking row, and one where it is level is pinned by extra
+  rows of B. A program with no curvature at all (a pure LP) is rejected;
 - a Mehrotra predictor-corrector interior-point method for ScenarioProgram
   (the lifted CP and big-M programs). It runs on a structured KKT backend,
   so the per-scenario block costs O(S) memory and O(S T^2) work per
-  iteration instead of a dense factorization in S.
+  iteration instead of a dense factorization in S;
+- phase 1 of a tableau simplex for the feasibility check (`feasible`)
+  that runs before either; its point also starts the active-set method.
 A QP point and multipliers that did not come out of the interior-point
 loop's own convergence test (every active-set result, and a rescued
 scenario solve) are Optimal only after a full KKT check.
@@ -46,7 +47,6 @@ __all__ = [
     "ConvexProgram",
     "ScenarioProgram",
     "Solution",
-    "Feasibility",
     "solve",
     "feasible",
 ]
@@ -76,7 +76,7 @@ class ConvexProgram:
     feasible point, working the inequality rows tight at start that it
     keeps tight (linearly independent of each other and of eq_A). Without
     working the method starts from no tight rows; without start, from the
-    phase-1 point. The LP and ScenarioProgram paths ignore both.
+    phase-1 point. The ScenarioProgram path ignores both.
     """
 
     quad_diag: np.ndarray
@@ -195,25 +195,11 @@ class Solution:
     iters: int = 0
 
 
-@dataclass
-class Feasibility:
-    feasible: bool
-    point: np.ndarray | None
-
-
 # ---------------------------------------------------------------------------
-# two-phase tableau simplex
+# phase 1 of the tableau simplex (feasibility)
 
 _PIV_TOL = 1e-9
 _BLAND_AFTER = 200
-
-
-@dataclass
-class _SimplexResult:
-    status: str
-    v: np.ndarray | None = None
-    y: np.ndarray | None = None
-    iters: int = 0
 
 
 def _pivot(T, cost, basis, row, col):
@@ -225,27 +211,29 @@ def _pivot(T, cost, basis, row, col):
     basis[row] = col
 
 
-def _price_and_pivot(T, cost, basis, allowed, max_iter):
+def _price_and_pivot(T, cost, basis, max_iter) -> bool:
     """Primal simplex loop on the current tableau; Dantzig pricing with a
-    switch to Bland's rule after a long degenerate streak."""
+    switch to Bland's rule after a long degenerate streak. False when
+    max_iter pivots did not finish. A priced column without a positive
+    entry also ends the loop: the phase-1 objective is bounded below, so
+    that column is rounding."""
     degenerate = 0
     bland = False
-    for it in range(max_iter):
+    for _ in range(max_iter):
         rc = cost[:-1]
         if bland:
-            cand = np.flatnonzero(allowed & (rc < -1e-11))
+            cand = np.flatnonzero(rc < -1e-11)
             if cand.size == 0:
-                return "optimal", it
+                return True
             col = int(cand[0])
         else:
-            masked = np.where(allowed, rc, np.inf)
-            col = int(np.argmin(masked))
-            if masked[col] >= -_PIV_TOL:
-                return "optimal", it
+            col = int(np.argmin(rc))
+            if rc[col] >= -_PIV_TOL:
+                return True
         direction = T[:, col]
         pos = direction > _PIV_TOL
         if not np.any(pos):
-            return "unbounded", it
+            return True
         ratios = np.full(direction.shape, np.inf)
         ratios[pos] = T[pos, -1] / direction[pos]
         best = ratios.min()
@@ -261,130 +249,44 @@ def _price_and_pivot(T, cost, basis, allowed, max_iter):
         else:
             degenerate = 0
         _pivot(T, cost, basis, row, col)
-    return "iterlimit", max_iter
+    return False
 
 
-def _tableau_simplex(c, M, rhs, phase1_only=False, max_iter=None):
-    """min c @ v s.t. M v = rhs, v >= 0 by the two-phase tableau method.
-
-    The returned y holds multipliers of the input rows (redundant rows
-    dropped during phase 1 get 0) satisfying B.T y = c_B at the terminal
-    basis, in the orientation of the rows as given.
-    """
-    M = np.asarray(M, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    c = np.asarray(c, dtype=float)
+def _phase1(M, rhs):
+    """A point v >= 0 with M v = rhs, from phase 1 of the tableau method
+    with one artificial column per row; None when the least total
+    violation is above FEAS_TOL, or when the pivot cap is reached."""
     r, ncols = M.shape
-    if max_iter is None:
-        max_iter = max(5000, 80 * (r + ncols))
-
+    max_iter = max(5000, 80 * (r + ncols))
     sign = np.where(rhs < 0, -1.0, 1.0)
-    Mn = M * sign[:, None]
-    rn = rhs * sign
-    row_ids = np.arange(r)
 
     T = np.empty((r, ncols + r + 1))
-    T[:, :ncols] = Mn
+    T[:, :ncols] = M * sign[:, None]
     T[:, ncols:-1] = np.eye(r)
-    T[:, -1] = rn
+    T[:, -1] = rhs * sign
     basis = list(range(ncols, ncols + r))
     cost = np.concatenate([np.zeros(ncols), np.ones(r), [0.0]])
     cost -= T.sum(axis=0)
 
-    allowed = np.ones(ncols + r, dtype=bool)
-    status, it1 = _price_and_pivot(T, cost, basis, allowed, max_iter)
-    if status == "iterlimit":
-        return _SimplexResult(ITER_LIMIT, iters=it1)
-    if -cost[-1] > FEAS_TOL:
-        return _SimplexResult(INFEASIBLE, iters=it1)
-
-    # pivot artificials out; rows without a structural pivot are redundant
-    keep = np.ones(len(basis), dtype=bool)
-    for i in range(len(basis)):
+    if not _price_and_pivot(T, cost, basis, max_iter) or -cost[-1] > FEAS_TOL:
+        return None
+    # pivot artificials out where a structural column can replace them;
+    # rows without one are redundant and keep their artificial
+    for i in range(r):
         if basis[i] >= ncols:
             j = int(np.argmax(np.abs(T[i, :ncols])))
             if abs(T[i, j]) > 1e-7:
                 _pivot(T, cost, basis, i, j)
-            else:
-                keep[i] = False
-    if not keep.all():
-        T = T[keep]
-        basis = [b for b, k in zip(basis, keep) if k]
-        row_ids = row_ids[keep]
-
-    def assemble(vals):
-        v = np.zeros(ncols)
-        for b, val in zip(basis, vals):
-            if b < ncols:
-                v[b] = val
-        return v
-
-    if phase1_only:
-        return _SimplexResult(OPTIMAL, v=assemble(T[:, -1]),
-                              y=np.zeros(r), iters=it1)
-
-    cost = np.concatenate([c, np.zeros(r), [0.0]])
-    for i, b in enumerate(basis):
-        if cost[b] != 0.0:
-            cost -= cost[b] * T[i]
-    allowed = np.zeros(ncols + r, dtype=bool)
-    allowed[:ncols] = True
-    status, it2 = _price_and_pivot(T, cost, basis, allowed, max_iter)
-    iters = it1 + it2
-    if status == "unbounded":
-        return _SimplexResult(UNBOUNDED, iters=iters)
-    if status == "iterlimit":
-        return _SimplexResult(ITER_LIMIT, iters=iters)
-
-    # recompute vertex and duals exactly from the terminal basis (after the
-    # pivot-out above, every basic column is structural)
-    Bm = Mn[row_ids][:, basis]
-    cB = c[np.asarray(basis, dtype=int)]
-    try:
-        xB = np.linalg.solve(Bm, rn[row_ids])
-        yk = np.linalg.solve(Bm.T, cB)
-    except np.linalg.LinAlgError:
-        xB = T[:, -1].copy()
-        yk = -cost[ncols:-1][row_ids]
-    y = np.zeros(r)
-    y[row_ids] = yk * sign[row_ids]
-    return _SimplexResult(OPTIMAL, v=assemble(xB), y=y, iters=iters)
+    v = np.zeros(ncols)
+    for b, val in zip(basis, T[:, -1]):
+        if b < ncols:
+            v[b] = val
+    return v
 
 
-def _standard_form(c, G, h, A, b):
-    """Split free x into x+ - x- and slack the inequalities."""
-    m = G.shape[0]
-    p = A.shape[0]
-    top = np.hstack([G, -G, np.eye(m)])
-    bot = np.hstack([A, -A, np.zeros((p, m))])
-    M = np.vstack([top, bot])
-    rhs = np.concatenate([h, b])
-    cs = np.concatenate([c, -c, np.zeros(m)])
-    return cs, M, rhs
-
-
-def _lp_solve(c, G, h, A, b):
-    n = c.size
-    m = G.shape[0]
-    p = A.shape[0]
-    if m + p == 0:
-        if np.any(c != 0.0):
-            return Solution(UNBOUNDED, np.zeros(n), -np.inf, np.zeros(0), np.zeros(0))
-        return Solution(OPTIMAL, np.zeros(n), 0.0, np.zeros(0), np.zeros(0))
-    cs, M, rhs = _standard_form(c, G, h, A, b)
-    res = _tableau_simplex(cs, M, rhs)
-    if res.status != OPTIMAL:
-        obj = -np.inf if res.status == UNBOUNDED else np.nan
-        return Solution(res.status, np.zeros(n), obj, np.zeros(m), np.zeros(p))
-    x = res.v[:n] - res.v[n:2 * n]
-    lam = np.maximum(-res.y[:m], 0.0)
-    nu = -res.y[m:]
-    return Solution(OPTIMAL, x, float(c @ x), lam, nu, iters=res.iters)
-
-
-def feasible(G, h, A_eq, b_eq) -> Feasibility:
-    """Phase-1 check of {G x <= h, A_eq x = b_eq}; feasible iff the minimum
-    total violation is at most FEAS_TOL."""
+def feasible(G, h, A_eq, b_eq) -> np.ndarray | None:
+    """A point of {G x <= h, A_eq x = b_eq}, or None when the minimum total
+    violation found by phase 1 is above FEAS_TOL."""
     G = np.atleast_2d(np.asarray(G, dtype=float)) if G is not None else None
     A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float)) if A_eq is not None else None
     if G is None and A_eq is None:
@@ -396,13 +298,14 @@ def feasible(G, h, A_eq, b_eq) -> Feasibility:
         A_eq, b_eq = _empty_rows(n), np.zeros(0)
     h = np.asarray(h, dtype=float).ravel()
     b_eq = np.asarray(b_eq, dtype=float).ravel()
-    if G.shape[0] + A_eq.shape[0] == 0:
-        return Feasibility(True, np.zeros(n))
-    cs, M, rhs = _standard_form(np.zeros(n), G, h, A_eq, b_eq)
-    res = _tableau_simplex(cs, M, rhs, phase1_only=True)
-    if res.status != OPTIMAL:
-        return Feasibility(False, None)
-    return Feasibility(True, res.v[:n] - res.v[n:2 * n])
+    m, p = G.shape[0], A_eq.shape[0]
+    if m + p == 0:
+        return np.zeros(n)
+    # free x = x+ - x-, and one slack per inequality
+    M = np.vstack([np.hstack([G, -G, np.eye(m)]),
+                   np.hstack([A_eq, -A_eq, np.zeros((p, m))])])
+    v = _phase1(M, np.concatenate([h, b_eq]))
+    return None if v is None else v[:n] - v[n:2 * n]
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +314,19 @@ def feasible(G, h, A_eq, b_eq) -> Feasibility:
 _SHIFTS = (0.0, 1e-10, 1e-7, 1e-4)
 
 
+class _Breakdown(Exception):
+    """No shift level of _ShiftedLU gives a usable factor or a finite solve."""
+
+
 class _ShiftedLU:
     """LU of a quasi-definite KKT matrix with escalating diagonal shifts.
 
     On a degenerate optimal face the unshifted matrix turns exactly singular
     near convergence; the first shift level whose pivots are nonzero and
-    whose solves stay finite is kept. Only the ScenarioProgram IPM (cp,
-    bigm) gets here, so scipy.linalg is imported on first use: a bcp solve
-    never loads it.
+    whose solves stay finite is kept. Past the last level it raises
+    _Breakdown rather than hand back a non-finite factor or solve. Only the
+    ScenarioProgram IPM (cp, bigm) gets here, so scipy.linalg is imported on
+    first use: a bcp solve never loads it.
     """
 
     def __init__(self, K: np.ndarray, n_primal: int):
@@ -441,13 +349,13 @@ class _ShiftedLU:
             piv = np.abs(np.diag(self.lu[0]))
             if np.all(np.isfinite(self.lu[0])) and piv.min() > 0.0:
                 return
+        raise _Breakdown
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         import scipy.linalg
 
         sol = scipy.linalg.lu_solve(self.lu, rhs, check_finite=False)
-        while (not np.all(np.isfinite(sol))
-               and self.level < len(_SHIFTS) - 1):
+        while not np.all(np.isfinite(sol)):
             self._next_factor()
             sol = scipy.linalg.lu_solve(self.lu, rhs, check_finite=False)
         return sol
@@ -840,25 +748,26 @@ def _stopped(status, prog, x, work, iters) -> Solution:
 def solve(prog) -> Solution:
     """Solve a ConvexProgram or ScenarioProgram.
 
-    Infeasibility is decided by a phase-1 check before the main solve
-    (integrated into phase 1 of the simplex on the LP path). A dense QP
-    runs it only when it has no start point, and then begins the
+    A ScenarioProgram goes to the interior-point method, a ConvexProgram to
+    the active-set method; a ConvexProgram without curvature (all of
+    quad_diag zero, a pure LP) is rejected with ValueError. Infeasibility
+    is decided by a phase-1 check (`feasible`) before the main solve. A
+    dense QP runs it only when it has no start point, and then begins the
     active-set method at its point; a start point is the caller's promise
     of feasibility.
     """
     if isinstance(prog, ScenarioProgram):
         return _solve_scenario(prog)
-    if np.all(prog.quad_diag == 0.0):
-        return _lp_solve(prog.lin, prog.ineq_G, prog.ineq_h,
-                         prog.eq_A, prog.eq_b)
+    if not prog.quad_diag.any():
+        raise ValueError("a ConvexProgram needs a positive quad_diag entry; "
+                         "pure LPs have no engine")
     start = prog.start
     if start is None:
-        chk = feasible(prog.ineq_G, prog.ineq_h, prog.eq_A, prog.eq_b)
-        if not chk.feasible:
+        start = feasible(prog.ineq_G, prog.ineq_h, prog.eq_A, prog.eq_b)
+        if start is None:
             return Solution(INFEASIBLE, np.zeros(prog.n), np.nan,
                             np.zeros(prog.ineq_h.size),
                             np.zeros(prog.eq_b.size))
-        start = chk.point
     return _active_set(prog, start,
                        [] if prog.working is None else prog.working)
 
@@ -942,20 +851,29 @@ def _rescue_scenario(sp: ScenarioProgram, kk: _ArrowKKT, x: np.ndarray,
     return np.concatenate([t, q]), lam, sub.eq_duals
 
 
+def _failed(sp: ScenarioProgram, status: str) -> Solution:
+    """A ScenarioProgram result without a point or multipliers."""
+    core = sp.core
+    return Solution(status, np.zeros(core.n + sp.n_scenarios), np.nan,
+                    np.zeros(2 * sp.n_scenarios + 1 + core.ineq_h.size),
+                    np.zeros(core.eq_b.size))
+
+
 def _solve_scenario(sp: ScenarioProgram, _depth: int = 0) -> Solution:
     """IPM solve after a phase-1 check of the core rows. A rescue re-solve
     (_depth > 0) skips the check: its core rows are the checked rows of the
-    caller plus guard rows that hold at the stalled iterate by construction."""
+    caller plus guard rows that hold at the stalled iterate by construction.
+    A KKT system that no shift level factors or solves finitely ends the
+    solve as NumericalError before the iterate turns into NaN."""
     core = sp.core
-    if _depth == 0:
-        chk = feasible(core.ineq_G, core.ineq_h, core.eq_A, core.eq_b)
-        if not chk.feasible:
-            n = sp.core.n + sp.n_scenarios
-            return Solution(INFEASIBLE, np.zeros(n), np.nan,
-                            np.zeros(2 * sp.n_scenarios + 1 + core.ineq_h.size),
-                            np.zeros(core.eq_b.size))
+    if _depth == 0 and feasible(core.ineq_G, core.ineq_h, core.eq_A,
+                                core.eq_b) is None:
+        return _failed(sp, INFEASIBLE)
     kk = _ArrowKKT(sp)
-    sol = _ipm(kk)
+    try:
+        sol = _ipm(kk)
+    except _Breakdown:
+        return _failed(sp, NUMERICAL_ERROR)
     if sol.status != ITER_LIMIT or _depth >= 3:
         return sol
     rescued = _rescue_scenario(sp, kk, sol.x, _depth)

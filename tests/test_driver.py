@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from cardcvar.model import (
     build_feasible_set,
     compute_mu_bar,
 )
+from test_acceptance import make_instance
 
 
 def two_asset_instance(k=2):
@@ -294,6 +296,22 @@ def test_bigm_full_cardinality_solves_at_root():
     rep = driver.solve_bigm(inst)
     assert rep.status == driver.OPTIMAL
     assert rep.nodes == 1
+
+
+def test_bigm_root_without_interior_fails_cleanly():
+    # at k = 1 the root relaxation has no interior (x <= z and 1'z <= 1 =
+    # 1'x force z = x), and no shift level of the KKT factor stays finite:
+    # the solve ends in the optimum or in SolverError, never in NaN
+    inst = make_instance(103, 7, 40, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            rep = driver.solve_bigm(inst)
+        except lower.SolverError:
+            return
+    assert rep.status == driver.OPTIMAL
+    orc = oracle.brute_force(inst, 1)
+    assert orc.best_f - 1e-9 <= rep.obj <= orc.best_f + 2e-5 + 1e-9
 
 
 def test_infeasible_instance_all_methods():

@@ -288,21 +288,6 @@ def test_branch_and_bound_matches_milp(monkeypatch):
             assert z.as_tuple() <= tuple(z_ref)
 
 
-def test_node_limit_raises_in_branch_and_bound(monkeypatch):
-    # the node budget binds branch and bound, so tabulation is switched off
-    rng = np.random.default_rng(17)
-    state = random_state(rng, 7, 3, n_opt=5, n_ng=1)
-    z_enum, theta_enum = master.master_solve(state)
-    monkeypatch.setattr(master, "_ENUM_LIMIT", 0)
-    monkeypatch.setattr(master, "_NODE_LIMIT", 1)
-    with pytest.raises(master.MasterNodeLimit):
-        master.master_solve(state)
-    monkeypatch.setattr(master, "_NODE_LIMIT", 10_000)
-    z, theta = master.master_solve(state)
-    assert z.as_tuple() == z_enum.as_tuple()
-    assert theta == pytest.approx(theta_enum, abs=1e-12)
-
-
 def test_node_count_accumulates_across_solves():
     # node_count adds each solve's work: a repeat over the same pool finds
     # the table up to date, and a new cut makes the next solve score again

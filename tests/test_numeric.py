@@ -20,13 +20,7 @@ from cardcvar.numeric import (
 )
 
 
-def make_prog(P=None, q=None, G=None, h=None, A=None, b=None, n=None):
-    if q is None:
-        q = np.zeros(n)
-    q = np.asarray(q, dtype=float)
-    n = q.size
-    if P is None:
-        P = np.zeros(n)
+def make_prog(P, q, G=None, h=None, A=None, b=None):
     return ConvexProgram(quad_diag=P, lin=q, ineq_G=G, ineq_h=h, eq_A=A, eq_b=b)
 
 
@@ -100,43 +94,11 @@ def brute_force_qp(prog, tol=1e-9):
     return best, bx
 
 
-def brute_force_lp(prog, tol=1e-9):
-    """Vertex enumeration over all n-subsets of the stacked constraint rows."""
-    n = prog.n
-    rows = np.vstack([prog.ineq_G, prog.eq_A])
-    rhs = np.concatenate([prog.ineq_h, prog.eq_b])
-    best = np.inf
-    for idx in itertools.combinations(range(rows.shape[0]), n):
-        B = rows[list(idx)]
-        try:
-            x = np.linalg.solve(B, rhs[list(idx)])
-        except np.linalg.LinAlgError:
-            continue
-        if prog.ineq_h.size and np.max(prog.ineq_G @ x - prog.ineq_h) > tol:
-            continue
-        if prog.eq_b.size and np.max(np.abs(prog.eq_A @ x - prog.eq_b)) > tol:
-            continue
-        best = min(best, float(prog.lin @ x))
-    return best
-
-
 def test_unconstrained_qp():
     sol = solve(make_prog(P=[1.0], q=[-1.0]))
     assert sol.status == OPTIMAL
     assert sol.x[0] == pytest.approx(1.0)
     assert sol.obj == pytest.approx(-0.5)
-
-
-def test_simplex_vertex_and_duals():
-    prog = make_prog(q=[-1.0, 0.0], G=-np.eye(2), h=np.zeros(2),
-                     A=[[1.0, 1.0]], b=[1.0])
-    sol = solve(prog)
-    assert sol.status == OPTIMAL
-    np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-9)
-    assert sol.obj == pytest.approx(-1.0)
-    assert sol.ineq_duals[1] == pytest.approx(1.0, abs=1e-9)
-    assert sol.ineq_duals[0] == pytest.approx(0.0, abs=1e-9)
-    assert sol.eq_duals[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_qp_single_bound():
@@ -147,18 +109,26 @@ def test_qp_single_bound():
 
 
 def test_feasible_examples():
-    chk = feasible(-np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]))
-    assert chk.feasible
-    assert chk.point @ np.ones(2) == pytest.approx(1.0, abs=1e-9)
+    x = feasible(-np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]))
+    assert x is not None
+    assert x @ np.ones(2) == pytest.approx(1.0, abs=1e-9)
 
-    chk = feasible(np.array([[-1.0, 0.0], [0.0, -1.0]]), np.array([-2.0, 0.0]),
-                   np.array([[1.0, 1.0]]), np.array([1.0]))
-    assert not chk.feasible
+    x = feasible(np.array([[-1.0, 0.0], [0.0, -1.0]]), np.array([-2.0, 0.0]),
+                 np.array([[1.0, 1.0]]), np.array([1.0]))
+    assert x is None
 
-    chk = feasible(np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]),
-                   np.array([[1.0]]), np.array([0.3]))
-    assert chk.feasible
-    assert chk.point[0] == pytest.approx(0.3, abs=1e-9)
+    x = feasible(np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]),
+                 np.array([[1.0]]), np.array([0.3]))
+    assert x is not None
+    assert x[0] == pytest.approx(0.3, abs=1e-9)
+
+    # the second equality row is redundant: phase 1 leaves its artificial
+    # basic and still returns a point of the set
+    x = feasible(-np.eye(2), np.zeros(2), np.array([[1.0, 1.0], [2.0, 2.0]]),
+                 np.array([1.0, 2.0]))
+    assert x is not None
+    assert np.all(x >= 0.0)
+    assert x.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def random_polytope(rng, kind):
@@ -196,26 +166,24 @@ def test_feasible_agrees_with_highs():
     for trial in range(240):
         G, h, A, b = random_polytope(rng, trial % 4)
         n = G.shape[1]
-        chk = feasible(G, h, A, b)
+        x = feasible(G, h, A, b)
         ref = linprog(np.zeros(n), A_ub=G if h.size else None,
                       b_ub=h if h.size else None,
                       A_eq=A if b.size else None, b_eq=b if b.size else None,
                       bounds=(None, None), method="highs")
         assert ref.status in (0, 2)
-        assert chk.feasible == (ref.status == 0)
-        verdicts.append(chk.feasible)
-        if chk.feasible:
-            x = chk.point
+        assert (x is not None) == (ref.status == 0)
+        verdicts.append(x is not None)
+        if x is not None:
             assert np.all(G @ x <= h + 1e-9)
             assert np.all(np.abs(A @ x - b) <= 1e-9)
     assert 60 <= sum(verdicts) <= 180
 
 
-def test_lp_infeasible_and_unbounded():
-    sol = solve(make_prog(q=[1.0], G=[[-1.0], [1.0]], h=[-2.0, 1.0]))
+def test_qp_infeasible_without_start():
+    # without a start point, phase 1 decides infeasibility of a dense QP
+    sol = solve(make_prog(P=[1.0], q=[1.0], G=[[-1.0], [1.0]], h=[-2.0, 1.0]))
     assert sol.status == INFEASIBLE
-    sol = solve(make_prog(q=[-1.0], G=[[-1.0]], h=[0.0]))
-    assert sol.status == UNBOUNDED
 
 
 def test_unbounded_flat_direction_qp():
@@ -244,21 +212,6 @@ def test_qp_matches_active_set_oracle():
         assert sol.status == OPTIMAL
         ref, _ = brute_force_qp(prog)
         assert sol.obj == pytest.approx(ref, abs=1e-6)
-
-
-def test_lp_matches_vertex_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(n + 1, 7))
-        # box plus random rows keeps the LP bounded
-        G = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(m, n))])
-        h = np.concatenate([np.full(n, 2.0), np.full(n, 2.0),
-                            rng.uniform(0.5, 2.0, m)])
-        prog = make_prog(q=rng.normal(size=n), G=G, h=h)
-        sol = solve(prog)
-        assert sol.status == OPTIMAL
-        assert sol.obj == pytest.approx(brute_force_lp(prog), abs=1e-7)
 
 
 def test_strong_duality_random():
@@ -316,25 +269,6 @@ def test_monotone_under_extra_constraint():
                                 h=np.concatenate([h, [rng.uniform(0.0, 0.5)]])))
         if base.status == OPTIMAL and tight.status == OPTIMAL:
             assert tight.obj >= base.obj - 1e-8
-
-
-def test_degenerate_lp():
-    # many redundant rows through the same vertex
-    G = np.array([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [-2.0, -2.0],
-                  [-1.0, -2.0], [-2.0, -1.0]])
-    h = np.zeros(6)
-    prog = make_prog(q=[1.0, 1.0], G=G, h=h, A=[[1.0, -1.0]], b=[0.0])
-    sol = solve(prog)
-    assert sol.status == OPTIMAL
-    np.testing.assert_allclose(sol.x, [0.0, 0.0], atol=1e-9)
-
-
-def test_redundant_equalities():
-    A = np.array([[1.0, 1.0], [2.0, 2.0]])
-    b = np.array([1.0, 2.0])
-    sol = solve(make_prog(q=[1.0, 0.0], G=-np.eye(2), h=np.zeros(2), A=A, b=b))
-    assert sol.status == OPTIMAL
-    assert sol.obj == pytest.approx(0.0, abs=1e-9)
 
 
 def scenario_to_dense(sp):
@@ -534,6 +468,9 @@ def test_point_face_at_a_degenerate_vertex():
 def test_program_validation():
     with pytest.raises(ValueError):
         make_prog(P=[-1.0], q=[0.0])
+    # a pure LP has no engine
+    with pytest.raises(ValueError):
+        solve(make_prog(P=[0.0, 0.0], q=[1.0, 0.0], G=-np.eye(2), h=np.zeros(2)))
     with pytest.raises(ValueError):
         ConvexProgram(quad_diag=[1.0], lin=[0.0], ineq_G=[[1.0]], ineq_h=[],
                       eq_A=None, eq_b=None)
