@@ -4,6 +4,8 @@ solve_bcp and solve_cp run one driver. Its step solves the lower level at a
 candidate selection, adds the cut, lowers the upper bound and reports the
 iteration: bcp solves by the scenario cutting-plane algorithm and cuts from
 its reduced dual certificate, cp solves the exact lifting. Multi-tree mode
+takes its first step, which iterations counts like any other, at the top-k
+assets of the all-ones portfolio that theta_lb solves anyway, then
 re-solves the master after each step; single-tree mode (bcp only) runs one
 master search that takes the steps through its callback. solve_bigm skips
 cuts entirely and runs branch and bound on one QP containing the selection
@@ -72,17 +74,27 @@ class SolveReport:
 
 
 def theta_lb(instance: Instance, delta: float = DELTA_DEFAULT):
-    """Initial master lower bound f_delta(1_N) - delta.
+    """Initial master lower bound f_delta(1_N) - delta, with the all-ones
+    portfolio: (bound, portfolio).
 
     Enlarging the support enlarges the lower-level feasible set, so the
-    all-ones value bounds every selection from below. None when even the
-    all-ones selection is infeasible, which makes the whole problem so.
+    all-ones value bounds every selection from below. The portfolio's k
+    largest weights give multi-tree mode its first selection. None when
+    even the all-ones selection is infeasible, which makes the whole
+    problem so.
     """
     ones = SelectionVector(np.ones(instance.n_assets, dtype=np.int64))
     res = lower.solve_lower_cp(ones, instance, delta)
     if res is None:
         return None
-    return res.f_lo - delta
+    return res.f_lo - delta, res.portfolio
+
+
+def _top_k(weights: np.ndarray, k: int) -> SelectionVector:
+    """The k largest weights, ties to the lower index."""
+    bits = np.zeros(weights.size, dtype=np.int64)
+    bits[np.argsort(-weights, kind="stable")[:k]] = 1
+    return SelectionVector(bits)
 
 
 def extract_portfolio(z_hat: SelectionVector, instance: Instance):
@@ -152,31 +164,37 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
 
     Every lower solve is one step (evaluate): add the cut of _lower_cut,
     lower the upper bound, count the iteration and report it, and keep the
-    selection's f_lo. Multi-tree re-solves the master after each step and
-    stops on the gap test or, for "bcp" whose cuts are delta-inexact, on a
-    repeated selection: that one is not solved again (the solve would only
-    reproduce its cut), and its kept f_lo closes the lower bound, so
-    iterations and n_cuts count distinct selections. Single-tree
-    runs one master search that takes the steps through its callback at
-    each new integer candidate and ends at that search's optimum; a
-    candidate seen before already satisfies its cut and is accepted, so gap
-    closure plus cut-driven rejection carry the termination argument, and
-    lb follows the bound the search hands over with each candidate.
+    selection's f_lo. Multi-tree takes its first step at the top-k of
+    theta_lb's all-ones portfolio (its k largest weights, ties to the lower
+    index), so the first master call already has an optimality cut; that
+    step counts as an iteration like any other. It then re-solves the
+    master after each step and stops on the gap test or, for "bcp" whose
+    cuts are delta-inexact, on a repeated selection: that one is not solved
+    again (the solve would only reproduce its cut), and its kept f_lo closes
+    the lower bound, so iterations and n_cuts count distinct selections.
+    Single-tree runs one master search that takes the steps through its
+    callback at each new integer candidate and ends at that search's
+    optimum; a candidate seen before already satisfies its cut and is
+    accepted, so gap closure plus cut-driven rejection carry the
+    termination argument, and lb follows the bound the search hands over
+    with each candidate.
     """
     name = "bcp_single_tree" if single_tree else method
     t0 = time.monotonic()
     deadline = t0 + time_limit
     echo = _echo(eps, delta, time_limit, params)
-    tlb = theta_lb(instance, delta)
-    if tlb is None:
+    root = theta_lb(instance, delta)
+    if root is None:
         return _report(name, INFEASIBLE, instance, t0, 0, 0, 0, None,
                        float("nan"), float("nan"), echo)
+    tlb, ones_portfolio = root
     state = master.MasterState(n_assets=instance.n_assets, k=instance.k,
                                theta_lb=tlb)
-    seen = {}    # f_lo of every selection solved so far
+    seen = {}    # f_lo of every selection solved so far, keyed by its bits
     lb, ub = tlb, float("inf")
     z_hat = None
     t = 0
+    warm = None if single_tree else _top_k(ones_portfolio.weights, instance.k)
 
     def out(status):
         return _report(name, status, instance, t0, t, state.node_count,
@@ -185,7 +203,7 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     def evaluate(z):
         nonlocal ub, z_hat, t
         cut, f_lo, f_hi = _lower_cut(method, z, instance, delta)
-        seen[z.as_tuple()] = f_lo
+        seen[z.bits.tobytes()] = f_lo
         master.add_cut(state, cut)
         if f_hi < ub:
             ub, z_hat = f_hi, z
@@ -197,7 +215,7 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     def callback(z, theta, bound):
         nonlocal lb
         lb = max(lb, bound)
-        if z.as_tuple() in seen:
+        if z.bits.tobytes() in seen:
             # its cut is in the pool, so theta already satisfies it
             return True
         f_lo = evaluate(z)
@@ -206,12 +224,16 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     while True:
         if time.monotonic() > deadline:
             return out(TIME_LIMIT)
-        try:
-            solved = master.master_solve(
-                state, callback=callback if single_tree else None,
-                deadline=deadline)
-        except master.MasterTimeout:
-            return out(TIME_LIMIT)
+        if warm is not None:
+            # the warm selection stands in for the first master call
+            solved, warm = (warm, lb), None
+        else:
+            try:
+                solved = master.master_solve(
+                    state, callback=callback if single_tree else None,
+                    deadline=deadline)
+            except master.MasterTimeout:
+                return out(TIME_LIMIT)
         if solved is None:
             # no-good cuts exhausted every selection
             return out(INFEASIBLE if z_hat is None else OPTIMAL)
@@ -222,10 +244,11 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
                 raise lower.SolverError(
                     f"single-tree search closed with gap {ub - lb:.3e}")
             return out(OPTIMAL)
-        if method == "bcp" and z.as_tuple() in seen:
+        key = z.bits.tobytes()
+        if method == "bcp" and key in seen:
             # a repeated selection is delta-optimal; its lower bound
             # f_delta(z) <= f* closes the reported gap honestly
-            lb = max(lb, seen[z.as_tuple()])
+            lb = max(lb, seen[key])
             return out(OPTIMAL)
         evaluate(z)
         if ub - lb <= eps:
@@ -239,14 +262,17 @@ def solve_bcp(instance: Instance, eps: float = EPS_DEFAULT,
     """Bilevel cutting-plane solve; delta-inexact cuts from Algorithm-2
     certificates keep every subproblem dimension independent of S.
 
-    mode "multi_tree" re-solves the master after each cut; "single_tree"
-    (reported as method "bcp_single_tree") takes the cuts inside one master
-    search. on_iteration(t, z, lb, ub) is called after each lower solve,
-    t = 1, 2, ..., with the selection z and the bounds after its cut; in
-    single-tree mode lb is the master search's bound when it offered z. The
-    report's iterations counts lower solves, which equals n_cuts. Multi-tree
-    mode ends when the master repeats a selection, without solving it again,
-    so no z is reported twice.
+    mode "multi_tree" first solves the top-k of the all-ones portfolio that
+    theta_lb computes (its k largest weights, ties to the lower index), then
+    re-solves the master after each cut; "single_tree" (reported as method
+    "bcp_single_tree") takes the cuts inside one master search.
+    on_iteration(t, z, lb, ub) is called after each lower solve, t = 1, 2,
+    ..., with the selection z and the bounds after its cut; in multi-tree
+    mode t = 1 is the top-k selection at lb = theta_lb, and in single-tree
+    mode lb is the master search's bound when it offered z. The report's
+    iterations counts lower solves, the top-k one included, which equals
+    n_cuts. Multi-tree mode ends when the master repeats a selection,
+    without solving it again, so no z is reported twice.
     """
     if eps < 0 or delta < 0:
         raise ValueError("eps and delta must be nonnegative")
@@ -261,8 +287,9 @@ def solve_cp(instance: Instance, eps: float = EPS_DEFAULT,
              on_iteration=None) -> SolveReport:
     """Cutting-plane solve with exact lifted lower solves (zero-delta cuts).
 
-    The multi-tree loop of solve_bcp, with the same on_iteration contract
-    and the same meaning of iterations.
+    The multi-tree loop of solve_bcp: the same first selection, the top-k
+    of theta_lb's all-ones portfolio, the same on_iteration contract and
+    the same meaning of iterations, which counts that first lower solve.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")

@@ -71,7 +71,7 @@ def all_methods(inst, **kwargs):
 
 def test_theta_lb_two_asset_value():
     inst = two_asset_instance()
-    tlb = driver.theta_lb(inst, delta=1e-6)
+    tlb, _ = driver.theta_lb(inst, delta=1e-6)
     assert tlb == pytest.approx(0.0975 - 1e-6, abs=1e-7)
 
 
@@ -80,7 +80,7 @@ def test_theta_lb_bounds_every_selection():
     for _ in range(5):
         n = int(rng.integers(4, 8))
         inst = random_instance(rng, n, int(rng.integers(10, 40)), k=n)
-        tlb = driver.theta_lb(inst, delta=1e-6)
+        tlb, _ = driver.theta_lb(inst, delta=1e-6)
         for _ in range(5):
             bits = np.zeros(n, dtype=int)
             bits[rng.choice(n, size=int(rng.integers(1, n + 1)),
@@ -159,25 +159,70 @@ def test_methods_match_oracle():
             assert np.all(rep.portfolio.weights[~on] <= 1e-9)
 
 
-def test_no_good_path_still_reaches_optimum():
+def volatile_leader_instance():
+    """k = 1, and asset 0 alone meets the required return, but it is
+    volatile: the all-ones portfolio weights the low-volatility asset 1
+    most, so the warm selection {1} is infeasible."""
     rng = np.random.default_rng(11)
     scen = rng.normal(0.01, 0.05, size=(20, 4))
-    scen[:, 0] += 0.1
+    scen[:, 0] = 0.11 + 2.0 * (scen[:, 0] - 0.01)
+    scen[:, 1] = 0.01 + 0.1 * (scen[:, 1] - 0.01)
     base = Instance(n_assets=4, scenarios=scen, probs=np.full(20, 0.05),
                     side_A=np.zeros((0, 4)), side_b=[], beta=0.9,
                     gamma=5.0, k=1)
     mu = np.sort(base.expected_returns)
-    A, b = build_feasible_set(base, 0.5 * (mu[-1] + mu[-2]))
-    inst = Instance(n_assets=4, scenarios=scen, probs=base.probs,
+    A, b = build_feasible_set(base, mu[-2] + 0.1 * (mu[-1] - mu[-2]))
+    return Instance(n_assets=4, scenarios=scen, probs=base.probs,
                     side_A=A, side_b=b, beta=0.9, gamma=5.0, k=1)
+
+
+def test_no_good_path_still_reaches_optimum():
+    inst = volatile_leader_instance()
     orc = oracle.brute_force(inst, 1)
     assert orc.best_z.as_tuple() == (1, 0, 0, 0)
-    for rep in (driver.solve_bcp(inst), driver.solve_cp(inst)):
+    for solve in (driver.solve_bcp, driver.solve_cp):
+        ubs = []
+        rep = solve(inst, on_iteration=lambda t, z, lb, ub: ubs.append(ub))
         assert rep.status == driver.OPTIMAL
         assert rep.selection.as_tuple() == (1, 0, 0, 0)
         assert rep.obj == pytest.approx(orc.best_f, abs=2e-5)
         # the empty selection and three infeasible singletons are cut off
         assert rep.n_cuts >= 5
+        assert ubs[0] == np.inf
+
+
+def test_multi_tree_starts_at_the_top_k_of_the_all_ones_portfolio():
+    # the first step solves the k largest all-ones weights (ties to the
+    # lower index) at lb = theta_lb; the run still reaches the optimum when
+    # that selection is everything (k = n) or infeasible. In the last
+    # instance assets 1 and 4 are copies, and their weights tie for the top
+    rng = np.random.default_rng(31)
+    instances = [random_instance(rng, 8, 40, k=3),
+                 random_instance(rng, 5, 20, k=5),
+                 volatile_leader_instance()]
+    scen = np.random.default_rng(0).normal(0.01, 0.05, size=(30, 3))
+    instances.append(Instance(n_assets=6,
+                              scenarios=scen[:, [0, 1, 0, 2, 1, 0]],
+                              probs=np.full(30, 1.0 / 30),
+                              side_A=np.zeros((0, 6)), side_b=[], beta=0.9,
+                              gamma=4.0, k=1))
+    warms = []
+    for inst in instances:
+        bound, portfolio = driver.theta_lb(inst)
+        w = portfolio.weights
+        top = sorted(range(inst.n_assets), key=lambda i: (-w[i], i))
+        warm = tuple(int(i in top[:inst.k]) for i in range(inst.n_assets))
+        warms.append(warm)
+        best_f = oracle.brute_force(inst, inst.k).best_f
+        for solve in (driver.solve_bcp, driver.solve_cp):
+            first = []
+            rep = solve(inst, on_iteration=lambda t, z, lb, ub:
+                        first.append((t, z.as_tuple(), lb)))
+            assert first[0] == (1, warm, bound)
+            assert rep.status == driver.OPTIMAL
+            assert rep.obj == pytest.approx(best_f, abs=2e-5)
+    assert warms[1] == (1,) * 5
+    assert exact_value(np.array(warms[2]), instances[2]) is None
 
 
 def test_bounds_monotone_and_bracket_oracle():
@@ -211,7 +256,7 @@ def test_single_tree_lower_bound_rises_during_the_search():
                                on_iteration=lambda t, z, lb, ub:
                                lbs.append(lb))
         assert rep.status == driver.OPTIMAL
-        assert lbs[0] == driver.theta_lb(inst)
+        assert lbs[0] == driver.theta_lb(inst)[0]
         assert lbs[-2] > lbs[0]
         assert all(b >= a for a, b in zip(lbs, lbs[1:]))
         assert lbs[-1] <= best_f + 1e-9
@@ -245,8 +290,9 @@ def test_multi_tree_bcp_stops_on_a_repeat_without_solving_it(monkeypatch):
 
 
 def test_iterations_count_lower_solves_when_master_times_out(monkeypatch):
-    # the master runs out of time on its second call (multi-tree) or at the
-    # third candidate it offers (single-tree), after that many lower solves
+    # the master runs out of time on its second call (multi-tree, after the
+    # warm selection and the first master selection) or at the third
+    # candidate it offers (single-tree), after two lower solves each
     rng = np.random.default_rng(23)
     inst = random_instance(rng, 6, 40, k=3)
     real_solve = master.master_solve
@@ -269,7 +315,7 @@ def test_iterations_count_lower_solves_when_master_times_out(monkeypatch):
         return real_solve(state, callback=cb, deadline=deadline)
 
     monkeypatch.setattr(master, "master_solve", timing_out)
-    for solve, done in zip(CUTTING_PLANE_SOLVES, (1, 2, 1)):
+    for solve, done in zip(CUTTING_PLANE_SOLVES, (2, 2, 2)):
         calls.clear()
         rep = solve(inst)
         assert rep.status == driver.TIME_LIMIT
