@@ -109,7 +109,7 @@ def run_method(instance: Instance, config: RunConfig) -> SolveReport:
     if config.method == "oracle":
         t0 = time.monotonic()
         result = oracle.brute_force(instance, instance.k)
-        echo = {"eps": eps, "delta": delta, "time_limit": limit}
+        echo = driver._echo(eps, delta, limit)
         if result is None:
             nan = float("nan")
             return driver._report("oracle", driver.INFEASIBLE, instance, t0,

@@ -2,16 +2,18 @@
 
 solve_bcp and solve_cp run one driver. Its step solves the lower level at a
 candidate selection, adds the cut, lowers the upper bound and reports the
-iteration: bcp solves by the scenario cutting-plane algorithm and cuts from
-its reduced dual certificate, cp solves the exact lifting. Multi-tree mode
-takes its first step, which iterations counts like any other, at the top-k
-assets of the all-ones portfolio that theta_lb solves anyway, then
-re-solves the master after each step; single-tree mode (bcp only) runs one
-master search that takes the steps through its callback. solve_bigm skips
-cuts entirely and runs branch and bound on one QP containing the selection
-variables. All share a wall-clock budget and SolveReport assembly. The
-reported objective always comes from an exact re-solve at the incumbent
-selection, so it is a true upper bound regardless of inner tolerances.
+iteration: bcp solves by the scenario cutting-plane algorithm, cp solves
+lower.lifted_program exactly, and both cut from the certificate of the
+LowerResult they get back. Multi-tree mode takes its first step, which
+iterations counts like any other, at the top-k assets of the all-ones
+portfolio that theta_lb solves anyway, then re-solves the master after
+each step; single-tree mode (bcp only) runs one master search that takes
+the steps through its callback. solve_bigm skips cuts entirely and runs
+branch and bound on one QP, lower.lifted_program over every asset inside a
+block of selection variables. All share a wall-clock budget and
+SolveReport assembly. The reported objective always comes from an exact
+re-solve at the incumbent selection, so it is a true upper bound
+regardless of inner tolerances.
 """
 
 from __future__ import annotations
@@ -128,38 +130,30 @@ def _report(method, status, instance, t0, iterations, nodes, n_cuts,
                        cvar_value, a_star, exp_ret, params)
 
 
-def _echo(eps, delta, time_limit, params) -> dict:
-    out = {"eps": eps, "delta": delta, "time_limit": time_limit}
-    out.update(params or {})
-    return out
+def _echo(eps, delta, time_limit) -> dict:
+    return {"eps": eps, "delta": delta, "time_limit": time_limit}
 
 
 def _lower_cut(method, z, instance, delta):
     """Lower solve at z and the cut it yields: (cut, f_lo, f_hi) with
     f_lo <= f(z) <= f_hi.
 
-    method "bcp" runs the scenario cutting-plane algorithm and cuts from its
-    certificate, so f_hi <= f_lo + delta; "cp" solves the exact lifting and
-    cuts from its multipliers, so f_lo = f_hi. An infeasible z gets a
+    method "bcp" runs the scenario cutting-plane algorithm, so f_hi <= f_lo
+    + delta; "cp" solves the exact lifting, so f_lo = f_hi. Either cuts at
+    f_lo with the subgradient of its certificate. An infeasible z gets a
     no-good cut and f_lo = f_hi = inf.
     """
-    if method == "bcp":
-        res = lower.solve_lower_cp(z, instance, delta)
-        if res is not None:
-            grad = lower.subgradient(res.certificate, instance.gamma)
-            return (master.Cut(master.OPTIMALITY, z, res.f_lo, grad),
-                    res.f_lo, res.f_hi)
-    else:
-        res = lower.solve_lower_lifted(z, instance)
-        if res is not None:
-            f_z, _, duals = res
-            grad = -(instance.gamma / 2.0) * duals["omega"] ** 2
-            return master.Cut(master.OPTIMALITY, z, f_z, grad), f_z, f_z
-    return master.Cut(master.NO_GOOD, z), np.inf, np.inf
+    res = (lower.solve_lower_cp(z, instance, delta) if method == "bcp"
+           else lower.solve_lower_lifted(z, instance))
+    if res is None:
+        return master.Cut(master.NO_GOOD, z), np.inf, np.inf
+    grad = lower.subgradient(res.certificate, instance.gamma)
+    return (master.Cut(master.OPTIMALITY, z, res.f_lo, grad),
+            res.f_lo, res.f_hi)
 
 
 def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
-                   params, on_iteration):
+                   on_iteration):
     """The outer loop of bcp, single-tree bcp and cp.
 
     Every lower solve is one step (evaluate): add the cut of _lower_cut,
@@ -182,7 +176,7 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     name = "bcp_single_tree" if single_tree else method
     t0 = time.monotonic()
     deadline = t0 + time_limit
-    echo = _echo(eps, delta, time_limit, params)
+    echo = _echo(eps, delta, time_limit)
     root = theta_lb(instance, delta)
     if root is None:
         return _report(name, INFEASIBLE, instance, t0, 0, 0, 0, None,
@@ -257,7 +251,7 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
 
 def solve_bcp(instance: Instance, eps: float = EPS_DEFAULT,
               delta: float = DELTA_DEFAULT, mode: str = "multi_tree",
-              time_limit: float = TIME_LIMIT_DEFAULT, params: dict = None,
+              time_limit: float = TIME_LIMIT_DEFAULT,
               on_iteration=None) -> SolveReport:
     """Bilevel cutting-plane solve; delta-inexact cuts from Algorithm-2
     certificates keep every subproblem dimension independent of S.
@@ -279,11 +273,11 @@ def solve_bcp(instance: Instance, eps: float = EPS_DEFAULT,
     if mode not in ("multi_tree", "single_tree"):
         raise ValueError(f"unknown mode {mode!r}")
     return _cutting_plane("bcp", mode == "single_tree", instance, eps, delta,
-                          time_limit, params, on_iteration)
+                          time_limit, on_iteration)
 
 
 def solve_cp(instance: Instance, eps: float = EPS_DEFAULT,
-             time_limit: float = TIME_LIMIT_DEFAULT, params: dict = None,
+             time_limit: float = TIME_LIMIT_DEFAULT,
              on_iteration=None) -> SolveReport:
     """Cutting-plane solve with exact lifted lower solves (zero-delta cuts).
 
@@ -294,63 +288,42 @@ def solve_cp(instance: Instance, eps: float = EPS_DEFAULT,
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     return _cutting_plane("cp", False, instance, eps, DELTA_DEFAULT,
-                          time_limit, params, on_iteration)
+                          time_limit, on_iteration)
 
 
 def _bigm_program(instance: Instance):
-    """Lifted QP over (a, v, x, z) with x <= z linking rows; the z bound
-    rows come last so branch-and-bound only rewrites their right sides."""
+    """lower.lifted_program over every asset, widened by the selection
+    variables z: the program is over (a, v, x, z), and its inequality rows
+    are x - z <= 0, the lifted core rows, 1'z <= k, then the z bound rows
+    z <= ub and -z <= -lb last, so branch and bound only rewrites their
+    right sides."""
     n = instance.n_assets
-    m_side = instance.side_b.size
-    T = 2 * n + 2
-    quad = np.zeros(T)
-    quad[2:2 + n] = 1.0 / instance.gamma
-    lin = np.zeros(T)
-    lin[0] = lin[1] = 1.0
-    rows = []
-    rhs = []
+    lifted = lower.lifted_program(instance, np.arange(n))
+    core = lifted.core
+
+    def widen(M):
+        return np.hstack([M, np.zeros((M.shape[0], n))])
+
     eye = np.eye(n)
-    zero = np.zeros((n, 2))
-    rows.append(np.hstack([zero, eye, -eye]))          # x - z <= 0
-    rhs.append(np.zeros(n))
-    rows.append(np.hstack([zero, -eye, 0.0 * eye]))    # -x <= 0
-    rhs.append(np.zeros(n))
-    if m_side:
-        rows.append(np.hstack([np.zeros((m_side, 2)), instance.side_A,
-                               np.zeros((m_side, n))]))
-        rhs.append(instance.side_b)
-    card = np.zeros(T)
-    card[2 + n:] = 1.0
-    rows.append(card[None, :])
-    rhs.append(np.array([float(instance.k)]))
-    rows.append(np.hstack([zero, 0.0 * eye, eye]))     # z <= ub
-    rhs.append(np.ones(n))
-    rows.append(np.hstack([zero, 0.0 * eye, -eye]))    # -z <= -lb
-    rhs.append(np.zeros(n))
-    G = np.vstack(rows)
-    h = np.concatenate(rhs)
-    eq = np.zeros((1, T))
-    eq[0, 2:2 + n] = 1.0
-    core = numeric.ConvexProgram(quad_diag=quad, lin=lin, ineq_G=G,
-                                 ineq_h=h, eq_A=eq, eq_b=np.ones(1))
-    loss_core = np.hstack([-np.ones((instance.n_scenarios, 1)),
-                           np.zeros((instance.n_scenarios, 1)),
-                           -np.asarray(instance.scenarios, dtype=float),
-                           np.zeros((instance.n_scenarios, n))])
-    agg_core = np.zeros(T)
-    agg_core[1] = -1.0
+    link = np.hstack([np.zeros((n, 2)), eye, -eye])
+    card = np.concatenate([np.zeros(n + 2), np.ones(n)])
+    bounds = np.hstack([np.zeros((2 * n, n + 2)), np.vstack([eye, -eye])])
+    pad = np.zeros(n)
     return numeric.ScenarioProgram(
-        core=core, loss_core=loss_core,
-        loss_rhs=np.zeros(instance.n_scenarios),
-        agg_core=agg_core,
-        agg_tail=np.asarray(instance.probs, dtype=float)
-        / (1.0 - instance.beta),
-        agg_rhs=0.0)
+        core=numeric.ConvexProgram(
+            quad_diag=np.concatenate([core.quad_diag, pad]),
+            lin=np.concatenate([core.lin, pad]),
+            ineq_G=np.vstack([link, widen(core.ineq_G), card, bounds]),
+            ineq_h=np.concatenate([pad, core.ineq_h, [float(instance.k)],
+                                   np.ones(n), pad]),
+            eq_A=widen(core.eq_A), eq_b=core.eq_b),
+        loss_core=widen(lifted.loss_core),
+        agg_core=np.concatenate([lifted.agg_core, pad]),
+        agg_tail=lifted.agg_tail)
 
 
 def solve_bigm(instance: Instance, eps: float = EPS_DEFAULT,
-               time_limit: float = TIME_LIMIT_DEFAULT,
-               params: dict = None) -> SolveReport:
+               time_limit: float = TIME_LIMIT_DEFAULT) -> SolveReport:
     """Branch and bound on the selection inside one lifted QP.
 
     Every node solves the full S-scenario program, so this baseline is
@@ -360,7 +333,7 @@ def solve_bigm(instance: Instance, eps: float = EPS_DEFAULT,
         raise ValueError("eps must be nonnegative")
     t0 = time.monotonic()
     deadline = t0 + time_limit
-    echo = _echo(eps, float("nan"), time_limit, params)
+    echo = _echo(eps, float("nan"), time_limit)
     n = instance.n_assets
     sp = _bigm_program(instance)
     n_bound_rows = 2 * n

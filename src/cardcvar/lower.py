@@ -18,11 +18,15 @@ between the QP value and the objective of the QP's portfolio. The subset
 aggregates stay full width, so a certificate needs no second pass. The
 first QP starts at the unit vertex of the first support asset that
 satisfies every side row, and only when no vertex does at the phase-1
-point of the support polytope. solve_lower_lifted solves the exact
-per-scenario lifting as an oracle. Both expose the dual structure needed
-to build upper-level cuts: a DualCertificate whose objective
--(gamma/2) z @ (omega * omega) - b @ zeta + lambda reproduces the lower
-bound and whose omega yields the subgradient -(gamma/2) omega^2.
+point of the support polytope.
+
+lifted_program builds the per-scenario CVaR lifting of Rockafellar and
+Uryasev, the one S-sized program in the package: solve_lower_lifted solves
+it exactly (the cp baseline and the oracle), and the big-M baseline wraps
+it in a selection block. Both lower solves return a LowerResult whose
+DualCertificate has the objective -(gamma/2) z @ (omega * omega) - b @ zeta
++ lambda, which reproduces the lower bound, and whose omega yields the
+subgradient -(gamma/2) omega^2.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "SolverError",
     "CertificateError",
     "solve_lower_cp",
+    "lifted_program",
     "solve_lower_lifted",
     "recover_certificate",
     "certificate_objective",
@@ -64,7 +69,8 @@ class CertificateError(RuntimeError):
 
 @dataclass
 class DualCertificate:
-    """Feasible point of the reduced dual, one alpha weight per subset."""
+    """Feasible point of the reduced dual: one alpha weight per subset of
+    the scenario cutting-plane solve, or per scenario of the lifted one."""
 
     alpha: np.ndarray
     zeta: np.ndarray
@@ -74,10 +80,14 @@ class DualCertificate:
 
 @dataclass
 class LowerResult:
+    """f_lo <= f(z) <= f_hi; subsets holds the cut subsets of the scenario
+    cutting-plane solve (None for the lifted one, where f_lo = f_hi), and
+    iters counts the QPs solved."""
+
     f_lo: float
     f_hi: float
     portfolio: Portfolio
-    subsets: list
+    subsets: list | None
     certificate: DualCertificate
     iters: int
 
@@ -286,8 +296,12 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
             portfolio = Portfolio(x_full, a_ref, v_ref)
             f_hi = float(x_full @ x_full / (2.0 * instance.gamma)
                          + a_ref + v_ref)
-            cert = recover_certificate(_collect_duals(sol, qp.fixed, instance),
-                                       subsets, z, instance, aggregates)
+            # row blocks of the QP: v >= 0, side rows, x >= 0, cuts (_CutQP)
+            duals = sol.ineq_duals
+            cert = recover_certificate(duals[qp.fixed:],
+                                       duals[1:1 + instance.side_b.size],
+                                       -float(sol.eq_duals[0]), subsets,
+                                       instance, aggregates)
             _check_certificate_value(cert, z, instance, f_lo)
             if iters > 30:
                 log.warning("inner loop took %d iterations", iters)
@@ -307,36 +321,24 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
         working = [cut] + [int(i) for i in sol.working if 0 < i < qp.fixed]
 
 
-def _collect_duals(sol: numeric.Solution, n_fixed: int,
-                   instance: Instance) -> dict:
-    """Split the reduced-QP multipliers by row block (see _CutQP)."""
-    M = instance.side_b.size
-    lam_rows = sol.ineq_duals
-    return {
-        "alpha": lam_rows[n_fixed:],
-        "xi": float(lam_rows[0]),
-        "zeta": lam_rows[1:1 + M],
-        "pi": lam_rows[1 + M:n_fixed],
-        "eq": float(sol.eq_duals[0]),
-    }
-
-
-def recover_certificate(qp_duals: dict, subsets: list, z: SelectionVector,
-                        instance: Instance, aggregates: list) -> DualCertificate:
+def recover_certificate(cut_duals: np.ndarray, side_duals: np.ndarray,
+                        lam: float, subsets: list, instance: Instance,
+                        aggregates: list) -> DualCertificate:
     """Map reduced-QP multipliers to a feasible point of the reduced dual.
 
-    alpha is indexed by `subsets`; subsets beyond the QP's cut rows (the
-    final, never-added one) get weight 0. aggregates holds the (p_J, rho_J)
-    of each subset with a cut row. omega is completed on unselected
+    cut_duals and side_duals are the multipliers of the QP's cut rows and
+    side rows, lam the budget multiplier (minus the equality dual). alpha is
+    indexed by `subsets`; subsets beyond the QP's cut rows (the final,
+    never-added one) get weight 0. aggregates holds the (p_J, rho_J) of
+    each subset with a cut row. omega is completed on unselected
     coordinates by clipping the constraint bound at 0, which maximizes the
     dual objective there.
     """
     one_m_beta = 1.0 - instance.beta
     alpha = np.zeros(len(subsets))
-    raw = np.maximum(np.asarray(qp_duals["alpha"], dtype=float), 0.0)
+    raw = np.maximum(np.asarray(cut_duals, dtype=float), 0.0)
     alpha[:raw.size] = raw
-    zeta = np.maximum(np.asarray(qp_duals["zeta"], dtype=float), 0.0)
-    lam = -float(qp_duals["eq"])
+    zeta = np.maximum(np.asarray(side_duals, dtype=float), 0.0)
 
     bound = np.full(instance.n_assets, lam)
     weighted = 0.0
@@ -376,59 +378,72 @@ def subgradient(cert: DualCertificate, gamma: float) -> np.ndarray:
     return -(gamma / 2.0) * cert.omega * cert.omega
 
 
-def solve_lower_lifted(z: SelectionVector, instance: Instance):
-    """Exact lower-level solve via per-scenario lifting.
-
-    Returns (f, portfolio, duals) or None when infeasible. duals carries the
-    scenario weights alpha, side multipliers zeta, the budget multiplier
-    lambda, and the completed omega vector.
+def lifted_program(instance: Instance,
+                   support: np.ndarray) -> numeric.ScenarioProgram:
+    """The per-scenario lifting of the lower level at a support: over
+    t = (a, v, x_support) and one q_s per scenario,
+        min |x|^2 / (2 gamma) + a + v
+        s.t. -a - r_s x - q_s <= 0, q >= 0, p @ q / (1 - beta) - v <= 0,
+             -x <= 0, side_A x <= side_b, sum x = 1,
+    with the core inequality rows in that order (x >= 0, then the side
+    rows; the big-M program keeps it, and its IPM is not invariant to row
+    order). Its value is f at any selection with this support.
     """
-    support = z.support()
     K = support.size
     S = instance.n_scenarios
-    one_m_beta = 1.0 - instance.beta
-
     core = numeric.ConvexProgram(
         quad_diag=np.concatenate([[0.0, 0.0], np.full(K, 1.0 / instance.gamma)]),
         lin=np.concatenate([[1.0, 1.0], np.zeros(K)]),
         ineq_G=np.vstack([
+            np.hstack([np.zeros((K, 2)), -np.eye(K)]),
             np.hstack([np.zeros((instance.side_b.size, 2)),
                        instance.side_A[:, support]]),
-            np.hstack([np.zeros((K, 2)), -np.eye(K)]),
         ]),
-        ineq_h=np.concatenate([instance.side_b, np.zeros(K)]),
+        ineq_h=np.concatenate([np.zeros(K), instance.side_b]),
         eq_A=np.concatenate([[0.0, 0.0], np.ones(K)])[None, :],
-        eq_b=np.array([1.0]),
+        eq_b=np.ones(1),
     )
     loss_core = np.hstack([-np.ones((S, 1)), np.zeros((S, 1)),
                            -instance.scenarios[:, support]])
     agg_core = np.zeros(K + 2)
     agg_core[1] = -1.0
-    sp = numeric.ScenarioProgram(core=core, loss_core=loss_core,
-                                 loss_rhs=np.zeros(S), agg_core=agg_core,
-                                 agg_tail=instance.probs / one_m_beta,
-                                 agg_rhs=0.0)
-    sol = numeric.solve(sp)
+    return numeric.ScenarioProgram(core=core, loss_core=loss_core,
+                                   agg_core=agg_core,
+                                   agg_tail=instance.probs
+                                   / (1.0 - instance.beta))
+
+
+def solve_lower_lifted(z: SelectionVector, instance: Instance):
+    """Exact lower-level solve of lifted_program at the support of z.
+
+    Returns a LowerResult with f_lo = f_hi = f(z), subsets None and iters 1,
+    or None when the selection admits no feasible portfolio. Its
+    certificate carries one alpha weight per scenario row (they sum to 1,
+    each at most p_s / (1 - beta)), the side multipliers zeta, the budget
+    multiplier lambda and omega completed on every coordinate.
+    """
+    support = z.support()
+    K = support.size
+    S = instance.n_scenarios
+    sol = numeric.solve(lifted_program(instance, support))
     if sol.status == numeric.INFEASIBLE:
         return None
     if sol.status != numeric.OPTIMAL:
         raise SolverError(f"lifted QP ended with status {sol.status}")
 
-    a = float(sol.x[0])
-    v = float(sol.x[1])
+    f = float(sol.obj)
     x_full = _embed(support, sol.x[2:K + 2], instance.n_assets)
-    portfolio = Portfolio(x_full, a, max(v, 0.0))
-
+    portfolio = Portfolio(x_full, float(sol.x[0]), max(float(sol.x[1]), 0.0))
+    # rows: S loss rows, S q >= 0 rows, the aggregate row, x >= 0, side rows
     M = instance.side_b.size
+    side = 2 * S + 1 + K
     alpha = np.maximum(sol.ineq_duals[:S], 0.0)
-    xi = sol.ineq_duals[S:2 * S]
-    agg_mult = float(sol.ineq_duals[2 * S])
-    zeta = np.maximum(sol.ineq_duals[2 * S + 1:2 * S + 1 + M], 0.0)
+    zeta = np.maximum(sol.ineq_duals[side:side + M], 0.0)
     lam = -float(sol.eq_duals[0])
     bound = alpha @ instance.scenarios + lam
     if M:
         bound -= instance.side_A.T @ zeta
-    omega = np.maximum(bound, 0.0)
-    duals = {"alpha": alpha, "xi": xi, "agg": agg_mult, "zeta": zeta,
-             "lambda": lam, "omega": omega}
-    return float(sol.obj), portfolio, duals
+    cert = DualCertificate(alpha=alpha, zeta=zeta, lam=lam,
+                           omega=np.maximum(bound, 0.0))
+    return LowerResult(f_lo=f, f_hi=f, portfolio=portfolio, subsets=None,
+                       certificate=cert, iters=1)

@@ -13,8 +13,10 @@ One engine per kind of program, behind one entry point (`solve`):
   scenario-cut QP): along one where the objective falls the pass is a ray
   to the first blocking row, and one where it is level is pinned by extra
   rows of B. A program with no curvature at all (a pure LP) is rejected;
-- a Mehrotra predictor-corrector interior-point method for ScenarioProgram
-  (the lifted CP and big-M programs). It runs on a structured KKT backend,
+- a Mehrotra predictor-corrector interior-point method for ScenarioProgram,
+  the per-scenario CVaR lifting that lower.lifted_program builds (the cp
+  lower level and the oracle solve it; big-M wraps it in a selection
+  block). It runs on a structured KKT backend,
   so the per-scenario block costs O(S) memory and O(S T^2) work per
   iteration instead of a dense factorization in S;
 - phase 1 of a tableau simplex for the feasibility check (`feasible`)
@@ -145,9 +147,9 @@ class ScenarioProgram:
     """A ConvexProgram over core variables t plus S auxiliary variables q.
 
     Constraints beyond the core's own:
-        loss_core @ t - q <= loss_rhs              (S rows)
+        loss_core @ t - q <= 0                     (S rows)
         -q <= 0                                    (S rows)
-        agg_core @ t + agg_tail @ q <= agg_rhs     (1 row)
+        agg_core @ t + agg_tail @ q <= 0           (1 row)
     q carries zero objective. Feasibility is decided by the core polytope
     alone; the caller must only build aggregates that q plus a free core
     variable can absorb (true for every CVaR lifting in this package).
@@ -158,20 +160,15 @@ class ScenarioProgram:
 
     core: ConvexProgram
     loss_core: np.ndarray
-    loss_rhs: np.ndarray
     agg_core: np.ndarray
     agg_tail: np.ndarray
-    agg_rhs: float
 
     def __post_init__(self) -> None:
         T = self.core.n
         self.loss_core = np.asarray(self.loss_core, dtype=float).reshape(-1, T)
-        self.loss_rhs = np.asarray(self.loss_rhs, dtype=float).ravel()
         self.agg_core = np.asarray(self.agg_core, dtype=float).ravel()
         self.agg_tail = np.asarray(self.agg_tail, dtype=float).ravel()
-        self.agg_rhs = float(self.agg_rhs)
-        S = self.loss_core.shape[0]
-        if self.loss_rhs.size != S or self.agg_tail.size != S:
+        if self.agg_tail.size != self.loss_core.shape[0]:
             raise ValueError("scenario block sizes disagree")
         if self.agg_core.size != T:
             raise ValueError("agg_core length must match core variables")
@@ -381,13 +378,11 @@ class _ArrowKKT:
         self.A = core.eq_A
         self.b = core.eq_b
         self.Pd_core = core.quad_diag
-        self.nvar = self.T + self.S
         self.mc = core.ineq_h.size
         self.m = 2 * self.S + 1 + self.mc
         self.p = self.b.size
         self.q = np.concatenate([core.lin, np.zeros(self.S)])
-        self.h = np.concatenate([sp.loss_rhs, np.zeros(self.S),
-                                 [sp.agg_rhs], core.ineq_h])
+        self.h = np.concatenate([np.zeros(2 * self.S + 1), core.ineq_h])
         self._state = None
 
     def init_x(self):
@@ -777,11 +772,11 @@ def _rescue_scenario(sp: ScenarioProgram, kk: _ArrowKKT, x: np.ndarray,
     """Re-solve a stalled ScenarioProgram on its settled scenario signs.
 
     At a stalled iterate the primal point is accurate but boundary crowding
-    keeps the duals from converging. Scenario rows whose excess is clearly
+    keeps the duals from converging. Scenario rows whose loss U t is clearly
     positive get q eliminated into the aggregate row, clearly negative rows
     lose their q variable with q = 0, and only the undecided band keeps
     explicit q variables. Both settled groups leave a guard row on the core
-    variables (U t <= rhs for dropped rows, U t >= rhs for pinned ones):
+    variables (U t <= 0 for dropped rows, U t >= 0 for pinned ones):
     eliminating q is only valid on its side of the threshold, and without
     the guards the re-solve can wander along a flat ray into the region
     where the elimination is wrong. The reduced program shares the optimum
@@ -792,10 +787,10 @@ def _rescue_scenario(sp: ScenarioProgram, kk: _ArrowKKT, x: np.ndarray,
         return None
     T, S = kk.T, kk.S
     c = kk.cagg
-    excess = kk.U @ x[:T] - sp.loss_rhs
-    wide = 1e-3 * (1.0 + np.max(np.abs(sp.loss_rhs), initial=0.0))
-    pin = excess > wide
-    cand = np.abs(excess) <= wide
+    loss = kk.U @ x[:T]
+    wide = 1e-3
+    pin = loss > wide
+    cand = np.abs(loss) <= wide
     drop = ~pin & ~cand
     if not cand.any():
         return None
@@ -804,18 +799,16 @@ def _rescue_scenario(sp: ScenarioProgram, kk: _ArrowKKT, x: np.ndarray,
         quad_diag=core.quad_diag,
         lin=core.lin,
         ineq_G=np.vstack([core.ineq_G, kk.U[drop], -kk.U[pin]]),
-        ineq_h=np.concatenate([core.ineq_h, sp.loss_rhs[drop],
-                               -sp.loss_rhs[pin]]),
+        ineq_h=np.concatenate([core.ineq_h,
+                               np.zeros(S - int(cand.sum()))]),
         eq_A=core.eq_A,
         eq_b=core.eq_b,
     )
     reduced = ScenarioProgram(
         core=guarded,
         loss_core=kk.U[cand],
-        loss_rhs=sp.loss_rhs[cand],
         agg_core=kk.g0 + c[pin] @ kk.U[pin],
         agg_tail=c[cand],
-        agg_rhs=sp.agg_rhs + c[pin] @ sp.loss_rhs[pin],
     )
     sub = _solve_scenario(reduced, _depth=depth + 1)
     if sub.status != OPTIMAL:
@@ -825,7 +818,7 @@ def _rescue_scenario(sp: ScenarioProgram, kk: _ArrowKKT, x: np.ndarray,
     nd = int(drop.sum())
     t = sub.x[:T]
     q = np.zeros(S)
-    q_pin = kk.U[pin] @ t - sp.loss_rhs[pin]
+    q_pin = kk.U[pin] @ t
     if np.any(q_pin < -1e-6):
         return None
     q[pin] = np.maximum(q_pin, 0.0)

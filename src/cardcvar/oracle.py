@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance, SelectionVector
-from .lower import solve_lower_lifted
+from . import lower
 
 __all__ = ["OracleResult", "ENUM_BUDGET", "brute_force"]
 
@@ -50,10 +50,10 @@ def brute_force(instance: Instance, k: int) -> OracleResult | None:
         bits = np.zeros(n, dtype=np.int64)
         bits[list(support)] = 1
         evaluated += 1
-        solved = solve_lower_lifted(SelectionVector(bits), instance)
-        if solved is None:
+        res = lower.solve_lower_lifted(SelectionVector(bits), instance)
+        if res is None:
             continue
-        f = solved[0]
+        f = res.f_lo
         if f < best_f or (f == best_f and tuple(bits) < best_bits):
             best_f = f
             best_bits = tuple(bits)

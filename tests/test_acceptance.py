@@ -60,7 +60,7 @@ def random_feasible_pair(rng, n_max=10, s_max=200):
 
 def exact_value(z, inst):
     res = lower.solve_lower_lifted(z, inst)
-    return None if res is None else res[0]
+    return None if res is None else res.f_lo
 
 
 def canonical_report(rep):
@@ -128,12 +128,13 @@ def test_criterion_02_lifted_strong_duality():
     rng = np.random.default_rng(200)
     for _ in range(50):
         inst, z = random_feasible_pair(rng)
-        f, _, duals = lower.solve_lower_lifted(z, inst)
+        res = lower.solve_lower_lifted(z, inst)
+        f, cert = res.f_lo, res.certificate
         dual_obj = (-(inst.gamma / 2.0)
-                    * float(z.bits @ (duals["omega"] ** 2))
-                    + duals["lambda"])
+                    * float(z.bits @ (cert.omega ** 2))
+                    + cert.lam)
         if inst.side_b.size:
-            dual_obj -= float(inst.side_b @ duals["zeta"])
+            dual_obj -= float(inst.side_b @ cert.zeta)
         assert abs(f - dual_obj) <= 1e-7 * (1.0 + abs(f))
     print("criterion 02: PASS - lifted primal equals dual objective on 50 "
           "pairs within 1e-7*(1+|f|)")

@@ -52,7 +52,7 @@ def infeasible_instance():
 
 def exact_value(bits, inst):
     res = lower.solve_lower_lifted(SelectionVector(bits), inst)
-    return None if res is None else res[0]
+    return None if res is None else res.f_lo
 
 
 CUTTING_PLANE_SOLVES = (driver.solve_bcp,
@@ -334,6 +334,34 @@ def test_single_tree_matches_multi_tree():
     assert single.n_cuts >= 1
 
 
+def test_bigm_program_wraps_the_lifted_program():
+    # rows: x - z <= 0, the lifted core rows, 1'z <= k, z <= ub, -z <= -lb
+    inst = make_instance(5, 6, 30, 2)
+    n, S = 6, 30
+    lifted = lower.lifted_program(inst, np.arange(n))
+    sp = driver._bigm_program(inst)
+    G, h = sp.core.ineq_G, sp.core.ineq_h
+    m = lifted.core.ineq_h.size
+    assert G.shape == (n + m + 1 + 2 * n, 2 * n + 2)
+    assert not G[:n, :2].any() and not G[n:n + m, n + 2:].any()
+    assert not G[n + m:, :n + 2].any()
+    assert np.array_equal(G[:n, 2:], np.hstack([np.eye(n), -np.eye(n)]))
+    assert np.array_equal(G[n:n + m, :n + 2], lifted.core.ineq_G)
+    assert np.array_equal(h[n:n + m], lifted.core.ineq_h)
+    # x >= 0 before the side rows, the order bigm's rows have always had:
+    # its IPM is not invariant to row order (ROADMAP item 8)
+    assert np.array_equal(G[n:2 * n, 2:n + 2], -np.eye(n))
+    assert np.array_equal(G[2 * n:n + m, 2:n + 2], inst.side_A)
+    assert np.array_equal(G[n + m, n + 2:], np.ones(n))
+    assert h[n + m] == inst.k
+    assert np.array_equal(G[-2 * n:, n + 2:],
+                          np.vstack([np.eye(n), -np.eye(n)]))
+    assert np.array_equal(sp.loss_core[:, :n + 2], lifted.loss_core)
+    assert not sp.loss_core[:, n + 2:].any()
+    assert np.array_equal(sp.agg_tail, lifted.agg_tail)
+    assert sp.n_scenarios == S
+
+
 def test_bigm_full_cardinality_solves_at_root():
     rep = driver.solve_bigm(two_asset_instance(k=2))
     assert rep.nodes == 1
@@ -358,6 +386,39 @@ def test_bigm_root_without_interior_fails_cleanly():
     assert rep.status == driver.OPTIMAL
     orc = oracle.brute_force(inst, 1)
     assert orc.best_f - 1e-9 <= rep.obj <= orc.best_f + 2e-5 + 1e-9
+
+
+def edge_cardinality_instance(seed):
+    """Seeds 100-139: n = 4 + seed % 5 assets, S = seed - 70 scenarios, and
+    k = 1 at odd seeds, k = n at even ones."""
+    n = 4 + seed % 5
+    return make_instance(seed, n, seed - 70, 1 if seed % 2 else n)
+
+
+def assert_matches_enumeration(inst, solves):
+    orc = oracle.brute_force(inst, inst.k)
+    for solve in solves:
+        rep = solve(inst)
+        if orc is None:
+            assert rep.status == driver.INFEASIBLE
+            continue
+        assert rep.status == driver.OPTIMAL
+        assert rep.selection.count() <= inst.k
+        assert orc.best_f - 1e-9 <= rep.obj <= orc.best_f + 2e-5
+
+
+def test_k_one_matches_enumeration():
+    # bigm is left out: its root relaxation has no interior at k = 1, and
+    # seeds 117 and 119 end in SolverError (see the test above)
+    for seed in range(101, 140, 2):
+        assert_matches_enumeration(edge_cardinality_instance(seed),
+                                   CUTTING_PLANE_SOLVES)
+
+
+def test_k_n_matches_enumeration():
+    for seed in range(100, 140, 2):
+        assert_matches_enumeration(edge_cardinality_instance(seed),
+                                   CUTTING_PLANE_SOLVES + (driver.solve_bigm,))
 
 
 def test_infeasible_instance_all_methods():
@@ -408,9 +469,10 @@ def test_parameter_validation_and_echo():
         driver.solve_cp(inst, eps=-1.0)
     with pytest.raises(ValueError):
         driver.solve_bigm(inst, eps=-1.0)
-    rep = driver.solve_bcp(inst, params={"seed": 4})
-    assert rep.params["seed"] == 4
-    assert rep.params["eps"] == driver.EPS_DEFAULT
+    rep = driver.solve_bcp(inst)
+    assert rep.params == {"eps": driver.EPS_DEFAULT,
+                          "delta": driver.DELTA_DEFAULT,
+                          "time_limit": driver.TIME_LIMIT_DEFAULT}
 
 
 def test_time_sec_includes_portfolio_extraction(monkeypatch):

@@ -93,8 +93,8 @@ def test_one_asset_two_scenarios():
     assert res.f_hi >= 0.7 - 1e-9
     assert res.f_hi - res.f_lo <= 1e-8 + 1e-9
     exact = lower.solve_lower_lifted(SelectionVector([1]), inst)
-    assert exact[0] == pytest.approx(0.7, abs=1e-7)
-    assert exact[1].weights == pytest.approx([1.0], abs=1e-8)
+    assert exact.f_lo == exact.f_hi == pytest.approx(0.7, abs=1e-7)
+    assert exact.portfolio.weights == pytest.approx([1.0], abs=1e-8)
 
 
 def test_empty_selection_is_infeasible():
@@ -153,7 +153,7 @@ def test_vertex_start_skips_phase1(monkeypatch):
     z = SelectionVector([1, 1, 1, 1, 1])
     res = lower.solve_lower_cp(z, inst, 1e-7)
     assert calls == []
-    f = lower.solve_lower_lifted(z, inst)[0]
+    f = lower.solve_lower_lifted(z, inst).f_lo
     assert res.f_lo <= f + 1e-9
     assert f <= res.f_hi + 1e-9
 
@@ -168,7 +168,7 @@ def test_side_rows_excluding_every_vertex_fall_back_to_phase1(monkeypatch,
     res = lower.solve_lower_cp(z, inst, delta)
     assert len(calls) == 1
     exact = lower.solve_lower_lifted(z, inst)
-    f = exact[0]
+    f = exact.f_lo
     assert res.f_lo <= f + 1e-9
     assert f <= res.f_hi + 1e-9
     assert res.f_hi <= res.f_lo + delta + 1e-9
@@ -233,7 +233,7 @@ def test_sandwich_bounds_against_exact_solve():
         assert (res is None) == (exact is None)
         if res is None:
             continue
-        f = exact[0]
+        f = exact.f_lo
         assert res.f_lo <= f + 1e-9
         assert f <= res.f_hi + 1e-9
         assert res.f_hi <= res.f_lo + delta + 1e-9
@@ -289,7 +289,7 @@ def test_subgradient_cut_is_globally_valid():
         exact = lower.solve_lower_lifted(z, inst)
         g = lower.subgradient(res.certificate, inst.gamma)
         assert np.all(g <= 1e-12)
-        lhs = exact[0]
+        lhs = exact.f_lo
         rhs = res.f_lo + g @ (z.bits - z_hat.bits)
         assert lhs >= rhs - 1e-7
 
@@ -301,15 +301,17 @@ def test_lifted_duals_satisfy_dual_feasibility():
         s = int(rng.integers(5, 80))
         inst = random_instance(rng, n, s, with_return_row=bool(trial % 2))
         z = random_selection(rng, n)
-        f, portfolio, duals = lower.solve_lower_lifted(z, inst)
+        res = lower.solve_lower_lifted(z, inst)
+        f, cert = res.f_lo, res.certificate
+        assert res.f_hi == f and res.subsets is None
         cap = inst.probs / (1.0 - inst.beta)
-        assert np.all(duals["alpha"] >= -1e-9)
-        assert np.all(duals["alpha"] <= cap + 1e-8)
-        assert duals["alpha"].sum() == pytest.approx(1.0, abs=1e-7)
-        assert np.all(duals["zeta"] >= 0.0)
+        assert np.all(cert.alpha >= -1e-9)
+        assert np.all(cert.alpha <= cap + 1e-8)
+        assert cert.alpha.sum() == pytest.approx(1.0, abs=1e-7)
+        assert np.all(cert.zeta >= 0.0)
         dual_obj = (-(inst.gamma / 2.0)
-                    * float(z.bits @ (duals["omega"] ** 2))
-                    - float(inst.side_b @ duals["zeta"]) + duals["lambda"])
+                    * float(z.bits @ (cert.omega ** 2))
+                    - float(inst.side_b @ cert.zeta) + cert.lam)
         assert dual_obj == pytest.approx(f, abs=1e-7 * (1 + abs(f)))
 
 
@@ -412,7 +414,7 @@ def test_cut_workspace_growth_keeps_bounds_and_views(monkeypatch, capacity):
             assert np.array_equal(prog.ineq_h, h)
         most_cuts = max(most_cuts,
                         np.count_nonzero(captured[-1][0].ineq_G[:, 0]))
-        f = lower.solve_lower_lifted(z, inst)[0]
+        f = lower.solve_lower_lifted(z, inst).f_lo
         assert res.f_lo <= f + 1e-9
         assert f <= res.f_hi + 1e-9
         assert res.f_hi <= res.f_lo + 1e-7 + 1e-9
@@ -473,7 +475,7 @@ def test_sandwich_property_on_degenerate_instances(case):
     assert (res is None) == (exact is None)
     if res is None:
         return
-    f = exact[0]
+    f = exact.f_lo
     tol = 1e-8 * (1.0 + abs(f))
     assert res.f_lo <= f + tol
     assert f <= res.f_hi + tol

@@ -283,7 +283,7 @@ def scenario_to_dense(sp):
         row[:T] = sp.loss_core[s]
         row[T + s] = -1.0
         G_rows.append(row)
-        h.append(sp.loss_rhs[s])
+        h.append(0.0)
     for s in range(S):
         row = np.zeros(n)
         row[T + s] = -1.0
@@ -293,7 +293,7 @@ def scenario_to_dense(sp):
     agg[:T] = sp.agg_core
     agg[T:] = sp.agg_tail
     G_rows.append(agg)
-    h.append(sp.agg_rhs)
+    h.append(0.0)
     for i in range(sp.core.ineq_h.size):
         row = np.zeros(n)
         row[:T] = sp.core.ineq_G[i]
@@ -327,8 +327,8 @@ def random_scenario_program(rng, n_assets=3, S=12, beta=0.8, gamma=1.5):
     loss_core = np.hstack([-np.ones((S, 1)), np.zeros((S, 1)), -R])
     agg_core = np.zeros(T)
     agg_core[1] = -1.0
-    return ScenarioProgram(core=core, loss_core=loss_core, loss_rhs=np.zeros(S),
-                           agg_core=agg_core, agg_tail=p / (1 - beta), agg_rhs=0.0)
+    return ScenarioProgram(core=core, loss_core=loss_core, agg_core=agg_core,
+                           agg_tail=p / (1 - beta))
 
 
 def test_scenario_program_matches_dense():

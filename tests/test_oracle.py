@@ -36,7 +36,7 @@ def test_full_support_is_single_evaluation():
     res = oracle.brute_force(inst, 5)
     assert res.evaluated == 1
     assert res.best_z.as_tuple() == (1, 1, 1, 1, 1)
-    f, _, _ = lower.solve_lower_lifted(res.best_z, inst)
+    f = lower.solve_lower_lifted(res.best_z, inst).f_lo
     assert res.best_f == pytest.approx(f, abs=1e-12)
 
 
@@ -67,7 +67,7 @@ def test_global_optimality_spot_check():
         bits[rng.choice(7, count, replace=False)] = 1
         solved = lower.solve_lower_lifted(SelectionVector(bits), inst)
         assert solved is not None
-        assert res.best_f <= solved[0] + 1e-7
+        assert res.best_f <= solved.f_lo + 1e-7
 
 
 def test_exactly_k_equals_at_most_k():
@@ -84,7 +84,7 @@ def test_exactly_k_equals_at_most_k():
                 bits[list(support)] = 1
                 solved = lower.solve_lower_lifted(SelectionVector(bits), inst)
                 if solved is not None:
-                    best_small = min(best_small, solved[0])
+                    best_small = min(best_small, solved.f_lo)
         assert res.best_f == pytest.approx(best_small, abs=1e-9)
 
 
