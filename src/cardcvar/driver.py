@@ -8,7 +8,11 @@ LowerResult they get back. Multi-tree mode takes its first step, which
 iterations counts like any other, at the top-k assets of the all-ones
 portfolio that theta_lb solves anyway, then re-solves the master after
 each step; single-tree mode (bcp only) runs one master search that takes
-the steps through its callback. solve_bigm skips cuts entirely and runs
+the steps through its callback, and only at new candidates whose master
+value is still below the upper bound: cuts are valid, so f(z) >= theta(z),
+and a candidate with theta(z) >= ub cannot improve the incumbent. bcp never
+solves the all-ones selection twice: theta_lb's solve is its step there,
+which at k = n is multi-tree's first. solve_bigm skips cuts entirely and runs
 branch and bound on one QP, lower.lifted_program over every asset inside a
 block of selection variables. All share a wall-clock budget and
 SolveReport assembly. The reported objective always comes from an exact
@@ -77,19 +81,20 @@ class SolveReport:
 
 def theta_lb(instance: Instance, delta: float = DELTA_DEFAULT):
     """Initial master lower bound f_delta(1_N) - delta, with the all-ones
-    portfolio: (bound, portfolio).
+    lower result: (bound, LowerResult).
 
     Enlarging the support enlarges the lower-level feasible set, so the
-    all-ones value bounds every selection from below. The portfolio's k
-    largest weights give multi-tree mode its first selection. None when
-    even the all-ones selection is infeasible, which makes the whole
-    problem so.
+    all-ones value bounds every selection from below. The result's
+    portfolio, by its k largest weights, gives multi-tree mode its first
+    selection, and bcp cuts from the result itself whenever the all-ones
+    selection comes up. None when even the all-ones selection is
+    infeasible, which makes the whole problem so.
     """
     ones = SelectionVector(np.ones(instance.n_assets, dtype=np.int64))
     res = lower.solve_lower_cp(ones, instance, delta)
     if res is None:
         return None
-    return res.f_lo - delta, res.portfolio
+    return res.f_lo - delta, res
 
 
 def _top_k(weights: np.ndarray, k: int) -> SelectionVector:
@@ -134,20 +139,15 @@ def _echo(eps, delta, time_limit) -> dict:
     return {"eps": eps, "delta": delta, "time_limit": time_limit}
 
 
-def _lower_cut(method, z, instance, delta):
-    """Lower solve at z and the cut it yields: (cut, f_lo, f_hi) with
-    f_lo <= f(z) <= f_hi.
-
-    method "bcp" runs the scenario cutting-plane algorithm, so f_hi <= f_lo
-    + delta; "cp" solves the exact lifting, so f_lo = f_hi. Either cuts at
-    f_lo with the subgradient of its certificate. An infeasible z gets a
-    no-good cut and f_lo = f_hi = inf.
-    """
-    res = (lower.solve_lower_cp(z, instance, delta) if method == "bcp"
-           else lower.solve_lower_lifted(z, instance))
+def _cut(z, res, gamma):
+    """The cut of a lower result at z: (cut, f_lo, f_hi) with f_lo <= f(z)
+    <= f_hi, where bcp's scenario cutting-plane result has f_hi <= f_lo +
+    delta and cp's exact lifting f_lo = f_hi. It cuts at f_lo with the
+    subgradient of the certificate; an infeasible z (res None) gets a
+    no-good cut and f_lo = f_hi = inf."""
     if res is None:
         return master.Cut(master.NO_GOOD, z), np.inf, np.inf
-    grad = lower.subgradient(res.certificate, instance.gamma)
+    grad = lower.subgradient(res.certificate, gamma)
     return (master.Cut(master.OPTIMALITY, z, res.f_lo, grad),
             res.f_lo, res.f_hi)
 
@@ -156,22 +156,35 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
                    on_iteration):
     """The outer loop of bcp, single-tree bcp and cp.
 
-    Every lower solve is one step (evaluate): add the cut of _lower_cut,
+    Every lower solve is one step (evaluate): add the cut of its result,
     lower the upper bound, count the iteration and report it, and keep the
-    selection's f_lo. Multi-tree takes its first step at the top-k of
-    theta_lb's all-ones portfolio (its k largest weights, ties to the lower
-    index), so the first master call already has an optimality cut; that
-    step counts as an iteration like any other. It then re-solves the
-    master after each step and stops on the gap test or, for "bcp" whose
-    cuts are delta-inexact, on a repeated selection: that one is not solved
-    again (the solve would only reproduce its cut), and its kept f_lo closes
-    the lower bound, so iterations and n_cuts count distinct selections.
+    selection's f_lo. bcp's step at the all-ones selection reuses theta_lb's
+    solve, which ran at the same delta. Multi-tree takes its first step at
+    the top-k of theta_lb's all-ones portfolio (its k largest weights, ties
+    to the lower index), so the first master call already has an optimality
+    cut; that step counts as an iteration like any other. It then re-solves
+    the master after each step and stops on the gap test or, for "bcp"
+    whose cuts are delta-inexact, on a repeated selection: that one is not
+    solved again (the solve would only reproduce its cut), and its kept f_lo
+    closes the lower bound, so iterations and n_cuts count distinct
+    selections.
+
     Single-tree runs one master search that takes the steps through its
-    callback at each new integer candidate and ends at that search's
-    optimum; a candidate seen before already satisfies its cut and is
-    accepted, so gap closure plus cut-driven rejection carry the
-    termination argument, and lb follows the bound the search hands over
-    with each candidate.
+    callback and ends at that search's optimum; lb follows the bound the
+    search hands over with each candidate. The callback accepts without a
+    step a candidate seen before, whose cut is in the pool and so already
+    met, and a candidate whose master value theta reaches the upper bound
+    within the relative tolerance 1e-9 (1 + |ub|) that also accepts a
+    solved candidate. That second rule is the lazy-cut pruning of
+    branch-and-cut solvers, and it keeps the solve exact:
+    - cuts are valid, so f(z) >= theta(z) >= ub - tol, and z cannot improve
+      the incumbent; a lower solve there would not lower ub;
+    - the search is still exact on the master with the cuts it has, so its
+      final theta is still a lower bound on f*;
+    - if that search's optimum is such a z, its theta gives lb >= ub - tol,
+      so the closing gap test below still holds.
+    Every other candidate takes a step and is rejected unless theta meets
+    its new cut, so iterations still counts lower solves and equals n_cuts.
     """
     name = "bcp_single_tree" if single_tree else method
     t0 = time.monotonic()
@@ -181,14 +194,14 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     if root is None:
         return _report(name, INFEASIBLE, instance, t0, 0, 0, 0, None,
                        float("nan"), float("nan"), echo)
-    tlb, ones_portfolio = root
+    tlb, ones = root
     state = master.MasterState(n_assets=instance.n_assets, k=instance.k,
                                theta_lb=tlb)
     seen = {}    # f_lo of every selection solved so far, keyed by its bits
     lb, ub = tlb, float("inf")
     z_hat = None
     t = 0
-    warm = None if single_tree else _top_k(ones_portfolio.weights, instance.k)
+    warm = None if single_tree else _top_k(ones.portfolio.weights, instance.k)
 
     def out(status):
         return _report(name, status, instance, t0, t, state.node_count,
@@ -196,7 +209,13 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
 
     def evaluate(z):
         nonlocal ub, z_hat, t
-        cut, f_lo, f_hi = _lower_cut(method, z, instance, delta)
+        if method == "cp":
+            res = lower.solve_lower_lifted(z, instance)
+        elif z.count() == instance.n_assets:
+            res = ones    # theta_lb solved it at this delta
+        else:
+            res = lower.solve_lower_cp(z, instance, delta)
+        cut, f_lo, f_hi = _cut(z, res, instance.gamma)
         seen[z.bits.tobytes()] = f_lo
         master.add_cut(state, cut)
         if f_hi < ub:
@@ -211,6 +230,9 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
         lb = max(lb, bound)
         if z.bits.tobytes() in seen:
             # its cut is in the pool, so theta already satisfies it
+            return True
+        if ub < np.inf and theta >= ub - 1e-9 * (1.0 + abs(ub)):
+            # f(z) >= theta: z cannot beat the incumbent
             return True
         f_lo = evaluate(z)
         return f_lo < np.inf and theta >= f_lo - 1e-9 * (1.0 + abs(f_lo))
@@ -266,7 +288,11 @@ def solve_bcp(instance: Instance, eps: float = EPS_DEFAULT,
     mode lb is the master search's bound when it offered z. The report's
     iterations counts lower solves, the top-k one included, which equals
     n_cuts. Multi-tree mode ends when the master repeats a selection,
-    without solving it again, so no z is reported twice.
+    without solving it again, so no z is reported twice. Single-tree mode
+    solves the lower level only at new candidates whose master value is
+    below the upper bound: the cuts are valid, so a candidate whose master
+    value already reaches ub cannot improve the incumbent, and the search
+    accepts it unsolved while staying exact on the master.
     """
     if eps < 0 or delta < 0:
         raise ValueError("eps and delta must be nonnegative")

@@ -19,7 +19,7 @@ from cardcvar.model import (
     build_feasible_set,
     compute_mu_bar,
 )
-from test_acceptance import make_instance
+from test_acceptance import canonical_report, make_instance
 
 
 def two_asset_instance(k=2):
@@ -191,11 +191,22 @@ def test_no_good_path_still_reaches_optimum():
         assert ubs[0] == np.inf
 
 
-def test_multi_tree_starts_at_the_top_k_of_the_all_ones_portfolio():
+def test_multi_tree_starts_at_the_top_k_of_the_all_ones_portfolio(
+        monkeypatch):
     # the first step solves the k largest all-ones weights (ties to the
     # lower index) at lb = theta_lb; the run still reaches the optimum when
-    # that selection is everything (k = n) or infeasible. In the last
-    # instance assets 1 and 4 are copies, and their weights tie for the top
+    # that selection is everything (k = n) or infeasible. At k = n, bcp's
+    # first step cuts from theta_lb's own all-ones solve instead of solving
+    # it again. In the last instance assets 1 and 4 are copies, and their
+    # weights tie for the top
+    real = lower.solve_lower_cp
+    solved = []
+
+    def spy(z, instance, delta):
+        solved.append((z.count(), delta))
+        return real(z, instance, delta)
+
+    monkeypatch.setattr(lower, "solve_lower_cp", spy)
     rng = np.random.default_rng(31)
     instances = [random_instance(rng, 8, 40, k=3),
                  random_instance(rng, 5, 20, k=5),
@@ -208,19 +219,24 @@ def test_multi_tree_starts_at_the_top_k_of_the_all_ones_portfolio():
                               gamma=4.0, k=1))
     warms = []
     for inst in instances:
-        bound, portfolio = driver.theta_lb(inst)
-        w = portfolio.weights
+        bound, ones = driver.theta_lb(inst)
+        w = ones.portfolio.weights
         top = sorted(range(inst.n_assets), key=lambda i: (-w[i], i))
         warm = tuple(int(i in top[:inst.k]) for i in range(inst.n_assets))
         warms.append(warm)
         best_f = oracle.brute_force(inst, inst.k).best_f
         for solve in (driver.solve_bcp, driver.solve_cp):
             first = []
+            solved.clear()
             rep = solve(inst, on_iteration=lambda t, z, lb, ub:
                         first.append((t, z.as_tuple(), lb)))
             assert first[0] == (1, warm, bound)
             assert rep.status == driver.OPTIMAL
             assert rep.obj == pytest.approx(best_f, abs=2e-5)
+            if solve is driver.solve_bcp and inst is instances[1]:
+                # theta_lb at delta, then the extraction at 1e-9
+                assert solved == [(5, driver.DELTA_DEFAULT),
+                                  (5, driver._EXTRACT_DELTA)]
     assert warms[1] == (1,) * 5
     assert exact_value(np.array(warms[2]), instances[2]) is None
 
@@ -332,6 +348,78 @@ def test_single_tree_matches_multi_tree():
     assert single.obj == pytest.approx(multi.obj, abs=2e-5)
     assert single.iterations >= 1
     assert single.n_cuts >= 1
+
+
+def test_single_tree_solves_only_candidates_below_the_upper_bound(
+        monkeypatch):
+    # cuts are valid, so f(z) >= theta(z): a new candidate whose master
+    # value already reaches the upper bound current when it is offered
+    # cannot improve the incumbent, and the callback accepts it unsolved
+    inst = random_instance(np.random.default_rng(0), 10, 50, k=3)
+    real_solve, real_lower = master.master_solve, lower.solve_lower_cp
+    solved, steps, unsolved = [], [], []
+    ub_now = [np.inf]
+
+    def counting_lower(z, instance, delta):
+        solved.append(z.as_tuple())
+        return real_lower(z, instance, delta)
+
+    def spying(state, callback=None, deadline=None):
+        def cb(z, theta, bound):
+            ub, n_before = ub_now[0], len(solved)
+            seen = z.as_tuple() in solved
+            accepted = callback(z, theta, bound)
+            reaches = ub < np.inf and theta >= ub - 1e-9 * (1.0 + abs(ub))
+            if len(solved) > n_before:
+                assert not reaches
+            elif not seen:
+                assert reaches and accepted
+                unsolved.append(z.as_tuple())
+            return accepted
+
+        return real_solve(state, callback=cb, deadline=deadline)
+
+    def on_iteration(t, z, lb, ub):
+        steps.append(t)
+        ub_now[0] = ub
+
+    monkeypatch.setattr(lower, "solve_lower_cp", counting_lower)
+    monkeypatch.setattr(master, "master_solve", spying)
+    rep = driver.solve_bcp(inst, mode="single_tree",
+                           on_iteration=on_iteration)
+    assert rep.status == driver.OPTIMAL
+    assert unsolved
+    assert rep.iterations == rep.n_cuts == len(steps)
+    # theta_lb, one lower solve per step and the final extraction
+    assert len(solved) == rep.iterations + 2
+    assert rep.obj == pytest.approx(
+        oracle.brute_force(inst, inst.k).best_f, abs=2e-5)
+
+
+def test_single_tree_matches_the_oracle_and_multi_tree():
+    # differential: n = 6-10 assets, k = 1, 3 or n; the bound trace of
+    # every lower solve brackets the enumerated optimum f*, and a rerun
+    # repeats the report and the trace exactly
+    for seed in range(300, 312):
+        n = 6 + seed % 5
+        inst = make_instance(seed, n, 30 + seed % 7, (1, 3, n)[seed % 3])
+        best_f = oracle.brute_force(inst, inst.k).best_f
+        multi = driver.solve_bcp(inst)
+        assert multi.status == driver.OPTIMAL
+        runs = []
+        for _ in range(2):
+            trace = []
+            rep = driver.solve_bcp(inst, mode="single_tree",
+                                   on_iteration=lambda t, z, lb, ub:
+                                   trace.append((t, z.as_tuple(), lb, ub)))
+            assert rep.status == driver.OPTIMAL
+            assert abs(rep.obj - best_f) <= 2e-5
+            assert abs(rep.obj - multi.obj) <= 2e-5
+            assert len(trace) == rep.iterations == rep.n_cuts
+            for _, _, lb, ub in trace:
+                assert lb <= best_f + 1e-9 and best_f - 1e-9 <= ub
+            runs.append((canonical_report(rep), trace))
+        assert runs[0] == runs[1]
 
 
 def test_bigm_program_wraps_the_lifted_program():
