@@ -15,11 +15,12 @@ each pending cut's exact minimum over it bound it from below, and a solve
 scores the pending cuts into a chunk only when that bound reaches the
 optimum, best-first. Ties go to the lexicographically smallest selection.
 Otherwise master_solve runs one best-bound branch and bound over
-coordinate boxes, bounding each box by every cut's exact minimum over it
-(cheap because cut gradients are nonpositive); ties go to the
-lexicographically smallest z there too, by keeping a box within the tie
-tolerance only while its smallest member comes first. Either way reruns
-are reproducible.
+coordinate boxes. Each box is bounded by its best single cut, the largest
+of the cuts' exact minima over it (one sort per cut, because cut gradients
+are nonpositive), and that binding cut picks the box's witness and branch
+coordinate. Ties go to the lexicographically smallest z there too, by
+keeping a box within the tie tolerance only while its smallest member
+comes first. Either way reruns are reproducible.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ _ENUM_BITS = 64           # tabulated selection codes fit in uint64
 _ENUM_CHUNK = 65_536      # selections per chunk of the lazily scored table
 _F64_ROWS = 100_000       # exact float64 scoring up to this table size
 _LO_BITS = 13             # code bits in the low part of the block layout
-_MW_ROUNDS = 8            # weight-ascent rounds per node bound
 _CUT_CAPACITY = 64        # optimality rows stored before the first doubling
 
 
@@ -419,19 +419,17 @@ def _enumerate_solve(state: MasterState, deadline: float | None):
     return best
 
 
-def node_eval(state: MasterState, lb: np.ndarray, ub: np.ndarray,
-              cutoff: float = np.inf):
+def node_eval(state: MasterState, lb: np.ndarray, ub: np.ndarray):
     """Bound, witness, and branch coordinate for one box node.
 
-    Gradients are nonpositive, so any nonnegative unit-sum weighting lam of
-    the rows bounds the node by lam'base plus the sum of (lam'grad)'s most
-    negative free entries up to the remaining cardinality budget. Unit
-    weightings give the per-cut bound; when it fails to prune, multiplicative-
-    weights ascent on lam tightens it, stopping once it reaches cutoff.
-    Returns (bound, bits, branch): that bound, the selection attaining the
-    strongest aggregate's minimum (an incumbent candidate), and the free
-    coordinate that sways it most, or -1 when the node is the single point
-    lb, whose bound is exactly theta_at(lb).
+    Gradients are nonpositive, so a cut's exact minimum over the box is its
+    value at lb plus the sum of its most negative free entries up to the
+    remaining cardinality budget. The box is bounded by its best single cut:
+    the largest of these minima and theta_lb. Returns (bound, bits,
+    branch): that bound, the selection attaining the binding cut's minimum
+    (an incumbent candidate), and the free coordinate that sways that cut
+    most, or -1 when the box holds the one selection lb, whose bound is
+    exactly theta_at(lb).
     """
     base, grad = state.base, state.grad
     budget = max(0, state.k - int(lb.sum()))
@@ -454,31 +452,12 @@ def node_eval(state: MasterState, lb: np.ndarray, ub: np.ndarray,
                 int(fidx[0]) if take else -1)
     mins = vals0 + np.sort(gfree, axis=1)[:, :take].sum(axis=1)
     binding = int(np.argmax(mins))
-    bound = float(mins[binding])
-    h_best = gfree[binding]
-    if bound < cutoff:
-        lam = np.full(vals0.size, 1.0 / vals0.size)
-        for _ in range(_MW_ROUNDS):
-            h = lam @ gfree
-            order = np.argsort(h, kind="stable")[:take]
-            sel = order[h[order] < 0.0]
-            s = vals0 + gfree[:, sel].sum(axis=1)
-            phi = float(lam @ s)
-            if phi > bound:
-                bound = phi
-                h_best = h
-            spread = float(s.max() - s.min())
-            if spread <= 0.0 or bound >= cutoff:
-                break
-            lam = lam * np.exp((2.0 / spread) * (s - s.max()))
-            lam = lam / lam.sum()
-    bound = max(bound, state.theta_lb)
-    order = np.argsort(h_best, kind="stable")[:take]
-    sel = order[h_best[order] < 0.0]
-    bits[fidx[sel]] = 1
-    branch = int(fidx[int(np.argmin(h_best))]) if h_best.min() < 0.0 \
+    h = gfree[binding]
+    order = np.argsort(h, kind="stable")[:take]
+    bits[fidx[order[h[order] < 0.0]]] = 1
+    branch = int(fidx[int(np.argmin(h))]) if h.min() < 0.0 \
         else int(fidx[int(np.argmin(colmin))])
-    return bound, bits, branch
+    return max(float(mins[binding]), state.theta_lb), bits, branch
 
 
 def _lex_key(bits: np.ndarray) -> bytes:
@@ -492,7 +471,8 @@ class _Search:
     smallest member lb, while the pool is fixed; b"" while a callback may
     add cuts, so ties then have no order. best is the least theta of the
     incumbents, theta the current one's; the tie window is best -/+ the
-    relative tolerance _BB_TOL."""
+    relative tolerance _BB_TOL. dominated is the one pruning test, applied
+    to a box's bound when it is popped and again once node_eval bounds it."""
 
     def __init__(self, state, deadline, ordered: bool):
         self.state = state
@@ -517,14 +497,6 @@ class _Search:
             return False
         lo, hi = self._window()
         return bound > hi or (bound >= lo and key >= self.best_key)
-
-    def cutoff(self, key: bytes) -> float:
-        """node_eval's cutoff: the bound that dominates the box, or -inf
-        before the first incumbent, when no bound prunes."""
-        if self.best_bits is None:
-            return -np.inf
-        lo, hi = self._window()
-        return hi if key < self.best_key else lo
 
     def offer(self, bits: np.ndarray, theta: float) -> None:
         """Make bits the incumbent when its theta is below the tie window,
@@ -572,8 +544,7 @@ def _branch_and_bound(search: _Search, callback) -> None:
         if search.dominated(bound, key):
             continue
         search.charge()
-        bound, bits, branch = node_eval(state, lb, ub,
-                                        cutoff=search.cutoff(key))
+        bound, bits, branch = node_eval(state, lb, ub)
         if search.dominated(bound, key):
             continue
         if not state.excluded(bits):

@@ -211,6 +211,50 @@ def test_root_bound_is_a_lower_bound():
         assert bound <= result[1] + 1e-9
 
 
+def test_box_bound_is_the_best_single_cut():
+    # on random boxes lb <= ub the bound is each cut's exact minimum over the
+    # box's selections with at most k ones, maximised over the cuts, and it
+    # lies below theta_at of every such selection
+    rng = np.random.default_rng(4242)
+    for _ in range(300):
+        n = int(rng.integers(2, 11))
+        k = int(rng.integers(1, n + 1))
+        state = random_state(rng, n, k, n_opt=int(rng.integers(0, 9)),
+                             n_ng=0, p_zero=float(rng.choice([0.0, 0.3])))
+        mark = rng.integers(0, 3, n)   # 0 fixed off, 1 fixed on, 2 free
+        on = np.flatnonzero(mark == 1)
+        mark[on[k:]] = 2               # at most k fixed ones
+        lb = (mark == 1).astype(float)
+        ub = (mark >= 1).astype(float)
+        bound, witness, branch = master.node_eval(state, lb, ub)
+
+        free = [j for j in range(n) if lb[j] < ub[j]]
+        budget = k - int(lb.sum())
+        members = []
+        for extra in range(min(budget, len(free)) + 1):
+            for picked in itertools.combinations(free, extra):
+                bits = lb.astype(np.int64)
+                bits[list(picked)] = 1
+                members.append(bits)
+        for bits in members:
+            theta = master.theta_at(state, bits)
+            assert bound <= theta + 1e-12 * (1.0 + abs(theta))
+
+        per_cut = [state.theta_lb]
+        for c in state.cuts:
+            at_lb = c.intercept + float(c.grad @ (lb - c.origin.bits))
+            steps = sorted(float(c.grad[j]) for j in free)
+            per_cut.append(at_lb + sum(steps[:min(budget, len(free))]))
+        assert bound == pytest.approx(max(per_cut), rel=1e-12, abs=1e-12)
+
+        assert np.all(lb <= witness) and np.all(witness <= ub)
+        assert witness.sum() <= k
+        if len(members) == 1:
+            assert branch == -1
+        else:
+            assert branch in free
+
+
 def test_leaf_bound_is_theta_at_bit_for_bit():
     # theta has one definition: node_eval bounds a one-point box by exactly
     # theta_at, on float pools where differently ordered sums round apart
