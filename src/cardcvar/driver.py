@@ -15,9 +15,13 @@ solves the all-ones selection twice: theta_lb's solve is its step there,
 which at k = n is multi-tree's first. solve_bigm skips cuts entirely and runs
 branch and bound on one QP, lower.lifted_program over every asset inside a
 block of selection variables. All share a wall-clock budget and
-SolveReport assembly. The reported objective always comes from an exact
-re-solve at the incumbent selection, so it is a true upper bound
-regardless of inner tolerances.
+SolveReport assembly. The reported portfolio, objective, VaR and CVaR
+always come from the scenario cutting-plane solve at the incumbent
+selection taken to delta = 1e-9, so the objective is a true upper bound
+regardless of inner tolerances. bcp gets there by resuming the
+incumbent's own lower loop, which the search already ran at its delta, so
+that the QPs the search ran are not run again; cp, bigm and the oracle
+have no such loop and solve afresh.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Instance, Portfolio, SelectionVector, cvar, objective
+from .model import Instance, Portfolio, SelectionVector, objective
 from . import lower, master, numeric
 
 __all__ = [
@@ -55,7 +59,7 @@ EPS_DEFAULT = 1e-5
 DELTA_DEFAULT = 1e-5
 TIME_LIMIT_DEFAULT = 3600.0
 
-_EXTRACT_DELTA = 1e-9   # inner tolerance of the final portfolio re-solve
+_EXTRACT_DELTA = 1e-9   # inner tolerance of the final portfolio solve
 _GAP_FLOOR = 1e-12
 
 
@@ -104,9 +108,20 @@ def _top_k(weights: np.ndarray, k: int) -> SelectionVector:
     return SelectionVector(bits)
 
 
-def extract_portfolio(z_hat: SelectionVector, instance: Instance):
-    """Exact lower-level portfolio at z_hat, or None when infeasible."""
-    res = lower.solve_lower_cp(z_hat, instance, _EXTRACT_DELTA)
+def extract_portfolio(z_hat: SelectionVector, instance: Instance,
+                      resume=None):
+    """The lower-level portfolio at z_hat by the scenario cutting-plane
+    solve at delta = _EXTRACT_DELTA, or None when infeasible.
+
+    resume, the LowerResult of the search's own solve at z_hat, continues
+    that solve's loop (lower.solve_lower_cp): when the search ran at a
+    delta of at least _EXTRACT_DELTA the portfolio equals a solve from
+    scratch bit for bit, and the QPs the search already ran are not run
+    again; below it, the search's own point already meets _EXTRACT_DELTA
+    and is returned at no QP. The portfolio's var_level and var_level +
+    cvar_excess are the beta-quantile and the CVaR of its losses.
+    """
+    res = lower.solve_lower_cp(z_hat, instance, _EXTRACT_DELTA, resume=resume)
     return None if res is None else res.portfolio
 
 
@@ -117,8 +132,11 @@ def _gap_pct(ub: float, lb: float) -> float:
 
 
 def _report(method, status, instance, t0, iterations, nodes, n_cuts,
-            z_hat, lb, ub, params) -> SolveReport:
-    port = None if z_hat is None else extract_portfolio(z_hat, instance)
+            z_hat, lb, ub, params, resume=None) -> SolveReport:
+    """The report of a solve that ends at z_hat; resume is the incumbent's
+    LowerResult, which the portfolio extraction continues."""
+    port = (None if z_hat is None
+            else extract_portfolio(z_hat, instance, resume=resume))
     elapsed = time.monotonic() - t0
     if port is None:
         nan = float("nan")
@@ -128,11 +146,11 @@ def _report(method, status, instance, t0, iterations, nodes, n_cuts,
                            nan, nan, nan, params)
     obj = objective(port, instance)
     ub = min(ub, obj)
-    a_star, cvar_value = cvar(port.weights, instance)
     exp_ret = float(instance.expected_returns @ port.weights)
     return SolveReport(method, status, obj, _gap_pct(ub, lb), elapsed,
                        iterations, nodes, n_cuts, z_hat, port,
-                       cvar_value, a_star, exp_ret, params)
+                       port.var_level + port.cvar_excess, port.var_level,
+                       exp_ret, params)
 
 
 def _echo(eps, delta, time_limit) -> dict:
@@ -199,16 +217,16 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
                                theta_lb=tlb)
     seen = {}    # f_lo of every selection solved so far, keyed by its bits
     lb, ub = tlb, float("inf")
-    z_hat = None
+    z_hat = res_hat = None    # the incumbent and its lower result
     t = 0
     warm = None if single_tree else _top_k(ones.portfolio.weights, instance.k)
 
     def out(status):
         return _report(name, status, instance, t0, t, state.node_count,
-                       len(state.cuts), z_hat, lb, ub, echo)
+                       len(state.cuts), z_hat, lb, ub, echo, resume=res_hat)
 
     def evaluate(z):
-        nonlocal ub, z_hat, t
+        nonlocal ub, z_hat, res_hat, t
         if method == "cp":
             res = lower.solve_lower_lifted(z, instance)
         elif z.count() == instance.n_assets:
@@ -219,7 +237,7 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
         seen[z.bits.tobytes()] = f_lo
         master.add_cut(state, cut)
         if f_hi < ub:
-            ub, z_hat = f_hi, z
+            ub, z_hat, res_hat = f_hi, z, res
         t += 1
         if on_iteration is not None:
             on_iteration(t, z, lb, ub)

@@ -6,11 +6,14 @@ cut row and resumes the active-set solve of the one before it. Its QP is
 over (a, v, x_support), with the inequality rows in the order
     v >= 0, side rows, x_support >= 0, one cut row per scenario subset
 (the subsets in the order they were added) and the budget row as the one
-equality. The rows live in one workspace per call (_CutQP); a new cut is
-written after the last, so no earlier row moves. Each call gathers the
-support columns of the scenario matrix once (S x |supp(z)|, no copy when
-z selects every asset), and every inner iteration computes its losses on
-that block. Each cut is anchored at the left beta-quantile a_ref of the
+equality. The rows live in one workspace per loop (_CutQP); a new cut is
+written after the last, so no earlier row moves. The loop's state
+(_CutLoop) outlives the call in the LowerResult, so a later call at the
+same z can resume it at a smaller delta instead of solving its QPs again.
+Each call gathers the support columns of the scenario matrix once (S x
+|supp(z)|, no copy when z selects every asset), and every inner
+iteration computes its losses on that block; the kept state does not
+hold it. Each cut is anchored at the left beta-quantile a_ref of the
 losses of the QP's portfolio (_var_level, O(S) by partition), where the
 cut is tight on the true CVaR: its subset is the loss tail at a_ref, so it
 holds about (1 - beta) S scenarios, and the loop stops on the exact gap
@@ -32,7 +35,7 @@ subgradient -(gamma/2) omega^2.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,7 +85,10 @@ class DualCertificate:
 class LowerResult:
     """f_lo <= f(z) <= f_hi; subsets holds the cut subsets of the scenario
     cutting-plane solve (None for the lifted one, where f_lo = f_hi), and
-    iters counts the QPs solved."""
+    iters counts the QPs this call solved: a call that resumes an earlier
+    result counts only its own. _loop is the scenario loop's state, which a
+    later call may resume (None for the lifted result); it is left out of
+    repr and comparison."""
 
     f_lo: float
     f_hi: float
@@ -90,6 +96,8 @@ class LowerResult:
     subsets: list | None
     certificate: DualCertificate
     iters: int
+    _loop: "_CutLoop | None" = field(default=None, repr=False,
+                                     compare=False)
 
 
 def _quantile_window(probs: np.ndarray, beta: float):
@@ -211,7 +219,57 @@ def _embed(support: np.ndarray, x_s: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
+class _CutLoop:
+    """The scenario cutting-plane loop of one selection between two QPs.
+
+    It holds the workspace, the subsets with their aggregates (p_J, rho_J)
+    and keys, the count of QPs solved so far, the last QP's solution with
+    its a_ref, v_ref and gap, the subset it would cut next (pending) and
+    whether that subset is a row already, and the warm start of the next
+    QP. Before the first QP, sol is None and the warm start is the cold
+    start. It never holds the support columns of the scenario matrix (S x
+    |supp(z)|): each call of solve_lower_cp gathers them again.
+    """
+
+    def __init__(self, instance: Instance, support: np.ndarray,
+                 x0: np.ndarray):
+        self.subsets = [np.arange(instance.n_scenarios)]
+        # the all-scenario subset aggregates to the expected returns, no
+        # gather
+        self.aggregates = [(float(instance.probs.sum()),
+                            instance.expected_returns)]
+        self.seen = {self.subsets[0].tobytes()}
+        self.qp = _CutQP(instance, support)
+        first = self.qp.add_cut(*self.aggregates[0])
+        # cold start at x0 (a vertex, or the phase-1 point) with a = 0 and
+        # v on the row holding it: the all-scenario cut or v >= 0 (row 0)
+        v0 = float(self.qp.G[first, 2:] @ x0)
+        self.start = np.concatenate([[0.0, max(v0, 0.0)], x0])
+        self.working = [first if v0 >= 0.0 else 0]
+        self.total = 0
+        self.sol = self.a_ref = self.v_ref = self.gap = self.pending = None
+        self.duplicate = False
+
+    def cut(self, instance: Instance) -> None:
+        """Add the pending subset's cut and warm-start the next QP at the
+        last QP point: v rises onto the new cut, which that point violates
+        (see solve_lower_cp), and the rows that held v (v >= 0 and the old
+        cuts) leave the working set."""
+        J = self.pending
+        self.seen.add(J.tobytes())
+        self.subsets.append(J)
+        self.aggregates.append(_aggregate(instance, J))
+        cut = self.qp.add_cut(*self.aggregates[-1])
+        row = self.qp.G[cut]
+        x = self.sol.x
+        self.start = x.copy()
+        self.start[1] = max(x[1], float(row[0] * x[0] + row[2:] @ x[2:]))
+        self.working = [cut] + [int(i) for i in self.sol.working
+                                if 0 < i < self.qp.fixed]
+
+
+def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
+                   resume=None):
     """Scenario cutting-plane solve of the lower-level problem at z.
 
     Returns a LowerResult with f_lo <= f(z) <= f_hi <= f_lo + delta, or None
@@ -238,38 +296,46 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
     raised onto the new cut, the one working row that holds v. (The strict
     tail alone for a_t < a_ref can make a cut the QP point satisfies, and
     then the warm start is not tight on its working row.)
+
+    The loop stops with the subset it would cut still pending, and the
+    result keeps that state. resume, a LowerResult an earlier call returned
+    at the same z, continues its loop from its last QP and pending subset:
+    at a delta no larger than that call's, the result equals a solve from
+    scratch at this delta bit for bit, without running the QPs again, and
+    at a larger one it is the earlier point, at no QP. The call takes the
+    loop over, so the earlier result no longer carries it; a result that
+    carries none (the lifted one, or one resumed already) starts afresh.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     support = z.support()
-    x0 = _support_feasible(instance, support)
-    if x0 is None:
-        return None
+    loop = None if resume is None else resume._loop
+    if loop is None:
+        x0 = _support_feasible(instance, support)
+        if x0 is None:
+            return None
+        loop = _CutLoop(instance, support, x0)
+    elif not np.array_equal(loop.qp.support, support):
+        raise ValueError("resume holds the loop of another selection")
+    else:
+        resume._loop = None
 
-    # the support columns, gathered once; every asset needs no gather
+    # the support columns, gathered once per call; every asset needs no
+    # gather
     cols = (instance.scenarios if support.size == instance.n_assets
             else instance.scenarios.take(support, axis=1))
     probs = instance.probs
-    S = instance.n_scenarios
     one_m_beta = 1.0 - instance.beta
     reach, q = _quantile_window(probs, instance.beta)
-    subsets = [np.arange(S)]
-    # the all-scenario subset aggregates to the expected returns, no gather
-    aggregates = [(float(probs.sum()), instance.expected_returns)]
-    seen = {subsets[0].tobytes()}
-    qp = _CutQP(instance, support)
-    first = qp.add_cut(*aggregates[0])
-    # cold start at x0 (a vertex, or the phase-1 point) with a = 0 and v
-    # on the row holding it: the all-scenario cut or v >= 0 (row 0)
-    v0 = float(qp.G[first, 2:] @ x0)
-    start = np.concatenate([[0.0, max(v0, 0.0)], x0])
-    working = [first if v0 >= 0.0 else 0]
     iters = 0
-    while True:
+    while loop.sol is None or not (loop.gap <= delta or loop.duplicate):
+        if loop.sol is not None:
+            loop.cut(instance)
         iters += 1
-        if iters > MAX_INNER_ITERS:
+        loop.total += 1
+        if loop.total > MAX_INNER_ITERS:
             raise SolverError("inner cutting-plane loop exceeded iteration cap")
-        sol = numeric.solve(qp.program(start, working))
+        sol = numeric.solve(loop.qp.program(loop.start, loop.working))
         if sol.status != numeric.OPTIMAL:
             raise SolverError(f"lower-level QP ended with status {sol.status}")
         a_t = float(sol.x[0])
@@ -280,45 +346,34 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float):
         above = excess > 0.0
         tail = top[above]
         v_ref = float(probs.take(tail) @ excess[above]) / one_m_beta
-        gap = a_ref + v_ref - a_t - v_t
         J = tail if a_t >= a_ref else top[excess >= 0.0]
+        loop.sol, loop.a_ref, loop.v_ref = sol, a_ref, v_ref
+        loop.gap = a_ref + v_ref - a_t - v_t
+        loop.pending = J
+        loop.duplicate = J.tobytes() in loop.seen
 
-        key = J.tobytes()
-        duplicate = key in seen
-        if gap <= delta or duplicate:
-            f_lo = float(sol.obj)
-            if duplicate and gap - delta > GAP_NOISE * (1.0 + abs(f_lo)):
-                log.warning("duplicate scenario subset at gap %.3e; stopping "
-                            "on solver tolerance", gap)
-            if not duplicate:
-                subsets = subsets + [J]
-            x_full = _embed(support, sol.x[2:], instance.n_assets)
-            portfolio = Portfolio(x_full, a_ref, v_ref)
-            f_hi = float(x_full @ x_full / (2.0 * instance.gamma)
-                         + a_ref + v_ref)
-            # row blocks of the QP: v >= 0, side rows, x >= 0, cuts (_CutQP)
-            duals = sol.ineq_duals
-            cert = recover_certificate(duals[qp.fixed:],
-                                       duals[1:1 + instance.side_b.size],
-                                       -float(sol.eq_duals[0]), subsets,
-                                       instance, aggregates)
-            _check_certificate_value(cert, z, instance, f_lo)
-            if iters > 30:
-                log.warning("inner loop took %d iterations", iters)
-            return LowerResult(f_lo=f_lo, f_hi=f_hi, portfolio=portfolio,
-                               subsets=subsets, certificate=cert, iters=iters)
-        seen.add(key)
-        subsets.append(J)
-        aggregates.append(_aggregate(instance, J))
-        # warm start: v rises onto the new cut, which the QP point violates
-        # (see above); the rows that held v (v >= 0 and the old cuts) leave
-        # the working set
-        cut = qp.add_cut(*aggregates[-1])
-        row = qp.G[cut]
-        start = sol.x.copy()
-        start[1] = max(start[1],
-                       float(row[0] * start[0] + row[2:] @ start[2:]))
-        working = [cut] + [int(i) for i in sol.working if 0 < i < qp.fixed]
+    sol, gap = loop.sol, loop.gap
+    f_lo = float(sol.obj)
+    if loop.duplicate and gap - delta > GAP_NOISE * (1.0 + abs(f_lo)):
+        log.warning("duplicate scenario subset at gap %.3e; stopping on "
+                    "solver tolerance", gap)
+    subsets = loop.subsets + ([] if loop.duplicate else [loop.pending])
+    x_full = _embed(support, sol.x[2:], instance.n_assets)
+    portfolio = Portfolio(x_full, loop.a_ref, loop.v_ref)
+    f_hi = float(x_full @ x_full / (2.0 * instance.gamma)
+                 + loop.a_ref + loop.v_ref)
+    # row blocks of the QP: v >= 0, side rows, x >= 0, cuts (_CutQP)
+    duals = sol.ineq_duals
+    cert = recover_certificate(duals[loop.qp.fixed:],
+                               duals[1:1 + instance.side_b.size],
+                               -float(sol.eq_duals[0]), subsets,
+                               instance, loop.aggregates)
+    _check_certificate_value(cert, z, instance, f_lo)
+    if loop.total > 30:
+        log.warning("inner loop took %d iterations", loop.total)
+    return LowerResult(f_lo=f_lo, f_hi=f_hi, portfolio=portfolio,
+                       subsets=subsets, certificate=cert, iters=iters,
+                       _loop=loop)
 
 
 def recover_certificate(cut_duals: np.ndarray, side_duals: np.ndarray,

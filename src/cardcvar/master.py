@@ -570,9 +570,9 @@ def _branch_and_bound(search: _Search, callback) -> None:
         lo[1][branch] = 0.0
         hi = (lb.copy(), ub.copy())
         hi[0][branch] = 1.0
-        for child in (lo, hi):
-            heapq.heappush(heap, (bound, search.key(child[0]), next(tick),
-                                  child))
+        # the lower child keeps its parent's lb, and so its parent's key
+        heapq.heappush(heap, (bound, key, next(tick), lo))
+        heapq.heappush(heap, (bound, search.key(hi[0]), next(tick), hi))
 
 
 def master_solve(state: MasterState, callback=None,

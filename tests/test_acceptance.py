@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, pinned tolerances.
+"""Acceptance suite: one test per criterion, pinned tolerances, and one
+check of the report fields on criterion 01's instances.
 
 Each test prints one `criterion NN: PASS` line on success (visible with -s);
 under `pytest -v` the per-test PASSED/FAILED line carries the same verdict.
@@ -19,6 +20,8 @@ from cardcvar.model import (
     SelectionVector,
     build_feasible_set,
     compute_mu_bar,
+    cvar,
+    objective,
 )
 
 
@@ -287,3 +290,25 @@ def test_criterion_10_parameter_fidelity():
         0.3 * np.mean([0.01, 0.02]) + 0.7 * np.mean([0.03, 0.04]))
     print("criterion 10: PASS - defaults beta=0.9, eps=delta=1e-5, p=1/S, "
           "gamma=10/sqrt(N), mu_bar rule asserted")
+
+
+def test_report_fields_agree_with_the_portfolio(criterion1_runs):
+    """On criterion 01's instances, every method's report (bcp, cp and bigm
+    from the criterion 01 solves, bcpc and the oracle through cli) takes its
+    objective, VaR and CVaR from the reported portfolio, and they agree with
+    model.cvar's sort of all S losses."""
+    runs, _ = criterion1_runs
+    for run in runs:
+        inst = run["inst"]
+        reps = dict(run["reps"])
+        for name in ("bcpc", "oracle"):
+            reps[name] = cli.run_method(inst, cli.RunConfig(method=name, k=3))
+        for name, rep in reps.items():
+            port = rep.portfolio
+            assert rep.status == driver.OPTIMAL, name
+            assert rep.var == port.var_level, name
+            assert rep.cvar == port.var_level + port.cvar_excess, name
+            assert rep.obj == objective(port, inst), name
+            a_star, value = cvar(port.weights, inst)
+            assert rep.var == pytest.approx(a_star, rel=1e-12, abs=0), name
+            assert rep.cvar == pytest.approx(value, rel=1e-12, abs=0), name

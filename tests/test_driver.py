@@ -202,9 +202,9 @@ def test_multi_tree_starts_at_the_top_k_of_the_all_ones_portfolio(
     real = lower.solve_lower_cp
     solved = []
 
-    def spy(z, instance, delta):
+    def spy(z, instance, delta, resume=None):
         solved.append((z.count(), delta))
-        return real(z, instance, delta)
+        return real(z, instance, delta, resume=resume)
 
     monkeypatch.setattr(lower, "solve_lower_cp", spy)
     rng = np.random.default_rng(31)
@@ -287,9 +287,9 @@ def test_multi_tree_bcp_stops_on_a_repeat_without_solving_it(monkeypatch):
         inst = random_instance(np.random.default_rng(seed), 10, 50, k=3)
         solved = []
 
-        def spy(z, instance, delta):
+        def spy(z, instance, delta, resume=None):
             solved.append(z.as_tuple())
-            return real(z, instance, delta)
+            return real(z, instance, delta, resume=resume)
 
         monkeypatch.setattr(lower, "solve_lower_cp", spy)
         offered = []
@@ -360,9 +360,9 @@ def test_single_tree_solves_only_candidates_below_the_upper_bound(
     solved, steps, unsolved = [], [], []
     ub_now = [np.inf]
 
-    def counting_lower(z, instance, delta):
+    def counting_lower(z, instance, delta, resume=None):
         solved.append(z.as_tuple())
-        return real_lower(z, instance, delta)
+        return real_lower(z, instance, delta, resume=resume)
 
     def spying(state, callback=None, deadline=None):
         def cb(z, theta, bound):
@@ -518,6 +518,38 @@ def test_infeasible_instance_all_methods():
         assert rep.portfolio is None
 
 
+def return_limit_instance(seed, offset):
+    """test_acceptance.make_instance(seed, 8, 60, 3) with its return row
+    rebuilt at mu_bar = max mu + offset: at offset 0 only the best-return
+    asset alone meets it, and past 0 nothing does."""
+    base = make_instance(seed, 8, 60, 3)
+    free = Instance(n_assets=8, scenarios=base.scenarios, probs=base.probs,
+                    side_A=np.zeros((0, 8)), side_b=[], beta=base.beta,
+                    gamma=base.gamma, k=3)
+    A, b = build_feasible_set(free, float(free.expected_returns.max())
+                              + offset)
+    return Instance(n_assets=8, scenarios=base.scenarios, probs=base.probs,
+                    side_A=A, side_b=b, beta=base.beta, gamma=base.gamma,
+                    k=3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_return_floor_at_and_past_the_best_asset(seed):
+    """At mu_bar = max mu every method ends Optimal at the oracle's value;
+    1e-8 and 1e-6 past it every method, the oracle included, reports the
+    instance infeasible."""
+    inst = return_limit_instance(seed, 0.0)
+    best_f = oracle.brute_force(inst, 3).best_f
+    for rep in all_methods(inst):
+        assert rep.status == driver.OPTIMAL, rep.method
+        assert abs(rep.obj - best_f) <= 2e-5, rep.method
+    for offset in (1e-8, 1e-6):
+        inst = return_limit_instance(seed, offset)
+        assert oracle.brute_force(inst, 3) is None
+        for rep in all_methods(inst):
+            assert rep.status == driver.INFEASIBLE, rep.method
+
+
 def test_time_limit_reports_honestly():
     inst = two_asset_instance(k=1)
     for solve in CUTTING_PLANE_SOLVES:
@@ -566,9 +598,9 @@ def test_parameter_validation_and_echo():
 def test_time_sec_includes_portfolio_extraction(monkeypatch):
     extract = driver.extract_portfolio
 
-    def slow_extract(z_hat, instance):
+    def slow_extract(z_hat, instance, resume=None):
         time.sleep(0.2)
-        return extract(z_hat, instance)
+        return extract(z_hat, instance, resume=resume)
 
     monkeypatch.setattr(driver, "extract_portfolio", slow_extract)
     report = driver.solve_bcp(two_asset_instance())
@@ -579,9 +611,9 @@ def test_time_sec_includes_portfolio_extraction(monkeypatch):
 def test_oracle_time_sec_includes_portfolio_extraction(monkeypatch):
     extract = driver.extract_portfolio
 
-    def slow_extract(z_hat, instance):
+    def slow_extract(z_hat, instance, resume=None):
         time.sleep(0.2)
-        return extract(z_hat, instance)
+        return extract(z_hat, instance, resume=resume)
 
     monkeypatch.setattr(driver, "extract_portfolio", slow_extract)
     report = cli.run_method(two_asset_instance(k=1),

@@ -650,3 +650,102 @@ def test_every_cut_is_violated_by_the_exact_gap(monkeypatch):
         assert res.f_hi == pytest.approx(objective(res.portfolio, inst),
                                          abs=1e-12)
     assert solves >= 40
+
+
+def assert_same_result(a, b):
+    """Two lower results agree bit for bit on every field but iters."""
+    for x, y in ((a.f_lo, b.f_lo), (a.f_hi, b.f_hi),
+                 (a.portfolio.var_level, b.portfolio.var_level),
+                 (a.portfolio.cvar_excess, b.portfolio.cvar_excess),
+                 (a.certificate.lam, b.certificate.lam)):
+        assert float(x).hex() == float(y).hex()
+    for x, y in ((a.portfolio.weights, b.portfolio.weights),
+                 (a.certificate.alpha, b.certificate.alpha),
+                 (a.certificate.zeta, b.certificate.zeta),
+                 (a.certificate.omega, b.certificate.omega)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert len(a.subsets) == len(b.subsets)
+    for J, K in zip(a.subsets, b.subsets):
+        assert J.dtype == K.dtype and J.tobytes() == K.tobytes()
+
+
+def resume_cases():
+    """Random instances, a third with a return row at the midpoint of the
+    expected returns (binding on some selections), each with a random
+    selection; then one all-ones selection at k = n."""
+    rng = np.random.default_rng(59)
+    for trial in range(24):
+        n = int(rng.integers(2, 9))
+        inst = dirichlet_instance(rng, n, int(rng.integers(20, 300)),
+                                  float(rng.choice([0.75, 0.9, 0.95])))
+        if trial % 3 == 0:
+            mu = inst.expected_returns
+            A, b = build_feasible_set(inst, float(0.5 * (mu.min()
+                                                         + mu.max())))
+            inst = dataclasses.replace(inst, side_A=A, side_b=b)
+        yield inst, random_selection(rng, n)
+
+
+def test_resume_at_a_smaller_delta_equals_a_solve_from_scratch():
+    """A call that resumes a 1e-5 result at 1e-9 continues its loop from the
+    last QP and the pending subset: its result equals the 1e-9 solve from
+    scratch bit for bit, and the QPs of the two calls add up to the
+    scratch solve's."""
+    resumed_qps = solves = 0
+    for inst, z in resume_cases():
+        fine = lower.solve_lower_cp(z, inst, 1e-9)
+        coarse = lower.solve_lower_cp(z, inst, 1e-5)
+        if fine is None:
+            assert coarse is None
+            continue
+        solves += 1
+        resumed = lower.solve_lower_cp(z, inst, 1e-9, resume=coarse)
+        assert_same_result(resumed, fine)
+        assert coarse.iters + resumed.iters == fine.iters
+        resumed_qps += resumed.iters
+    assert solves >= 18
+    # enough resumes ran QPs of their own to exercise the pending subset
+    assert resumed_qps >= 5
+
+
+def test_resume_of_the_all_ones_result_at_k_equals_n():
+    """theta_lb's all-ones result, which bcp keeps as its step at k = n,
+    resumes to the 1e-9 solve from scratch."""
+    rng = np.random.default_rng(61)
+    for trial in range(6):
+        n = int(rng.integers(2, 8))
+        inst = random_instance(rng, n, int(rng.integers(50, 400)),
+                               with_return_row=bool(trial % 2))
+        ones = SelectionVector(np.ones(n, dtype=int))
+        _, res = driver.theta_lb(inst)
+        fine = lower.solve_lower_cp(ones, inst, 1e-9)
+        resumed = lower.solve_lower_cp(ones, inst, 1e-9, resume=res)
+        assert_same_result(resumed, fine)
+        assert res.iters + resumed.iters == fine.iters
+
+
+def test_resume_at_a_delta_already_met_solves_no_qp():
+    """At a delta no smaller than the one the loop stopped at, a resume
+    returns the same result at no QP; the loop passes to the new result, and
+    resuming the old one again starts afresh."""
+    for inst, z in resume_cases():
+        coarse = lower.solve_lower_cp(z, inst, 1e-5)
+        if coarse is None:
+            continue
+        same = lower.solve_lower_cp(z, inst, 1e-5, resume=coarse)
+        assert same.iters == 0
+        assert_same_result(same, coarse)
+        looser = lower.solve_lower_cp(z, inst, 1e-3, resume=same)
+        assert looser.iters == 0
+        assert_same_result(looser, coarse)
+        again = lower.solve_lower_cp(z, inst, 1e-5, resume=coarse)
+        assert again.iters == coarse.iters
+        assert_same_result(again, coarse)
+
+
+def test_resume_rejects_another_selection():
+    inst = random_instance(np.random.default_rng(67), 4, 60)
+    res = lower.solve_lower_cp(SelectionVector([1, 1, 0, 0]), inst, 1e-5)
+    with pytest.raises(ValueError):
+        lower.solve_lower_cp(SelectionVector([0, 1, 1, 0]), inst, 1e-9,
+                             resume=res)
