@@ -18,10 +18,16 @@ losses of the QP's portfolio (_var_level, O(S) by partition), where the
 cut is tight on the true CVaR: its subset is the loss tail at a_ref, so it
 holds about (1 - beta) S scenarios, and the loop stops on the exact gap
 between the QP value and the objective of the QP's portfolio. The subset
-aggregates stay full width, so a certificate needs no second pass. The
-first QP starts at the unit vertex of the first support asset that
-satisfies every side row, and only when no vertex does at the phase-1
-point of the support polytope.
+aggregates stay full width, so a certificate needs no second pass.
+
+A fresh loop starts with two cut rows: the all-scenario cut and the cut of
+the tail J0 of the risk-neutral portfolio x^ = proj_simplex(gamma mu_S)
+(_anchor_subset), left out when J0 is every scenario. x^ minimises the QP
+with the all-scenario cut alone whenever the side rows are slack there, so
+J0 is the cut that QP would lead to, found by one sort instead. The first QP
+starts at the unit vertex of the first support asset that satisfies every
+side row, and only when no vertex does at the phase-1 point of the support
+polytope.
 
 lifted_program builds the per-scenario CVaR lifting of Rockafellar and
 Uryasev, the one S-sized program in the package: solve_lower_lifted solves
@@ -85,7 +91,8 @@ class DualCertificate:
 class LowerResult:
     """f_lo <= f(z) <= f_hi; subsets holds the cut subsets of the scenario
     cutting-plane solve (None for the lifted one, where f_lo = f_hi), and
-    iters counts the QPs this call solved: a call that resumes an earlier
+    iters counts the QPs this call solved (the anchor portfolio x^ of a fresh
+    loop is not a QP and is not counted): a call that resumes an earlier
     result counts only its own. _loop is the scenario loop's state, which a
     later call may resume (None for the lifted result); it is left out of
     repr and comparison."""
@@ -213,6 +220,33 @@ def _support_feasible(instance: Instance, support: np.ndarray):
     return numeric.feasible(G, h, np.ones((1, K)), np.array([1.0]))
 
 
+def _simplex_projection(y: np.ndarray) -> np.ndarray:
+    """The Euclidean projection of y onto {x >= 0, sum x = 1}, by one sort
+    (Held, Wolfe and Crowder 1974; Duchi et al. 2008)."""
+    u = np.sort(y)[::-1]
+    excess = np.cumsum(u) - 1.0
+    last = np.flatnonzero(u * np.arange(1, y.size + 1) > excess)[-1]
+    return np.maximum(y - excess[last] / (last + 1), 0.0)
+
+
+def _anchor_subset(instance: Instance, support: np.ndarray,
+                   cols: np.ndarray, reach: float, q: int) -> np.ndarray:
+    """J0 = {L >= a_ref} for the losses L = -cols @ x^ of the risk-neutral
+    portfolio x^ = proj_simplex(gamma mu_S), with a_ref their left
+    beta-quantile (_var_level), as the loop cuts after a QP.
+
+    With the all-scenario cut alone, the QP's (a, v) block is optimal at
+    a = -mu_S x, v = 0, so the QP is min |x|^2 / (2 gamma) - mu_S x over the
+    support polytope: x^ when the side rows are slack there. Any subset
+    gives a valid cut, so J0 is one whether they are slack or not.
+    """
+    x_hat = _simplex_projection(instance.gamma
+                                * instance.expected_returns.take(support))
+    losses = -(cols @ x_hat)
+    a_ref, top = _var_level(losses, instance.probs, reach, q)
+    return top[losses.take(top) >= a_ref]
+
+
 def _embed(support: np.ndarray, x_s: np.ndarray, n: int) -> np.ndarray:
     x = np.zeros(n)
     x[support] = x_s
@@ -222,44 +256,54 @@ def _embed(support: np.ndarray, x_s: np.ndarray, n: int) -> np.ndarray:
 class _CutLoop:
     """The scenario cutting-plane loop of one selection between two QPs.
 
-    It holds the workspace, the subsets with their aggregates (p_J, rho_J)
-    and keys, the count of QPs solved so far, the last QP's solution with
+    It holds the workspace, the subsets with their aggregates (p_J, rho_J),
+    the byte keys of every subset but the all-scenario one (recognised by
+    its size), the count of QPs solved so far, the last QP's solution with
     its a_ref, v_ref and gap, the subset it would cut next (pending) and
     whether that subset is a row already, and the warm start of the next
-    QP. Before the first QP, sol is None and the warm start is the cold
-    start. It never holds the support columns of the scenario matrix (S x
-    |supp(z)|): each call of solve_lower_cp gathers them again.
+    QP. A fresh loop holds the all-scenario subset and then J0
+    (_anchor_subset), unless J0 is every scenario; each later subset is the
+    one cut after a QP, in order. Before the first QP, sol is None and the
+    warm start is the cold start. It never holds the support columns of the
+    scenario matrix (S x |supp(z)|): each call of solve_lower_cp gathers
+    them again.
     """
 
     def __init__(self, instance: Instance, support: np.ndarray,
-                 x0: np.ndarray):
+                 x0: np.ndarray, anchor: np.ndarray):
         self.subsets = [np.arange(instance.n_scenarios)]
         # the all-scenario subset aggregates to the expected returns, no
         # gather
         self.aggregates = [(float(instance.probs.sum()),
                             instance.expected_returns)]
-        self.seen = {self.subsets[0].tobytes()}
+        self.seen = set()
         self.qp = _CutQP(instance, support)
-        first = self.qp.add_cut(*self.aggregates[0])
+        rows = [self.qp.add_cut(*self.aggregates[0])]
+        if anchor.size < instance.n_scenarios:
+            rows.append(self._add(instance, anchor))
         # cold start at x0 (a vertex, or the phase-1 point) with a = 0 and
-        # v on the row holding it: the all-scenario cut or v >= 0 (row 0)
-        v0 = float(self.qp.G[first, 2:] @ x0)
-        self.start = np.concatenate([[0.0, max(v0, 0.0)], x0])
-        self.working = [first if v0 >= 0.0 else 0]
+        # v on the row holding it: the larger initial cut or v >= 0 (row 0)
+        v0 = [float(self.qp.G[row, 2:] @ x0) for row in rows]
+        i = int(np.argmax(v0))
+        self.start = np.concatenate([[0.0, max(v0[i], 0.0)], x0])
+        self.working = [rows[i] if v0[i] >= 0.0 else 0]
         self.total = 0
         self.sol = self.a_ref = self.v_ref = self.gap = self.pending = None
         self.duplicate = False
+
+    def _add(self, instance: Instance, J: np.ndarray) -> int:
+        """Record subset J and write its cut; returns the cut's row."""
+        self.seen.add(J.tobytes())
+        self.subsets.append(J)
+        self.aggregates.append(_aggregate(instance, J))
+        return self.qp.add_cut(*self.aggregates[-1])
 
     def cut(self, instance: Instance) -> None:
         """Add the pending subset's cut and warm-start the next QP at the
         last QP point: v rises onto the new cut, which that point violates
         (see solve_lower_cp), and the rows that held v (v >= 0 and the old
         cuts) leave the working set."""
-        J = self.pending
-        self.seen.add(J.tobytes())
-        self.subsets.append(J)
-        self.aggregates.append(_aggregate(instance, J))
-        cut = self.qp.add_cut(*self.aggregates[-1])
+        cut = self._add(instance, self.pending)
         row = self.qp.G[cut]
         x = self.sol.x
         self.start = x.copy()
@@ -297,6 +341,15 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
     tail alone for a_t < a_ref can make a cut the QP point satisfies, and
     then the warm start is not tight on its working row.)
 
+    A fresh loop's first QP already holds two cuts: the all-scenario one and
+    that of J0, the tail {L >= a_ref} of the risk-neutral portfolio
+    (_anchor_subset), unless J0 is every scenario. Where the side rows are
+    slack at that portfolio, it is the minimiser of the QP with the
+    all-scenario cut alone (up to rounding), so the loop makes the cuts it
+    would make from that QP, one QP sooner; the result's subsets are the
+    all-scenario one, J0 when it was added, then one per QP. iters counts
+    QPs only.
+
     The loop stops with the subset it would cut still pending, and the
     result keeps that state. resume, a LowerResult an earlier call returned
     at the same z, continues its loop from its last QP and pending subset:
@@ -314,7 +367,6 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
         x0 = _support_feasible(instance, support)
         if x0 is None:
             return None
-        loop = _CutLoop(instance, support, x0)
     elif not np.array_equal(loop.qp.support, support):
         raise ValueError("resume holds the loop of another selection")
     else:
@@ -325,8 +377,12 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
     cols = (instance.scenarios if support.size == instance.n_assets
             else instance.scenarios.take(support, axis=1))
     probs = instance.probs
+    S = probs.size
     one_m_beta = 1.0 - instance.beta
     reach, q = _quantile_window(probs, instance.beta)
+    if loop is None:
+        loop = _CutLoop(instance, support, x0,
+                        _anchor_subset(instance, support, cols, reach, q))
     iters = 0
     while loop.sol is None or not (loop.gap <= delta or loop.duplicate):
         if loop.sol is not None:
@@ -350,7 +406,7 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
         loop.sol, loop.a_ref, loop.v_ref = sol, a_ref, v_ref
         loop.gap = a_ref + v_ref - a_t - v_t
         loop.pending = J
-        loop.duplicate = J.tobytes() in loop.seen
+        loop.duplicate = J.size == S or J.tobytes() in loop.seen
 
     sol, gap = loop.sol, loop.gap
     f_lo = float(sol.obj)

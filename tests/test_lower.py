@@ -364,15 +364,16 @@ def test_warm_and_cold_reduced_qps_agree(monkeypatch):
         return real_solve(prog)
 
     monkeypatch.setattr(numeric, "solve", spy)
+    warm = []
     for trial in range(12):
         n = int(rng.integers(2, 9))
         inst = random_instance(rng, n, int(rng.integers(10, 120)),
                                beta=(0.9 if trial % 2 else 0.75),
                                with_return_row=bool(trial % 3 == 0))
+        first = len(progs)
         lower.solve_lower_cp(random_selection(rng, n), inst, 1e-7)
-    # cut rows are the rows with a nonzero coefficient on a; every QP after
-    # the first of a loop is warm-started
-    warm = [p for p in progs if np.count_nonzero(p.ineq_G[:, 0]) > 1]
+        # every QP after the first of a loop is warm-started
+        warm += progs[first + 1:]
     assert len(warm) >= 10
     for prog in warm:
         w = real_solve(prog)
@@ -594,16 +595,21 @@ def test_every_cut_is_violated_by_the_exact_gap(monkeypatch):
     """Spy on the inner QPs of lower solves over tie grids and random
     instances. Each cut that does not stop the loop is violated at the QP
     point before it by at least that point's exact gap CVaR(x_t) - a_t - v_t
-    (so v rises onto the new cut in the warm start); each subset after the
-    all-scenario one holds at most 1 - beta of probability plus the
-    probability tied at the quantile; the returned portfolio sits at the
-    quantile with f_hi its exact objective."""
+    (so v rises onto the new cut in the warm start); each subset cut after
+    a QP holds at most 1 - beta of probability plus the probability tied at
+    the quantile; the returned portfolio sits at the quantile with f_hi its
+    exact objective."""
     state = {}
     real_solve = numeric.solve
 
     def spy(prog):
         prev = state.get("prev")
-        if prev is not None:
+        if prev is None:
+            # the cut rows the loop starts with: the all-scenario one and
+            # the risk-neutral portfolio's tail, unless that is every
+            # scenario
+            state["initial"] = np.count_nonzero(prog.ineq_G[:, 0])
+        else:
             # the program after a QP adds one cut row, violated at its point
             old_prog, sol, gap, f = prev
             assert prog.ineq_h.size == old_prog.ineq_h.size + 1
@@ -639,8 +645,10 @@ def test_every_cut_is_violated_by_the_exact_gap(monkeypatch):
             continue
         solves += 1
         assert len(state["points"]) == res.iters
-        # subsets[t + 1] is the cut made at QP t
-        for (x_full, a_star), J in zip(state["points"], res.subsets[1:]):
+        # subsets[t + initial] is the cut made at QP t
+        assert 1 <= state["initial"] <= 2
+        for (x_full, a_star), J in zip(state["points"],
+                                       res.subsets[state["initial"]:]):
             losses = -(inst.scenarios @ x_full)
             tied = np.abs(losses - a_star) <= 1e-12 * (1.0 + abs(a_star))
             bound = 1.0 - inst.beta + inst.probs[tied].sum()
@@ -650,6 +658,89 @@ def test_every_cut_is_violated_by_the_exact_gap(monkeypatch):
         assert res.f_hi == pytest.approx(objective(res.portfolio, inst),
                                          abs=1e-12)
     assert solves >= 40
+
+
+def check_anchor(inst, z):
+    """The risk-neutral anchor of a fresh loop at z. J0 holds at least
+    1 - beta of probability and at most that plus the probability tied at
+    the quantile of x^ = proj_simplex(gamma mu_S), as every cut of the loop
+    does. Where the side rows are slack at x^, x^ is the minimiser of the QP
+    with the all-scenario cut alone to 1e-12. Returns x^ when they are slack,
+    else None."""
+    support = z.support()
+    x_hat = lower._simplex_projection(
+        inst.gamma * inst.expected_returns[support])
+    assert np.all(x_hat >= 0.0) and abs(x_hat.sum() - 1.0) <= 1e-12
+    J0 = lower._anchor_subset(inst, support, inst.scenarios[:, support],
+                              *lower._quantile_window(inst.probs, inst.beta))
+    x_full = np.zeros(inst.n_assets)
+    x_full[support] = x_hat
+    losses = -(inst.scenarios @ x_full)
+    a_star = cvar(x_full, inst)[0]
+    tied = np.abs(losses - a_star) <= 1e-12 * (1.0 + abs(a_star))
+    pJ = inst.probs[J0].sum()
+    assert pJ <= 1.0 - inst.beta + inst.probs[tied].sum() + 1e-12
+    assert pJ >= 1.0 - inst.beta - 1e-12
+    if not np.all(inst.side_A[:, support] @ x_hat < inst.side_b - 1e-9):
+        return None
+    qp = lower._CutQP(inst, support)
+    qp.add_cut(float(inst.probs.sum()), inst.expected_returns)
+    sol = numeric.solve(qp.program(None, None))
+    assert sol.status == numeric.OPTIMAL
+    np.testing.assert_allclose(sol.x[2:], x_hat, rtol=0.0, atol=1e-12)
+    return x_hat
+
+
+def test_anchor_is_the_risk_neutral_minimiser():
+    """Random instances with uniform and uneven probabilities, tie grids,
+    and instances with a repeated asset (tied mu) and a zero-variance one,
+    at gammas from nearly uniform to a vertex x^, with and without a
+    return row at the midpoint of mu; each at a random selection, one asset
+    (K = 1) and every asset (k = n)."""
+    rng = np.random.default_rng(73)
+    slack = clipped = 0
+    for trial in range(40):
+        n = int(rng.integers(2, 9))
+        s = int(rng.integers(2, 150))
+        beta = float(rng.choice([0.5, 0.8, 0.9, 0.95]))
+        kind = trial % 4
+        if kind == 0:
+            inst = random_instance(rng, n, s, beta)
+        elif kind == 1:
+            inst = dirichlet_instance(rng, n, s, beta)
+        elif kind == 2:
+            inst = grid_instance(rng, n, s, beta)
+        else:
+            scen = rng.normal(0.01, 0.05, size=(s, n))
+            scen[:, -1] = scen[:, 0]
+            scen[:, n // 2] = 0.01
+            inst = dataclasses.replace(random_instance(rng, n, s, beta),
+                                       scenarios=scen)
+        inst = dataclasses.replace(
+            inst, gamma=float(rng.choice([0.5, 10.0, 300.0])))
+        if trial % 3 == 0:
+            mu = inst.expected_returns
+            A, b = build_feasible_set(inst, float(0.5 * (mu.min()
+                                                         + mu.max())))
+            inst = dataclasses.replace(inst, side_A=A, side_b=b)
+        one = np.zeros(n, dtype=int)
+        one[rng.integers(n)] = 1
+        for z in (random_selection(rng, n), SelectionVector(one),
+                  SelectionVector(np.ones(n, dtype=int))):
+            x_hat = check_anchor(inst, z)
+            if x_hat is not None:
+                slack += 1
+                clipped += bool(np.any(x_hat == 0.0))
+    assert slack >= 80
+    assert clipped >= 10
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(lower_cases())
+def test_anchor_on_degenerate_instances(case):
+    inst, z, _ = case
+    if z.count():
+        check_anchor(inst, z)
 
 
 def assert_same_result(a, b):
