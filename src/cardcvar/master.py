@@ -4,34 +4,24 @@ The feasible region is theta >= theta_lb, one affine row per optimality cut,
 one exclusion row per no-good cut, and the cardinality bound 1'z <= k with z
 binary. MasterState stores the pool once, and every path reads it in place:
 theta at z is max(theta_lb, max(base + grad @ z)) everywhere (theta_at).
-When the selection space is small enough to tabulate, master_solve keeps
-every selection's theta in a table. Selection codes split into a high
-part and a low part of up to 13 bits; block p pairs every high part with p
-ones with every low part with at most k - p ones, so each block is a dense
-2-D array and a cut is scored into it by one broadcast outer sum of the
-gradient's subset sums over the two parts. The table is scored lazily, in
-chunks of rows: cuts only raise theta, so a chunk's last exact minimum and
-each pending cut's exact minimum over it bound it from below, and a solve
-scores the pending cuts into a chunk only when that bound reaches the
-optimum, best-first. Ties go to the lexicographically smallest selection.
-Otherwise master_solve runs one best-bound branch and bound over
-coordinate boxes. Each box is bounded by its best single cut, the largest
-of the cuts' exact minima over it (one sort per cut, because cut gradients
-are nonpositive), and that binding cut picks the box's witness and branch
-coordinate. Ties go to the lexicographically smallest z there too, by
-keeping a box within the tie tolerance only while its smallest member
-comes first. Either way reruns are reproducible.
+master_solve runs one best-bound branch and bound over coordinate boxes.
+Each box is bounded by its best single cut, the largest of the cuts' exact
+minima over it (one sort per cut, because cut gradients are nonpositive),
+and that binding cut picks the box's witness and branch coordinate. Ties go
+to the lexicographically smallest z, by keeping a box within the tie
+tolerance only while its smallest member comes first. The open boxes, the
+frontier, live on the MasterState and carry over from one solve to the
+next: cuts only add rows, so a stored bound stays a lower bound, and a box
+the incumbent dominates is kept with its bound, to reopen in a later solve
+whose incumbent theta has risen. Reruns are reproducible.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
-import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,12 +42,7 @@ OPTIMALITY = "Optimality"
 NO_GOOD = "NoGood"
 
 _BB_TOL = 1e-9         # relative pruning and tie tolerance
-_ENUM_LIMIT = 8_000_000   # tabulate the selection space up to this many rows
-_ENUM_BITS = 64           # tabulated selection codes fit in uint64
-_ENUM_CHUNK = 65_536      # selections per chunk of the lazily scored table
-_F64_ROWS = 100_000       # exact float64 scoring up to this table size
-_LO_BITS = 13             # code bits in the low part of the block layout
-_CUT_CAPACITY = 64        # optimality rows stored before the first doubling
+_CUT_CAPACITY = 64     # optimality rows stored before the first doubling
 
 
 class MasterTimeout(RuntimeError):
@@ -102,7 +87,10 @@ class MasterState:
     _origins are the optimality cuts theta >= base + grad @ z, with base =
     intercept - grad @ origin, in arrays that double when full. no_goods
     maps each excluded selection's _key to its bits; cuts records every Cut
-    added. node_count sums the solves' work: box nodes, or entries scored."""
+    added. _frontier is the branch and bound's heap of open boxes, None
+    until the first solve; each box is an int8 vector over the assets,
+    0 fixed off, 1 fixed on and 2 free, and _tick numbers them for the
+    heap's order. node_count sums the boxes the solves have bounded."""
 
     n_assets: int
     k: int
@@ -119,7 +107,7 @@ class MasterState:
         self._base = np.empty(_CUT_CAPACITY)
         self._grad = np.empty((_CUT_CAPACITY, self.n_assets))
         self._origins = np.empty_like(self._grad)
-        self._enum_cache = None
+        self._frontier, self._tick = None, itertools.count()
 
     @property
     def base(self) -> np.ndarray:
@@ -161,266 +149,10 @@ def theta_at(state: MasterState, bits: np.ndarray) -> float:
     return max(state.theta_lb, float(rows.max(initial=-np.inf)))
 
 
-def _selection_count(n: int, k: int) -> int:
-    return sum(math.comb(n, j) for j in range(min(k, n) + 1))
-
-
-class _Layout(NamedTuple):
-    """Popcount-block layout of the selections with at most k assets.
-
-    Bit n-1-j of a selection's code is coordinate j, so ascending codes are
-    lexicographic order. A code splits as hi << lo_bits | lo. Block p pairs
-    every high part with p ones (hi_codes[p], ascending) with the first
-    widths[p] low parts in lo_codes, which are exactly those with at most
-    k - p ones; lo_codes orders the low parts stably by popcount."""
-
-    k: int
-    lo_bits: int
-    lo_codes: np.ndarray
-    widths: tuple
-    hi_codes: tuple
-
-
-def _subset_sums(weights: np.ndarray, top: int) -> list:
-    """Entry p lists the sums of weights over every p-subset of positions,
-    p <= top, in ascending order of the code sum(2**t for t in subset).
-    Every sum accumulates from its lowest position up."""
-    blocks = [np.zeros(1, dtype=weights.dtype)] + [weights[:0]] * top
-    for t, w in enumerate(weights):
-        for p in range(min(t + 1, top), 0, -1):
-            blocks[p] = np.concatenate([blocks[p], blocks[p - 1] + w])
-    return blocks
-
-
-def _bit_weights(m: int) -> np.ndarray:
-    return np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
-
-
-@functools.lru_cache(maxsize=8)
-def _layout(n: int, k: int) -> _Layout:
-    lo_bits = min(n, _LO_BITS)
-    lo = _subset_sums(_bit_weights(lo_bits), min(k, lo_bits))
-    hi = _subset_sums(_bit_weights(n - lo_bits), min(k, n - lo_bits))
-    counts = np.cumsum([part.size for part in lo])
-    widths = tuple(int(counts[min(k - p, lo_bits)]) for p in range(len(hi)))
-    lo_codes = np.concatenate(lo)
-    for arr in (lo_codes, *hi):
-        arr.flags.writeable = False
-    return _Layout(k, lo_bits, lo_codes, widths, tuple(hi))
-
-
-def _decode(code: int, n: int) -> np.ndarray:
-    return np.array([(code >> (n - 1 - j)) & 1 for j in range(n)],
-                    dtype=np.int64)
-
-
-def _encode(bits: np.ndarray) -> int:
-    return sum(1 << (bits.size - 1 - int(j)) for j in np.flatnonzero(bits))
-
-
-class _Chunks(NamedTuple):
-    """Row groups of about _ENUM_CHUNK entries of each block: chunk c is
-    rows start[c]:stop[c] of block[c], whose rows hold width[c] entries,
-    and flat[c] is start[c] counted across the blocks' rows laid end to
-    end. Chunks run in block order and row order within a block; order
-    lists them by the high part of their first row, which is ascending
-    order of the smallest code each holds."""
-
-    block: np.ndarray
-    start: np.ndarray
-    stop: np.ndarray
-    width: np.ndarray
-    flat: np.ndarray
-    order: np.ndarray
-
-
-class _CutSums(NamedTuple):
-    """An optimality cut split over the block layout: its value at row r,
-    column j of block p is (lo[j] + hi[p][r]) + lift, in the scoring dtype."""
-
-    lo: np.ndarray
-    hi: tuple
-    lift: np.floating
-
-
-def _chunks(layout: _Layout) -> _Chunks:
-    block, start, stop, widths, flat, first = [], [], [], [], [], []
-    offset = 0
-    for p, (hi, width) in enumerate(zip(layout.hi_codes, layout.widths)):
-        r0 = np.arange(0, hi.size, max(1, _ENUM_CHUNK // width))
-        block.append(np.full(r0.size, p))
-        start.append(r0)
-        stop.append(np.append(r0[1:], hi.size))
-        widths.append(np.full(r0.size, width))
-        flat.append(offset + r0)
-        first.append(hi[r0])
-        offset += hi.size
-    order = np.argsort(np.concatenate(first), kind="stable")
-    return _Chunks(*(np.concatenate(part)
-                     for part in (block, start, stop, widths, flat)), order)
-
-
-def _cut_sums(grad: np.ndarray, base: float, layout: _Layout,
-              dtype: np.dtype) -> _CutSums:
-    n_hi = grad.size - layout.lo_bits
-    lo = np.concatenate(_subset_sums(grad[n_hi:][::-1],
-                                     min(layout.k, layout.lo_bits)))
-    hi = _subset_sums(grad[:n_hi][::-1], len(layout.hi_codes) - 1)
-    return _CutSums(lo.astype(dtype), tuple(h.astype(dtype) for h in hi),
-                    dtype.type(base))
-
-
-def _chunk_bounds(sums: _CutSums, layout: _Layout,
-                  chunks: _Chunks) -> np.ndarray:
-    """Exact minimum of the cut's scores over each chunk. A chunk's scores
-    are (lo[j] + hi[r]) + lift over its rows r and columns j, and rounded
-    addition is monotone in each argument, so the minimum is the same sum
-    of the minima, added in the same order."""
-    lo_min = np.minimum.accumulate(sums.lo)[np.array(layout.widths) - 1]
-    hi_min = np.minimum.reduceat(np.concatenate(sums.hi), chunks.flat)
-    return (lo_min[chunks.block] + hi_min) + sums.lift
-
-
-def _locate(bits: np.ndarray, layout: _Layout):
-    """(block, row, column) of a selection in the layout, or None when it
-    has more than k assets."""
-    if int(bits.sum()) > layout.k:
-        return None
-    code = _encode(bits)
-    hi, lo = code >> layout.lo_bits, code & ((1 << layout.lo_bits) - 1)
-    p = hi.bit_count()
-    row = int(np.searchsorted(layout.hi_codes[p], np.uint64(hi)))
-    return p, row, int(np.flatnonzero(layout.lo_codes == lo)[0])
-
-
-def _enum_cache(state: MasterState) -> dict:
-    """Per-state theta table of every selection, scored lazily chunk by
-    chunk from the pool's store.
-
-    "theta" holds one 2-D array per chunk of "chunks" (_Chunks), the row
-    groups of the popcount layout's blocks (_Layout). Chunk c has taken in
-    the first "done"[c] optimality rows, or is None while "done"[c] is -1:
-    a chunk is allocated when a search first reaches it. "bound"[c] is the
-    larger of its exact minimum after those rows and each pending row's
-    exact minimum over it (_chunk_bounds); cuts only raise theta, so a
-    stale bound stays a valid lower bound.
-    "cuts" holds each row's subset sums (_CutSums), applied to a chunk as
-    the broadcast outer sum (low-part sums + high-part sums) + lift and
-    taken in by np.maximum. "no_goods" holds each no-good's location
-    (_locate), set to +inf when its chunk is allocated, so a new no-good
-    frees its chunk. Up to _F64_ROWS selections the scores are float64,
-    above it float32: the rounding (well under 1e-6 at portfolio scales)
-    can only sway which of two near-tied selections is returned, never the
-    exactness of the cut model or the monotonicity of successive solves."""
-    layout = _layout(state.n_assets, state.k)
-    cache = state._enum_cache
-    if cache is None:
-        dtype = np.dtype(np.float64 if _selection_count(state.n_assets,
-                                                        state.k)
-                         <= _F64_ROWS else np.float32)
-        chunks = _chunks(layout)
-        cache = {"theta": [None] * chunks.block.size,
-                 "chunks": chunks,
-                 "done": np.full(chunks.block.size, -1),
-                 "bound": np.full(chunks.block.size, state.theta_lb,
-                                  dtype=dtype),
-                 "cuts": [],
-                 "no_goods": [],
-                 "theta_lb": state.theta_lb}
-        state._enum_cache = cache
-    chunks, bound = cache["chunks"], cache["bound"]
-    for row in range(len(cache["cuts"]), state.n_opt):
-        sums = _cut_sums(state.grad[row], state.base[row], layout,
-                         bound.dtype)
-        np.maximum(bound, _chunk_bounds(sums, layout, chunks), out=bound)
-        cache["cuts"].append(sums)
-    for bits in itertools.islice(state.no_goods.values(),
-                                 len(cache["no_goods"]), None):
-        loc = _locate(bits, layout)
-        cache["no_goods"].append(loc)
-        if loc is not None:
-            c = np.flatnonzero((chunks.block == loc[0])
-                               & (chunks.start <= loc[1]))[-1]
-            cache["theta"][c], cache["done"][c] = None, -1
-    return cache
-
-
-def _refresh(cache: dict, c: int) -> int:
-    """Apply chunk c's pending rows and record its exact minimum as its
-    bound; returns its entry count. A new chunk starts from theta_lb."""
-    chunks = cache["chunks"]
-    p, r0, r1 = (int(chunks.block[c]), int(chunks.start[c]),
-                 int(chunks.stop[c]))
-    rows = cache["theta"][c]
-    if rows is None:
-        rows = np.full((r1 - r0, int(chunks.width[c])), cache["theta_lb"],
-                       dtype=cache["bound"].dtype)
-        for q, row, col in filter(None, cache["no_goods"]):
-            if q == p and r0 <= row < r1:
-                rows[row - r0, col] = np.inf
-        cache["theta"][c] = rows
-    vals = np.empty_like(rows)
-    for sums in cache["cuts"][max(cache["done"][c], 0):]:
-        np.add(sums.lo[:rows.shape[1]], sums.hi[p][r0:r1, None], out=vals)
-        vals += sums.lift
-        np.maximum(rows, vals, out=rows)
-    cache["done"][c] = len(cache["cuts"])
-    cache["bound"][c] = rows.min()
-    return rows.size
-
-
-def _enumerate_solve(state: MasterState, deadline: float | None):
-    """Exact master solve over the tabulated selection space, best-first
-    over chunks (_enum_cache): the chunk of least bound is brought up to
-    date until the least bound belongs to a chunk already up to date, which
-    makes it the optimum. Ties go to the smallest code: the chunks whose
-    bound is within the cutoff are visited in ascending order of their
-    smallest code, each brought up to date, and each that has a selection
-    within the cutoff offers the smallest low part of its first such row,
-    until the next chunk's smallest code exceeds the best offer. Each
-    chunk brought up to date adds its entries to state.node_count."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise MasterTimeout("master deadline passed")
-    layout = _layout(state.n_assets, state.k)
-    cache = _enum_cache(state)
-    theta, chunks = cache["theta"], cache["chunks"]
-    bound, done = cache["bound"], cache["done"]
-    n_cuts = len(cache["cuts"])
-    while True:
-        c = int(np.argmin(bound))
-        if done[c] == n_cuts:
-            break
-        state.node_count += _refresh(cache, c)
-    theta_star = float(bound[c])
-    best = None
-    if np.isfinite(theta_star):
-        limit = bound.dtype.type(
-            theta_star + _BB_TOL * (1.0 + abs(theta_star)))
-        pick = None
-        for c in chunks.order[bound[chunks.order] <= limit]:
-            p, r0 = int(chunks.block[c]), int(chunks.start[c])
-            hi_codes = layout.hi_codes[p]
-            smallest = int(hi_codes[r0]) << layout.lo_bits
-            if pick is not None and smallest > pick[0]:
-                break
-            if done[c] < n_cuts:
-                state.node_count += _refresh(cache, c)
-            if bound[c] > limit:
-                continue
-            rows = theta[c]
-            row = int(np.argmax(rows.ravel() <= limit)) // rows.shape[1]
-            cols = np.flatnonzero(rows[row] <= limit)
-            col = int(cols[np.argmin(layout.lo_codes[cols])])
-            code = ((int(hi_codes[r0 + row]) << layout.lo_bits)
-                    | int(layout.lo_codes[col]))
-            if pick is None or code < pick[0]:
-                pick = (code, float(rows[row, col]))
-        best = (SelectionVector(_decode(pick[0], state.n_assets)), pick[1])
-    return best
-
-
-def node_eval(state: MasterState, lb: np.ndarray, ub: np.ndarray):
-    """Bound, witness, and branch coordinate for one box node.
+def node_eval(state: MasterState, box: np.ndarray):
+    """Bound, witness, and branch coordinate for one box node, an int8
+    vector with 0 where the box fixes z_j off, 1 where it fixes z_j on and
+    2 where z_j is free; lb is the box's smallest member, its fixed ones.
 
     Gradients are nonpositive, so a cut's exact minimum over the box is its
     value at lb plus the sum of its most negative free entries up to the
@@ -432,31 +164,28 @@ def node_eval(state: MasterState, lb: np.ndarray, ub: np.ndarray):
     exactly theta_at(lb).
     """
     base, grad = state.base, state.grad
-    budget = max(0, state.k - int(lb.sum()))
-    free = (lb < 0.5) & (ub > 0.5)
-    n_free = int(free.sum())
-    bits = lb.astype(np.int64)
+    bits = (box == 1).astype(np.int64)
+    fidx = np.flatnonzero(box == 2)
+    take = min(max(0, state.k - int(bits.sum())), fidx.size)
     if base.size == 0:
-        branch = int(np.argmax(free)) if n_free and budget else -1
-        return state.theta_lb, bits, branch
-    vals0 = base + grad @ lb
-    take = min(budget, n_free)
-    fidx = np.flatnonzero(free)
+        return state.theta_lb, bits, int(fidx[0]) if take else -1
+    vals0 = base + grad @ bits.astype(float)
+    if take == 0:
+        return max(state.theta_lb, float(vals0.max())), bits, -1
     gfree = grad[:, fidx]
-    colmin = gfree.min(axis=0)
-    if take == 0 or float(colmin.min()) >= 0.0:
-        # the bound is exact: the box is the point lb, or every cut is flat
-        # on its free coordinates; then it still hands back a branch, as
-        # its witness may be excluded by a no-good
-        return (max(state.theta_lb, float(vals0.max())), bits,
-                int(fidx[0]) if take else -1)
-    mins = vals0 + np.sort(gfree, axis=1)[:, :take].sum(axis=1)
+    low = np.sort(gfree, axis=1)[:, :take]
+    if float(low[:, 0].min()) >= 0.0:
+        # every cut is flat on the free coordinates, so the bound is exact;
+        # the box still hands back a branch, as its witness may be excluded
+        # by a no-good
+        return max(state.theta_lb, float(vals0.max())), bits, int(fidx[0])
+    mins = vals0 + low.sum(axis=1)
     binding = int(np.argmax(mins))
     h = gfree[binding]
     order = np.argsort(h, kind="stable")[:take]
     bits[fidx[order[h[order] < 0.0]]] = 1
-    branch = int(fidx[int(np.argmin(h))]) if h.min() < 0.0 \
-        else int(fidx[int(np.argmin(colmin))])
+    branch = int(fidx[order[0]]) if h[order[0]] < 0.0 \
+        else int(fidx[int(np.argmin(gfree.min(axis=0)))])
     return max(float(mins[binding]), state.theta_lb), bits, branch
 
 
@@ -470,15 +199,18 @@ class _Search:
     selections carry a key: _lex_key of the selection, or of a box's
     smallest member lb, while the pool is fixed; b"" while a callback may
     add cuts, so ties then have no order. best is the least theta of the
-    incumbents, theta the current one's; the tie window is best -/+ the
-    relative tolerance _BB_TOL. dominated is the one pruning test, applied
-    to a box's bound when it is popped and again once node_eval bounds it."""
+    incumbents, theta the current one's; lo and hi bound the tie window,
+    best -/+ the relative tolerance _BB_TOL, and are infinite until the
+    first incumbent. dominated is the one pruning test, applied to a box's
+    bound before it is popped and again once node_eval bounds it; the
+    incumbent only improves during a solve, so a box dominated once stays
+    dominated until the solve ends."""
 
     def __init__(self, state, deadline, ordered: bool):
         self.state = state
         self.deadline = deadline
         self.key = _lex_key if ordered else lambda bits: b""
-        self.best = np.inf
+        self.best = self.lo = self.hi = np.inf
         self.best_bits = self.best_key = self.theta = None
 
     def charge(self) -> None:
@@ -486,30 +218,23 @@ class _Search:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise MasterTimeout("master deadline passed")
 
-    def _window(self):
-        tol = _BB_TOL * (1.0 + abs(self.best))
-        return self.best - tol, self.best + tol
-
     def dominated(self, bound: float, key: bytes) -> bool:
         """No member of the box can replace the incumbent: all lie above the
         tie window, or none lies below it and none comes first."""
-        if self.best_bits is None:
-            return False
-        lo, hi = self._window()
-        return bound > hi or (bound >= lo and key >= self.best_key)
+        return bound > self.hi or (bound >= self.lo and key >= self.best_key)
 
     def offer(self, bits: np.ndarray, theta: float) -> None:
         """Make bits the incumbent when its theta is below the tie window,
         or within it and first in (key, theta) order."""
         key = self.key(bits)
-        if self.best_bits is not None:
-            lo, hi = self._window()
-            if not (theta < lo or (theta <= hi
-                                   and (key, theta) < (self.best_key,
-                                                       self.best))):
-                return
+        if not (theta < self.lo
+                or (theta <= self.hi
+                    and (key, theta) < (self.best_key, self.best))):
+            return
         self.best = min(self.best, theta)
         self.best_bits, self.best_key, self.theta = bits.copy(), key, theta
+        tol = _BB_TOL * (1.0 + abs(self.best))
+        self.lo, self.hi = self.best - tol, self.best + tol
 
 
 def _seed_incumbent(search: _Search) -> None:
@@ -529,50 +254,69 @@ def _seed_incumbent(search: _Search) -> None:
 
 
 def _branch_and_bound(search: _Search, callback) -> None:
-    """Best-bound branch and bound, heap ties to the smaller key, then the
-    older box; the answer is the search's incumbent, none when the no-good
-    cuts exclude every selection. The callback also gets the search's
-    current lower bound: the least bound of the open boxes, the current one
-    included, capped at the best theta."""
+    """Best-bound branch and bound over the state's frontier, heap ties to
+    the smaller key, then the older box; the answer is the search's
+    incumbent, none when the no-good cuts exclude every selection. The
+    search stops at the first box above the tie window, as every box behind
+    it in the heap is above it too. Boxes found dominated, and leaves no
+    no-good excludes, are set aside with their bounds and return to the
+    frontier when the search ends, also on a timeout; a box is counted, and
+    the deadline checked, before it leaves the heap. The callback also gets
+    the search's current lower bound: the least bound of the open boxes,
+    the current one included, capped at the best theta."""
     state = search.state
-    N = state.n_assets
-    tick = itertools.count()
-    root = (np.zeros(N), np.ones(N))
-    heap = [(-np.inf, search.key(root[0]), next(tick), root)]
-    while heap:
-        bound, key, _, (lb, ub) = heapq.heappop(heap)
-        if search.dominated(bound, key):
-            continue
-        search.charge()
-        bound, bits, branch = node_eval(state, lb, ub)
-        if search.dominated(bound, key):
-            continue
-        if not state.excluded(bits):
-            theta_z = theta_at(state, bits)
-            if callback is not None:
-                n_before = len(state.cuts)
-                least = min(bound, heap[0][0] if heap else np.inf,
-                            search.best)
-                accepted = callback(SelectionVector(bits.copy()), theta_z,
-                                    least)
-                if len(state.cuts) != n_before:
-                    theta_z = theta_at(state, bits)
-                if not accepted:
-                    if len(state.cuts) == n_before:
-                        raise RuntimeError(
-                            "callback rejected a node without adding a cut")
-                    heapq.heappush(heap, (bound, key, next(tick), (lb, ub)))
-                    continue
-            search.offer(bits, theta_z)
-        if branch < 0:
-            continue
-        lo = (lb.copy(), ub.copy())
-        lo[1][branch] = 0.0
-        hi = (lb.copy(), ub.copy())
-        hi[0][branch] = 1.0
-        # the lower child keeps its parent's lb, and so its parent's key
-        heapq.heappush(heap, (bound, key, next(tick), lo))
-        heapq.heappush(heap, (bound, search.key(hi[0]), next(tick), hi))
+    tick = state._tick
+    if state._frontier is None:
+        root = np.full(state.n_assets, 2, dtype=np.int8)
+        state._frontier = [(-np.inf, search.key(root == 1), next(tick), root)]
+    heap = state._frontier
+    kept = []
+    try:
+        while heap:
+            bound, key = heap[0][:2]
+            if bound > search.hi:
+                break
+            if search.dominated(bound, key):
+                kept.append(heapq.heappop(heap))
+                continue
+            search.charge()
+            _, _, t, box = heapq.heappop(heap)
+            bound, bits, branch = node_eval(state, box)
+            if search.dominated(bound, key):
+                kept.append((bound, key, t, box))
+                continue
+            excluded = state.excluded(bits)
+            if not excluded:
+                theta_z = theta_at(state, bits)
+                if callback is not None:
+                    n_before = len(state.cuts)
+                    least = min(bound, heap[0][0] if heap else np.inf,
+                                search.best)
+                    accepted = callback(SelectionVector(bits.copy()),
+                                        theta_z, least)
+                    if len(state.cuts) != n_before:
+                        theta_z = theta_at(state, bits)
+                    if not accepted:
+                        if len(state.cuts) == n_before:
+                            raise RuntimeError("callback rejected a node "
+                                               "without adding a cut")
+                        heapq.heappush(heap, (bound, key, next(tick), box))
+                        continue
+                search.offer(bits, theta_z)
+            if branch < 0:
+                # the box holds the one selection bits
+                if not excluded:
+                    kept.append((bound, key, t, box))
+                continue
+            hi = box.copy()
+            hi[branch] = 1
+            box[branch] = 0
+            # the lower child keeps its parent's lb, and so its parent's key
+            heapq.heappush(heap, (bound, key, next(tick), box))
+            heapq.heappush(heap, (bound, search.key(hi == 1), next(tick), hi))
+    finally:
+        for entry in kept:
+            heapq.heappush(heap, entry)
 
 
 def master_solve(state: MasterState, callback=None,
@@ -580,22 +324,22 @@ def master_solve(state: MasterState, callback=None,
     """Exact solve of the master problem; returns (z, theta) or None when the
     no-good cuts exclude all feasible selections.
 
-    Small selection spaces are scored exhaustively. Otherwise one best-bound
-    branch and bound runs, branching on the free coordinate that most sways
-    the cut binding at the node, and every node contributes the selection
-    attaining that cut's minimum as an incumbent candidate. Without a
-    callback, ties among optimal z go to the lexicographically smallest:
-    a box within the tie tolerance of the incumbent is kept only while its
-    smallest member comes first. With a callback the search always runs
-    single-tree branch and bound: callback(z, theta, bound) sees every
-    integer-feasible candidate with its master value and the search's
-    current lower bound on the master optimum, and either accepts it or
-    injects at least one cut and rejects; ties have no order while the cut
-    pool is in flux, and the best accepted candidate is returned as-is.
+    One best-bound branch and bound runs, branching on the free coordinate
+    that most sways the cut binding at the node, and every node contributes
+    the selection attaining that cut's minimum as an incumbent candidate.
+    The search starts from the frontier the state's earlier solves left,
+    the root box at the first solve, so a solve after new cuts resumes
+    where the last one stopped instead of at the root; a MasterTimeout
+    leaves the frontier whole, so the next solve is exact too. Without a callback,
+    ties among optimal z go to the lexicographically smallest: a box within
+    the tie tolerance of the incumbent is kept only while its smallest
+    member comes first. With a callback the search runs single-tree branch
+    and bound: callback(z, theta, bound) sees every integer-feasible
+    candidate with its master value and the search's current lower bound
+    on the master optimum, and either accepts it or injects at least one
+    cut and rejects; ties have no order while the cut pool is in flux, and
+    the best accepted candidate is returned as-is.
     """
-    if (callback is None and state.n_assets <= _ENUM_BITS
-            and _selection_count(state.n_assets, state.k) <= _ENUM_LIMIT):
-        return _enumerate_solve(state, deadline)
     search = _Search(state, deadline, ordered=callback is None)
     if callback is None:
         _seed_incumbent(search)

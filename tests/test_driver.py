@@ -422,6 +422,18 @@ def test_single_tree_matches_the_oracle_and_multi_tree():
         assert runs[0] == runs[1]
 
 
+def test_multi_tree_matches_single_tree_at_n_100():
+    # differential at the paper's first difficulty, n=100: both modes run
+    # the same branch and bound, multi-tree across about 70 master calls
+    inst = make_instance(7, 100, 1000, 10)
+    multi = driver.solve_bcp(inst)
+    single = driver.solve_bcp(inst, mode="single_tree")
+    assert multi.status == single.status == driver.OPTIMAL
+    assert multi.selection.as_tuple() == single.selection.as_tuple()
+    assert abs(multi.obj - single.obj) <= (driver.EPS_DEFAULT
+                                           + driver.DELTA_DEFAULT)
+
+
 def test_bigm_program_wraps_the_lifted_program():
     # rows: x - z <= 0, the lifted core rows, 1'z <= k, z <= ub, -z <= -lb
     inst = make_instance(5, 6, 30, 2)

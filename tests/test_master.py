@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import types
 
 import numpy as np
 import pytest
@@ -80,10 +81,9 @@ def test_no_good_shifts_optimum():
     assert z.as_tuple() == (1, 0)
 
 
-def test_excluded_cut_origin_does_not_seed_the_search(monkeypatch):
+def test_excluded_cut_origin_does_not_seed_the_search():
     # theta is 1 at the cut's origin, which a no-good excludes, and 2, 3
     # and 4 elsewhere: branch and bound must not start from the origin
-    monkeypatch.setattr(master, "_ENUM_LIMIT", 0)
     state = master.MasterState(n_assets=3, k=1, theta_lb=-10.0)
     master.add_cut(state, opt_cut([1, 0, 0], 1.0, [-3.0, -1.0, -2.0]))
     master.add_cut(state, no_good([1, 0, 0]))
@@ -122,13 +122,12 @@ def test_matches_enumeration_on_random_pools():
                                       abs=1e-12)
 
 
-def test_branch_and_bound_matches_enumeration(monkeypatch):
-    # force the box search even for tiny pools and check it agrees with
-    # the tabulated path on value, selection, and lexicographic ties: on
-    # continuous pools, on quarter-grid pools, where distinct selections
-    # tie exactly, and on pools whose gradients are 0 on most coordinates;
-    # each pool is solved again after a no-good on each optimum
-    monkeypatch.setattr(master, "_ENUM_LIMIT", 0)
+def test_branch_and_bound_matches_enumeration():
+    # the box search agrees with enumeration on value, selection, and
+    # lexicographic ties: on continuous pools, on quarter-grid pools, where
+    # distinct selections tie exactly, and on pools whose gradients are 0 on
+    # most coordinates; each pool is solved again after a no-good on each
+    # optimum, from the frontier the previous solve left
     rng = np.random.default_rng(91)
     for trial in range(60):
         n = int(rng.integers(3, 13))
@@ -203,7 +202,7 @@ def test_root_bound_is_a_lower_bound():
     rng = np.random.default_rng(19)
     for _ in range(10):
         state = random_state(rng, 9, 3, n_opt=5, n_ng=2)
-        bound, bits, _ = master.node_eval(state, np.zeros(9), np.ones(9))
+        bound, bits, _ = master.node_eval(state, np.full(9, 2, np.int8))
         assert bits.sum() <= state.k
         result = master.master_solve(state)
         if result is None:
@@ -226,7 +225,8 @@ def test_box_bound_is_the_best_single_cut():
         mark[on[k:]] = 2               # at most k fixed ones
         lb = (mark == 1).astype(float)
         ub = (mark >= 1).astype(float)
-        bound, witness, branch = master.node_eval(state, lb, ub)
+        bound, witness, branch = master.node_eval(state,
+                                                  mark.astype(np.int8))
 
         free = [j for j in range(n) if lb[j] < ub[j]]
         budget = k - int(lb.sum())
@@ -267,8 +267,8 @@ def test_leaf_bound_is_theta_at_bit_for_bit():
         for _ in range(20):
             bits = np.zeros(n, dtype=np.int64)
             bits[rng.choice(n, rng.integers(0, k + 1), replace=False)] = 1
-            lb = bits.astype(float)
-            bound, witness, branch = master.node_eval(state, lb, lb.copy())
+            bound, witness, branch = master.node_eval(state,
+                                                      bits.astype(np.int8))
             assert branch == -1
             assert witness.tolist() == bits.tolist()
             assert bound == master.theta_at(state, bits)
@@ -303,11 +303,10 @@ def milp_master(state):
                 options={"mip_rel_gap": 0.0})
 
 
-def test_branch_and_bound_matches_milp(monkeypatch):
+def test_branch_and_bound_matches_milp():
     # n = 40-80 is far past enumeration; every other pool is on the quarter
     # grid, where distinct selections tie exactly, and the no-goods exclude
     # the master's own earlier optima
-    monkeypatch.setattr(master, "_ENUM_LIMIT", 0)
     rng = np.random.default_rng(1)
     for trial in range(12):
         n = int(rng.integers(40, 81))
@@ -333,19 +332,20 @@ def test_branch_and_bound_matches_milp(monkeypatch):
 
 
 def test_node_count_accumulates_across_solves():
-    # node_count adds each solve's work: a repeat over the same pool finds
-    # the table up to date, and a new cut makes the next solve score again
+    # node_count adds the boxes each solve bounds: a repeat over the same
+    # pool bounds again only the leaf of the previous optimum, and a new
+    # cut makes the next solve bound more
     rng = np.random.default_rng(23)
     state = random_state(rng, 7, 3, n_opt=5, n_ng=0)
     master.master_solve(state)
     first = state.node_count
     assert first > 0
     master.master_solve(state)
-    assert state.node_count == first
+    assert state.node_count == first + 1
     master.add_cut(state, opt_cut(np.ones(7, dtype=int), 5.0,
                                   -np.ones(7)))
     master.master_solve(state)
-    assert state.node_count > first
+    assert state.node_count > first + 1
 
 
 def test_deadline_raises_timeout():
@@ -381,8 +381,8 @@ def test_callback_reject_without_cut_is_an_error():
 
 
 def dyadic_state(rng, n, k, n_opt):
-    """Cuts on a grid of quarters: every theta is exact in float32 and in
-    float64 whatever the order of summation, so ties are exact."""
+    """Cuts on a grid of quarters: every theta is exact whatever the order
+    of summation, so ties are exact."""
     state = master.MasterState(n_assets=n, k=k,
                                theta_lb=-0.25 * int(rng.integers(4, 12)))
     for _ in range(n_opt):
@@ -394,27 +394,9 @@ def dyadic_state(rng, n, k, n_opt):
     return state
 
 
-def test_float32_blocks_match_enumeration_with_ties(monkeypatch):
-    monkeypatch.setattr(master, "_F64_ROWS", 0)
-    rng = np.random.default_rng(14)
-    for n, k in ((14, 5), (15, 9), (16, 4)):
-        state = dyadic_state(rng, n, k, n_opt=4)
-        for _ in range(3):
-            ref_theta, ref_bits = enumerate_master(state)
-            z, theta = master.master_solve(state)
-            scored = [t for t in state._enum_cache["theta"] if t is not None]
-            assert scored
-            assert all(t.dtype == np.float32 for t in scored)
-            assert theta == ref_theta
-            assert z.as_tuple() == ref_bits
-            master.add_cut(state, no_good(z.bits))
-
-
-@pytest.mark.parametrize("f64_rows", [master._F64_ROWS, 0])
-def test_tie_break_across_popcount_blocks(monkeypatch, f64_rows):
-    # n=16: coordinates 0-2 form the high part of a code. {1, 2} (two high
-    # ones) ties with {0} (one high one) and is lexicographically smaller
-    monkeypatch.setattr(master, "_F64_ROWS", f64_rows)
+def test_tie_break_across_popcount_blocks():
+    # n=16: {1, 2} (two ones) ties with {0} (one one) and is
+    # lexicographically smaller
     n = 16
     state = master.MasterState(n_assets=n, k=2, theta_lb=-5.0)
     g = np.zeros(n)
@@ -429,10 +411,9 @@ def test_tie_break_across_popcount_blocks(monkeypatch, f64_rows):
     assert z.support().tolist() == [1, 2]
 
 
-@pytest.mark.parametrize("f64_rows", [master._F64_ROWS, 0])
-def test_high_part_wider_than_low_part(monkeypatch, f64_rows):
-    # n=30: the high part of a code has 17 bits, the low part 13
-    monkeypatch.setattr(master, "_F64_ROWS", f64_rows)
+def test_high_part_wider_than_low_part():
+    # n=30, k=3 on the quarter grid: 30 of the 4,525 selections tie at
+    # the optimum, and the lexicographically smallest wins
     n, k = 30, 3
     rng = np.random.default_rng(30)
     state = dyadic_state(rng, n, k, n_opt=2)
@@ -456,54 +437,10 @@ def test_empty_pool_returns_the_empty_selection():
     z, theta = master.master_solve(state)
     assert z.as_tuple() == (0,) * 25
     assert theta == -1.5
-    # the master counts the entries it scored: the chunks it reached, not
-    # the 7.1M-entry table
-    scored = sum(t.size for t in state._enum_cache["theta"] if t is not None)
-    assert state.node_count == scored < master._selection_count(25, 10)
 
 
-def test_enumeration_layout_stays_small():
-    # the cached layout of the 7.1M-selection table at n=25, k=10, without
-    # the theta scores themselves, holds no table-sized array
-    n, k = 25, 10
-    rows = master._selection_count(n, k)
-    state = master.MasterState(n_assets=n, k=k, theta_lb=-1.0)
-    master.add_cut(state, opt_cut(np.zeros(n, dtype=int), 0.0,
-                                  -np.linspace(0.0, 1.0, n)))
-    master.add_cut(state, no_good(np.zeros(n, dtype=int)))
-    master.master_solve(state)
-    def arrays(obj):
-        if isinstance(obj, np.ndarray):
-            yield obj
-        elif isinstance(obj, (tuple, list)):
-            for item in obj:
-                yield from arrays(item)
-
-    cached = list(arrays(tuple(master._layout(n, k))))
-    cached += arrays([v for key, v in state._enum_cache.items()
-                      if key != "theta"])
-    assert sum(arr.nbytes for arr in cached) < 1 << 20
-    for arr in cached:
-        assert arr.size < 1 << n
-        assert not (arr.dtype == np.intp and arr.size >= rows)
-    # the chunks tile the table, and only those a search reached are
-    # allocated, each as its rows of the table
-    cache = state._enum_cache
-    chunks = cache["chunks"]
-    sizes = (chunks.stop - chunks.start) * chunks.width
-    assert int(sizes.sum()) == rows
-    for c, theta in enumerate(cache["theta"]):
-        if cache["done"][c] < 0:
-            assert theta is None
-        else:
-            assert theta.shape == (chunks.stop[c] - chunks.start[c],
-                                   chunks.width[c])
-    reached = sum(t.size for t in cache["theta"] if t is not None)
-    assert 0 < reached < rows
-
-
-def test_codes_wider_than_64_bits_fall_back_to_branch_and_bound():
-    # 71 selections would be tabulated, but their codes need 70 bits
+def test_no_good_on_the_best_single_asset_at_n_70():
+    # the last asset is the best single pick, and a no-good excludes it
     n = 70
     state = master.MasterState(n_assets=n, k=1, theta_lb=-2.0)
     master.add_cut(state, opt_cut(np.zeros(n, dtype=int), 0.0,
@@ -533,18 +470,14 @@ def all_selections(n, k):
     return out
 
 
-@pytest.mark.parametrize("f64_rows", [master._F64_ROWS, 0])
-def test_lazy_master_matches_brute_force_over_cut_sequences(monkeypatch,
-                                                             f64_rows):
-    # 64-entry chunks split each table into single rows (8-64 chunks), so
-    # quarter-grid ties span chunks and most chunks stay stale between calls
-    monkeypatch.setattr(master, "_ENUM_CHUNK", 64)
-    monkeypatch.setattr(master, "_F64_ROWS", f64_rows)
+def test_lazy_master_matches_brute_force_over_cut_sequences():
+    # one state takes nine cuts and solves after each, so every solve but
+    # the first starts from the frontier the previous one left; quarter-grid
+    # ties make the tie-break decide among boxes kept with stale bounds
     rng = np.random.default_rng(64)
     for n, k in ((16, 4), (18, 3), (20, 3)):
         selections = all_selections(n, k)
         state = dyadic_state(rng, n, k, n_opt=1)
-        stale = 0
         for step in range(9):
             if step % 3 == 2:
                 master.add_cut(state, no_good(z.bits))
@@ -557,52 +490,11 @@ def test_lazy_master_matches_brute_force_over_cut_sequences(monkeypatch,
                     -0.25 * rng.integers(0, 3, n)))
             z, theta = master.master_solve(state)
             assert (theta, z.as_tuple()) == brute_force(state, selections)
-            cache = state._enum_cache
-            stale += int((cache["done"] < state.n_opt).sum())
-        scored = [t for t in cache["theta"] if t is not None]
-        assert scored
-        assert all(t.dtype == (np.float32 if f64_rows == 0 else np.float64)
-                   for t in scored)
-        assert cache["chunks"].block.size >= 8
-        assert stale > 0
 
 
-def test_chunk_bound_is_the_cut_minimum(monkeypatch):
-    # one pending cut over a theta_lb below all its scores: the bound cached
-    # for each chunk is bitwise the least score the cut gives that chunk
-    monkeypatch.setattr(master, "_ENUM_CHUNK", 64)
-    monkeypatch.setattr(master, "_F64_ROWS", 0)
-    rng = np.random.default_rng(5)
-    n, k = 20, 5
-    state = master.MasterState(n_assets=n, k=k, theta_lb=-1e6)
-    master.master_solve(state)
-    bits = np.zeros(n, dtype=int)
-    bits[rng.choice(n, k, replace=False)] = 1
-    master.add_cut(state, opt_cut(bits, float(rng.normal()),
-                                  -rng.uniform(0.0, 1.0, n)))
-    cache = master._enum_cache(state)
-    bounds = cache["bound"].copy()
-    assert bounds.dtype == np.float32
-    assert (cache["done"] < 1).all()
-    chunks = cache["chunks"]
-    for c in range(bounds.size):
-        master._refresh(cache, c)
-        rows = cache["theta"][c]
-        assert rows.shape == (chunks.stop[c] - chunks.start[c],
-                              chunks.width[c])
-        assert bounds[c] == rows.min()
-    assert bounds.size > 50
-
-
-@pytest.mark.parametrize("f64_rows", [master._F64_ROWS, 0])
-def test_tie_in_a_stale_chunk_at_the_cutoff(monkeypatch, f64_rows):
-    # n=20, k=2, 64-entry chunks: block 1 (one high one) splits into rows
-    # {6, 5, 4, 3} and {2, 1, 0} of the high coordinates, block 2 is one
-    # chunk. {0, 19} and {5, 6} tie at -2; best-first brings {0, 19}'s
-    # chunk up to date, while the chunk of the smaller {5, 6} still holds
-    # its pending cut's bound, exactly -2
-    monkeypatch.setattr(master, "_ENUM_CHUNK", 64)
-    monkeypatch.setattr(master, "_F64_ROWS", f64_rows)
+def test_tie_in_a_stale_chunk_at_the_cutoff():
+    # n=20, k=2: no-goods leave {0, 19} and {5, 6} tied at -2, the least
+    # theta; the lexicographically smaller {5, 6} must win
     n = 20
     state = master.MasterState(n_assets=n, k=2, theta_lb=-10.0)
     g = np.zeros(n)
@@ -616,3 +508,34 @@ def test_tie_in_a_stale_chunk_at_the_cutoff(monkeypatch, f64_rows):
     assert theta == -2.0
     assert z.support().tolist() == [5, 6]
     assert (theta, z.as_tuple()) == brute_force(state, all_selections(n, 2))
+
+
+def test_timeout_leaves_the_frontier_whole(monkeypatch):
+    # a solve that times out, at its first box or later, must not lose a
+    # box of the frontier: the next solve without a deadline is still exact.
+    # Each clock read is one tick; at stop = 0 the deadline has passed
+    clock = itertools.count()
+    monkeypatch.setattr(master, "time",
+                        types.SimpleNamespace(monotonic=lambda:
+                                              float(next(clock))))
+    rng = np.random.default_rng(17)
+    n, k = 12, 4
+    selections = all_selections(n, k)
+    timeouts = 0
+    for trial in range(24):
+        state = random_state(rng, n, k, n_opt=4, n_ng=1)
+        master.master_solve(state)
+        bits = np.zeros(n, dtype=int)
+        bits[rng.choice(n, k, replace=False)] = 1
+        master.add_cut(state, opt_cut(bits, float(rng.normal()),
+                                      -rng.uniform(0.0, 2.0, n)))
+        stop = trial % 4 * 3
+        try:
+            master.master_solve(state, deadline=next(clock) + stop - 0.5)
+        except master.MasterTimeout:
+            timeouts += 1
+        else:
+            assert stop > 0
+        z, theta = master.master_solve(state)
+        assert (theta, z.as_tuple()) == brute_force(state, selections)
+    assert timeouts >= 20
