@@ -4,7 +4,9 @@ Three subcommands. `gen` samples scenario returns from moment files, `solve`
 runs one method on a scenario file and writes a JSON report plus a one-line
 summary, `bench` sweeps a method x S x k x gamma grid from a JSON config into
 a CSV table. stdout carries summary lines only; diagnostics go to stderr.
-Exit codes: 0 optimal, 1 usage or input error, 2 time limit, 3 infeasible.
+Exit codes: 0 optimal, 1 usage or input error, 2 time limit, 3 infeasible,
+4 solver failure (a subproblem solve failed or its certificate broke an
+invariant; no report is written).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import driver, ingest, oracle
+from . import driver, ingest, lower, oracle
 from .driver import SolveReport
 from .model import (
     Instance,
@@ -308,6 +310,9 @@ def main(argv=None) -> int:
             KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (lower.SolverError, lower.CertificateError) as exc:
+        print(f"error: solver failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

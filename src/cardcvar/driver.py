@@ -181,11 +181,10 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     the top-k of theta_lb's all-ones portfolio (its k largest weights, ties
     to the lower index), so the first master call already has an optimality
     cut; that step counts as an iteration like any other. It then re-solves
-    the master after each step and stops on the gap test or, for "bcp"
-    whose cuts are delta-inexact, on a repeated selection: that one is not
-    solved again (the solve would only reproduce its cut), and its kept f_lo
-    closes the lower bound, so iterations and n_cuts count distinct
-    selections.
+    the master after each step and stops on the gap test or on a repeated
+    selection: that one is not solved again (the solve would only reproduce
+    its cut), and its kept f_lo closes the lower bound, so iterations and
+    n_cuts count distinct selections.
 
     Single-tree runs one master search that takes the steps through its
     callback and ends at that search's optimum; lb follows the bound the
@@ -223,7 +222,7 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
 
     def out(status):
         return _report(name, status, instance, t0, t, state.node_count,
-                       len(state.cuts), z_hat, lb, ub, echo, resume=res_hat)
+                       state.n_cuts, z_hat, lb, ub, echo, resume=res_hat)
 
     def evaluate(z):
         nonlocal ub, z_hat, res_hat, t
@@ -279,9 +278,10 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
                     f"single-tree search closed with gap {ub - lb:.3e}")
             return out(OPTIMAL)
         key = z.bits.tobytes()
-        if method == "bcp" and key in seen:
-            # a repeated selection is delta-optimal; its lower bound
-            # f_delta(z) <= f* closes the reported gap honestly
+        if key in seen:
+            # a repeated selection is delta-optimal (cp's, exactly optimal);
+            # its lower bound f_delta(z) <= f* closes the reported gap
+            # honestly
             lb = max(lb, seen[key])
             return out(OPTIMAL)
         evaluate(z)
@@ -328,6 +328,9 @@ def solve_cp(instance: Instance, eps: float = EPS_DEFAULT,
     The multi-tree loop of solve_bcp: the same first selection, the top-k
     of theta_lb's all-ones portfolio, the same on_iteration contract and
     the same meaning of iterations, which counts that first lower solve.
+    Like bcp it ends when the master repeats a selection, without solving
+    it again: the cut there is exact, so the master's theta already meets
+    the upper bound, and no selection is solved twice.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")

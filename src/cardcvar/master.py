@@ -7,13 +7,15 @@ theta at z is max(theta_lb, max(base + grad @ z)) everywhere (theta_at).
 master_solve runs one best-bound branch and bound over coordinate boxes.
 Each box is bounded by its best single cut, the largest of the cuts' exact
 minima over it (one sort per cut, because cut gradients are nonpositive),
-and that binding cut picks the box's witness and branch coordinate. Ties go
-to the lexicographically smallest z, by keeping a box within the tie
-tolerance only while its smallest member comes first. The open boxes, the
-frontier, live on the MasterState and carry over from one solve to the
-next: cuts only add rows, so a stored bound stays a lower bound, and a box
-the incumbent dominates is kept with its bound, to reopen in a later solve
-whose incumbent theta has risen. Reruns are reproducible.
+and that binding cut picks the box's witness and branch coordinate. The
+cutting-plane loop needs a master optimum, not a particular one among ties,
+so both modes share one rule: a candidate replaces the incumbent only when
+its theta is lower, and a box is pruned once its bound comes within the
+relative tolerance of the incumbent's theta. The open boxes, the frontier,
+live on the MasterState and carry over from one solve to the next: cuts
+only add rows, so a stored bound stays a lower bound, and a pruned box is
+kept with its bound, to reopen in a later solve whose incumbent theta has
+risen. Reruns are reproducible.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __all__ = [
 OPTIMALITY = "Optimality"
 NO_GOOD = "NoGood"
 
-_BB_TOL = 1e-9         # relative pruning and tie tolerance
+_BB_TOL = 1e-9         # relative pruning tolerance
 _CUT_CAPACITY = 64     # optimality rows stored before the first doubling
 
 
@@ -83,14 +85,14 @@ def _key(bits: np.ndarray) -> bytes:
 @dataclass(eq=False)
 class MasterState:
     """The append-only cut pool of one outer solve (add_cut is its writer)
-    and the region parameters. The first n_opt rows of base, grad and
-    _origins are the optimality cuts theta >= base + grad @ z, with base =
-    intercept - grad @ origin, in arrays that double when full. no_goods
-    maps each excluded selection's _key to its bits; cuts records every Cut
-    added. _frontier is the branch and bound's heap of open boxes, None
-    until the first solve; each box is an int8 vector over the assets,
-    0 fixed off, 1 fixed on and 2 free, and _tick numbers them for the
-    heap's order. node_count sums the boxes the solves have bounded."""
+    and the region parameters. The first n_opt rows of base and grad are
+    the optimality cuts theta >= base + grad @ z, with base = intercept -
+    grad @ origin, in arrays that double when full. no_goods holds each
+    excluded selection's _key; n_cuts counts every Cut added. _frontier is
+    the branch and bound's heap of open boxes, None until the first solve;
+    each box is an int8 vector over the assets, 0 fixed off, 1 fixed on and
+    2 free, and _tick numbers them for the heap's order. node_count sums the
+    boxes the solves have bounded."""
 
     n_assets: int
     k: int
@@ -103,10 +105,9 @@ class MasterState:
             raise ValueError("theta_lb must be finite")
         if not 1 <= self.k <= self.n_assets:
             raise ValueError("need 1 <= k <= n_assets")
-        self.cuts, self.n_opt, self.no_goods = [], 0, {}
+        self.n_cuts, self.n_opt, self.no_goods = 0, 0, set()
         self._base = np.empty(_CUT_CAPACITY)
         self._grad = np.empty((_CUT_CAPACITY, self.n_assets))
-        self._origins = np.empty_like(self._grad)
         self._frontier, self._tick = None, itertools.count()
 
     @property
@@ -125,18 +126,16 @@ def add_cut(state: MasterState, cut: Cut) -> MasterState:
     bits = cut.origin.bits
     if bits.size != state.n_assets:
         raise ValueError("cut dimension does not match n_assets")
-    state.cuts.append(cut)
+    state.n_cuts += 1
     if cut.kind == NO_GOOD:
-        state.no_goods.setdefault(_key(bits), bits)
+        state.no_goods.add(_key(bits))
         return state
     if state.n_opt == state._base.size:
-        state._base, state._grad, state._origins = (
-            np.concatenate([a, np.empty_like(a)])
-            for a in (state._base, state._grad, state._origins))
+        state._base, state._grad = (np.concatenate([a, np.empty_like(a)])
+                                    for a in (state._base, state._grad))
     row = state.n_opt
     state._base[row] = cut.intercept - float(cut.grad @ bits)
     state._grad[row] = cut.grad
-    state._origins[row] = bits
     state.n_opt += 1
     return state
 
@@ -189,131 +188,85 @@ def node_eval(state: MasterState, box: np.ndarray):
     return max(float(mins[binding]), state.theta_lb), bits, branch
 
 
-def _lex_key(bits: np.ndarray) -> bytes:
-    """Bytes that order selections lexicographically."""
-    return np.packbits(bits > 0.5).tobytes()
-
-
 class _Search:
-    """Incumbent and deadline of one branch-and-bound solve. Boxes and
-    selections carry a key: _lex_key of the selection, or of a box's
-    smallest member lb, while the pool is fixed; b"" while a callback may
-    add cuts, so ties then have no order. best is the least theta of the
-    incumbents, theta the current one's; lo and hi bound the tie window,
-    best -/+ the relative tolerance _BB_TOL, and are infinite until the
-    first incumbent. dominated is the one pruning test, applied to a box's
-    bound before it is popped and again once node_eval bounds it; the
-    incumbent only improves during a solve, so a box dominated once stays
-    dominated until the solve ends."""
+    """Incumbent and deadline of one branch-and-bound solve. best is the
+    incumbent's theta, infinite until the first one, and best_bits its
+    selection; cutoff is best less the relative tolerance _BB_TOL, and a
+    box whose bound reaches it cannot hold a selection better than the
+    incumbent by more than the tolerance. The incumbent only improves during
+    a solve, so a box pruned once stays pruned until the solve ends."""
 
-    def __init__(self, state, deadline, ordered: bool):
+    def __init__(self, state, deadline):
         self.state = state
         self.deadline = deadline
-        self.key = _lex_key if ordered else lambda bits: b""
-        self.best = self.lo = self.hi = np.inf
-        self.best_bits = self.best_key = self.theta = None
+        self.best = self.cutoff = np.inf
+        self.best_bits = None
 
     def charge(self) -> None:
         self.state.node_count += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise MasterTimeout("master deadline passed")
 
-    def dominated(self, bound: float, key: bytes) -> bool:
-        """No member of the box can replace the incumbent: all lie above the
-        tie window, or none lies below it and none comes first."""
-        return bound > self.hi or (bound >= self.lo and key >= self.best_key)
-
     def offer(self, bits: np.ndarray, theta: float) -> None:
-        """Make bits the incumbent when its theta is below the tie window,
-        or within it and first in (key, theta) order."""
-        key = self.key(bits)
-        if not (theta < self.lo
-                or (theta <= self.hi
-                    and (key, theta) < (self.best_key, self.best))):
-            return
-        self.best = min(self.best, theta)
-        self.best_bits, self.best_key, self.theta = bits.copy(), key, theta
-        tol = _BB_TOL * (1.0 + abs(self.best))
-        self.lo, self.hi = self.best - tol, self.best + tol
-
-
-def _seed_incumbent(search: _Search) -> None:
-    """Prime the incumbent with the best previously proposed selection so the
-    search prunes against a realistic value instead of infinity: one matmul
-    scores every cut's origin against every row."""
-    state = search.state
-    origins = state._origins[:state.n_opt]
-    scores = (state.base[:, None] + state.grad @ origins.T).max(
-        axis=0, initial=-np.inf)
-    scores[origins.sum(axis=1) > state.k] = np.inf
-    for j in np.argsort(scores, kind="stable"):
-        bits = origins[j].astype(np.int64)
-        if scores[j] < np.inf and not state.excluded(bits):
-            search.offer(bits, theta_at(state, bits))
-            return
+        """Make bits the incumbent when its theta is below the incumbent's."""
+        if theta < self.best:
+            self.best, self.best_bits = theta, bits.copy()
+            self.cutoff = theta - _BB_TOL * (1.0 + abs(theta))
 
 
 def _branch_and_bound(search: _Search, callback) -> None:
     """Best-bound branch and bound over the state's frontier, heap ties to
-    the smaller key, then the older box; the answer is the search's
-    incumbent, none when the no-good cuts exclude every selection. The
-    search stops at the first box above the tie window, as every box behind
-    it in the heap is above it too. Boxes found dominated, and leaves no
-    no-good excludes, are set aside with their bounds and return to the
-    frontier when the search ends, also on a timeout; a box is counted, and
-    the deadline checked, before it leaves the heap. The callback also gets
-    the search's current lower bound: the least bound of the open boxes,
-    the current one included, capped at the best theta."""
+    the older box; the answer is the search's incumbent, none when the
+    no-good cuts exclude every selection. The search stops once the least
+    open bound reaches the cutoff. Boxes whose bound reaches it when
+    bounded, and leaves no no-good excludes, are set aside with their bounds
+    and return to the frontier when the search ends, also on a timeout; a
+    box is counted, and the deadline checked, before it leaves the heap. The
+    callback also gets the search's current lower bound: the least bound of
+    the open boxes, the current one included, capped at the best theta."""
     state = search.state
     tick = state._tick
     if state._frontier is None:
-        root = np.full(state.n_assets, 2, dtype=np.int8)
-        state._frontier = [(-np.inf, search.key(root == 1), next(tick), root)]
+        state._frontier = [(-np.inf, next(tick),
+                            np.full(state.n_assets, 2, dtype=np.int8))]
     heap = state._frontier
     kept = []
     try:
-        while heap:
-            bound, key = heap[0][:2]
-            if bound > search.hi:
-                break
-            if search.dominated(bound, key):
-                kept.append(heapq.heappop(heap))
-                continue
+        while heap and heap[0][0] < search.cutoff:
             search.charge()
-            _, _, t, box = heapq.heappop(heap)
+            _, t, box = heapq.heappop(heap)
             bound, bits, branch = node_eval(state, box)
-            if search.dominated(bound, key):
-                kept.append((bound, key, t, box))
+            if bound >= search.cutoff:
+                kept.append((bound, t, box))
                 continue
             excluded = state.excluded(bits)
             if not excluded:
                 theta_z = theta_at(state, bits)
                 if callback is not None:
-                    n_before = len(state.cuts)
+                    n_before = state.n_cuts
                     least = min(bound, heap[0][0] if heap else np.inf,
                                 search.best)
                     accepted = callback(SelectionVector(bits.copy()),
                                         theta_z, least)
-                    if len(state.cuts) != n_before:
+                    if state.n_cuts != n_before:
                         theta_z = theta_at(state, bits)
                     if not accepted:
-                        if len(state.cuts) == n_before:
+                        if state.n_cuts == n_before:
                             raise RuntimeError("callback rejected a node "
                                                "without adding a cut")
-                        heapq.heappush(heap, (bound, key, next(tick), box))
+                        heapq.heappush(heap, (bound, next(tick), box))
                         continue
                 search.offer(bits, theta_z)
             if branch < 0:
                 # the box holds the one selection bits
                 if not excluded:
-                    kept.append((bound, key, t, box))
+                    kept.append((bound, t, box))
                 continue
             hi = box.copy()
             hi[branch] = 1
             box[branch] = 0
-            # the lower child keeps its parent's lb, and so its parent's key
-            heapq.heappush(heap, (bound, key, next(tick), box))
-            heapq.heappush(heap, (bound, search.key(hi == 1), next(tick), hi))
+            heapq.heappush(heap, (bound, next(tick), box))
+            heapq.heappush(heap, (bound, next(tick), hi))
     finally:
         for entry in kept:
             heapq.heappush(heap, entry)
@@ -330,20 +283,17 @@ def master_solve(state: MasterState, callback=None,
     The search starts from the frontier the state's earlier solves left,
     the root box at the first solve, so a solve after new cuts resumes
     where the last one stopped instead of at the root; a MasterTimeout
-    leaves the frontier whole, so the next solve is exact too. Without a callback,
-    ties among optimal z go to the lexicographically smallest: a box within
-    the tie tolerance of the incumbent is kept only while its smallest
-    member comes first. With a callback the search runs single-tree branch
-    and bound: callback(z, theta, bound) sees every integer-feasible
+    leaves the frontier whole, so the next solve is exact too. Without a
+    callback, theta is theta_at(z) and within the relative tolerance
+    1e-9 (1 + |theta|) of the master optimum; among selections tied within
+    it any one may come back. With a callback the search runs single-tree
+    branch and bound: callback(z, theta, bound) sees every integer-feasible
     candidate with its master value and the search's current lower bound
     on the master optimum, and either accepts it or injects at least one
-    cut and rejects; ties have no order while the cut pool is in flux, and
-    the best accepted candidate is returned as-is.
+    cut and rejects; the best accepted candidate is returned as-is.
     """
-    search = _Search(state, deadline, ordered=callback is None)
-    if callback is None:
-        _seed_incumbent(search)
+    search = _Search(state, deadline)
     _branch_and_bound(search, callback)
     if search.best_bits is None:
         return None
-    return SelectionVector(search.best_bits), search.theta
+    return SelectionVector(search.best_bits), search.best

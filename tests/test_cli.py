@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cardcvar import cli, ingest
+from test_acceptance import make_instance
 
 ORLIB_1 = "1\n0.01 0.05\n1 1 1.0\n"
 
@@ -211,3 +212,18 @@ def test_run_config_round_trips_through_dict():
                            paths={"scenarios": "s", "report": "r"})
     again = cli.RunConfig(**asdict(config))
     assert asdict(again) == asdict(config)
+
+
+def test_solver_failure_exit_four(tmp_path, capsys):
+    # bigm's k = 1 root relaxation has no interior on this instance, so its
+    # IPM fails: the CLI reports one error line, not a traceback
+    inst = make_instance(103, 7, 40, 1)
+    scen = tmp_path / "fail.scen"
+    scen.write_text(ingest.write_scenarios(inst.scenarios))
+    report = tmp_path / "r.json"
+    code = cli.main(["solve", "--scenarios", str(scen), "--k", "1",
+                     "--method", "bigm", "--report", str(report)])
+    assert code == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not report.exists()

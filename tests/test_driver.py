@@ -305,6 +305,28 @@ def test_multi_tree_bcp_stops_on_a_repeat_without_solving_it(monkeypatch):
             oracle.brute_force(inst, inst.k).best_f, abs=1e-5)
 
 
+def test_cp_never_solves_a_selection_twice(monkeypatch):
+    # cp stops on a repeated selection as bcp does: each exact lifted solve
+    # is at a new selection, one per iteration
+    real = lower.solve_lower_lifted
+    for seed in (0, 2, 5):
+        inst = random_instance(np.random.default_rng(seed), 10, 50, k=3)
+        solved = []
+
+        def spy(z, instance):
+            solved.append(z.as_tuple())
+            return real(z, instance)
+
+        monkeypatch.setattr(lower, "solve_lower_lifted", spy)
+        rep = driver.solve_cp(inst)
+        monkeypatch.setattr(lower, "solve_lower_lifted", real)
+        assert rep.status == driver.OPTIMAL
+        assert len(set(solved)) == len(solved) == rep.iterations
+        assert rep.n_cuts == rep.iterations
+        assert rep.obj == pytest.approx(
+            oracle.brute_force(inst, inst.k).best_f, abs=1e-5)
+
+
 def test_iterations_count_lower_solves_when_master_times_out(monkeypatch):
     # the master runs out of time on its second call (multi-tree, after the
     # warm selection and the first master selection) or at the third
@@ -560,6 +582,37 @@ def test_return_floor_at_and_past_the_best_asset(seed):
         assert oracle.brute_force(inst, 3) is None
         for rep in all_methods(inst):
             assert rep.status == driver.INFEASIBLE, rep.method
+
+
+def capped_instance(seed):
+    """test_acceptance.make_instance(seed, 9, 60, 3) with a cap x_j <= 0.45
+    on every asset and its return row rebuilt at half the k-rule mu_bar:
+    every selection of fewer than three assets is infeasible."""
+    base = make_instance(seed, 9, 60, 3)
+    capped = Instance(n_assets=9, scenarios=base.scenarios, probs=base.probs,
+                      side_A=np.eye(9), side_b=np.full(9, 0.45),
+                      beta=base.beta, gamma=base.gamma, k=3)
+    A, b = build_feasible_set(
+        capped, 0.5 * compute_mu_bar(capped.expected_returns, 3))
+    return Instance(n_assets=9, scenarios=base.scenarios, probs=base.probs,
+                    side_A=A, side_b=b, beta=base.beta, gamma=base.gamma,
+                    k=3)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_side_rows_match_the_oracle(seed):
+    """Caps and a return row beside the simplex: no unit vertex meets the
+    caps, so every scenario loop starts at the phase-1 point of
+    lower._support_feasible. Every method ends Optimal within 2e-5 of the
+    oracle, at a portfolio that meets the side rows."""
+    inst = capped_instance(seed)
+    best_f = oracle.brute_force(inst, 3).best_f
+    for rep in all_methods(inst):
+        assert rep.status == driver.OPTIMAL, rep.method
+        assert abs(rep.obj - best_f) <= 2e-5, rep.method
+        assert rep.selection.count() == 3, rep.method
+        assert np.all(inst.side_A @ rep.portfolio.weights
+                      <= inst.side_b + 1e-9), rep.method
 
 
 def test_time_limit_reports_honestly():

@@ -20,40 +20,62 @@ def no_good(z0):
     return master.Cut(kind=master.NO_GOOD, origin=SelectionVector(z0))
 
 
+def brute_force(state, selections):
+    """The smallest theta_at over the selections a no-good does not
+    exclude, or None when it excludes them all."""
+    return min((master.theta_at(state, bits) for bits in selections
+                if not state.excluded(bits)), default=None)
+
+
+def all_selections(n, k):
+    out = []
+    for count in range(k + 1):
+        for combo in itertools.combinations(range(n), count):
+            bits = np.zeros(n, dtype=np.int64)
+            bits[list(combo)] = 1
+            out.append(bits)
+    return out
+
+
 def enumerate_master(state):
-    """Exhaustive reference: (theta, lexicographically smallest bits)."""
-    best_theta, best_bits = np.inf, None
-    for bits in itertools.product((0, 1), repeat=state.n_assets):
-        arr = np.array(bits, dtype=np.int64)
-        if arr.sum() > state.k:
-            continue
-        if any(c.kind == master.NO_GOOD
-               and np.array_equal(arr, c.origin.bits) for c in state.cuts):
-            continue
-        theta = master.theta_at(state, arr)
-        if theta < best_theta - 1e-12:
-            best_theta, best_bits = theta, bits
-        elif abs(theta - best_theta) <= 1e-12 and bits < best_bits:
-            best_bits = bits
-    return best_theta, best_bits
+    """Exhaustive reference: the master optimum, or None."""
+    return brute_force(state, all_selections(state.n_assets, state.k))
 
 
-def random_state(rng, n, k, n_opt, n_ng, p_zero=0.0):
+def assert_optimum(state, result, ref_theta):
+    """result is a master optimum: theta within the search's relative
+    tolerance of the reference, and z a selection the region admits whose
+    theta_at is theta exactly. Among tied selections any one may come
+    back."""
+    z, theta = result
+    assert abs(theta - ref_theta) <= 1e-9 * (1.0 + abs(ref_theta))
+    assert master.theta_at(state, z.bits) == theta
+    assert not state.excluded(z.bits)
+    assert z.count() <= state.k
+
+
+def random_state(rng, n, k, n_opt, n_ng, p_zero=0.0, log=None):
     """Continuous cuts; with p_zero, each gradient entry is exactly 0 with
-    that probability, as a clipped omega makes it."""
+    that probability, as a clipped omega makes it. log, when given,
+    receives every Cut added."""
     state = master.MasterState(n_assets=n, k=k,
                                theta_lb=float(rng.normal(-2.0, 1.0)))
+    cuts = []
     for _ in range(n_opt):
         bits = np.zeros(n, dtype=int)
         bits[rng.choice(n, rng.integers(0, k + 1), replace=False)] = 1
         g = -rng.uniform(0.0, 2.0, n)
         if p_zero:
             g[rng.random(n) < p_zero] = 0.0
-        master.add_cut(state, opt_cut(bits, float(rng.normal()), g))
+        cuts.append(opt_cut(bits, float(rng.normal()), g))
     for _ in range(n_ng):
         bits = np.zeros(n, dtype=int)
         bits[rng.choice(n, rng.integers(0, k + 1), replace=False)] = 1
-        master.add_cut(state, no_good(bits))
+        cuts.append(no_good(bits))
+    for cut in cuts:
+        master.add_cut(state, cut)
+    if log is not None:
+        log.extend(cuts)
     return state
 
 
@@ -92,15 +114,6 @@ def test_excluded_cut_origin_does_not_seed_the_search():
     assert z.as_tuple() == (0, 0, 1)
 
 
-def test_lexicographic_tie_break():
-    # theta >= -sum(z) ties every single-asset selection at -1
-    state = master.MasterState(n_assets=3, k=1, theta_lb=-10.0)
-    master.add_cut(state, opt_cut([0, 0, 0], 0.0, [-1.0, -1.0, -1.0]))
-    z, theta = master.master_solve(state)
-    assert theta == pytest.approx(-1.0, abs=1e-12)
-    assert z.as_tuple() == (0, 0, 1)
-
-
 def test_positive_gradient_rejected():
     with pytest.raises(ValueError):
         opt_cut([0, 0], 0.0, [0.5, -1.0])
@@ -113,21 +126,17 @@ def test_matches_enumeration_on_random_pools():
         k = int(rng.integers(1, n + 1))
         state = random_state(rng, n, k, n_opt=int(rng.integers(1, 9)),
                              n_ng=int(rng.integers(0, 4)))
-        ref_theta, ref_bits = enumerate_master(state)
-        z, theta = master.master_solve(state)
-        assert abs(theta - ref_theta) <= 1e-9 * (1.0 + abs(ref_theta))
-        assert z.as_tuple() == ref_bits
-        assert theta >= state.theta_lb
-        assert theta == pytest.approx(master.theta_at(state, z.bits),
-                                      abs=1e-12)
+        result = master.master_solve(state)
+        assert_optimum(state, result, enumerate_master(state))
+        assert result[1] >= state.theta_lb
 
 
 def test_branch_and_bound_matches_enumeration():
-    # the box search agrees with enumeration on value, selection, and
-    # lexicographic ties: on continuous pools, on quarter-grid pools, where
-    # distinct selections tie exactly, and on pools whose gradients are 0 on
-    # most coordinates; each pool is solved again after a no-good on each
-    # optimum, from the frontier the previous solve left
+    # the box search agrees with enumeration: on continuous pools, on
+    # quarter-grid pools, where distinct selections tie exactly, and on
+    # pools whose gradients are 0 on most coordinates; each pool is solved
+    # again after a no-good on each optimum, from the frontier the previous
+    # solve left
     rng = np.random.default_rng(91)
     for trial in range(60):
         n = int(rng.integers(3, 13))
@@ -141,14 +150,13 @@ def test_branch_and_bound_matches_enumeration():
         else:
             state = random_state(rng, n, k, n_opt, n_ng=0, p_zero=0.7)
         for _ in range(3):
-            ref_theta, ref_bits = enumerate_master(state)
-            if ref_bits is None:
+            ref_theta = enumerate_master(state)
+            if ref_theta is None:
                 assert master.master_solve(state) is None
                 break
-            z, theta = master.master_solve(state)
-            assert abs(theta - ref_theta) <= 1e-9 * (1.0 + abs(ref_theta))
-            assert z.as_tuple() == ref_bits
-            master.add_cut(state, no_good(z.bits))
+            result = master.master_solve(state)
+            assert_optimum(state, result, ref_theta)
+            master.add_cut(state, no_good(result[0].bits))
 
 
 def test_theta_nondecreasing_as_cuts_accumulate():
@@ -167,12 +175,16 @@ def test_theta_nondecreasing_as_cuts_accumulate():
 
 def test_duplicate_cut_changes_nothing():
     rng = np.random.default_rng(3)
-    state = random_state(rng, 6, 2, n_opt=4, n_ng=1)
-    z1, t1 = master.master_solve(state)
-    master.add_cut(state, state.cuts[0])
-    z2, t2 = master.master_solve(state)
-    assert z1.as_tuple() == z2.as_tuple()
-    assert t1 == pytest.approx(t2, abs=1e-12)
+    cuts = []
+    state = random_state(rng, 6, 2, n_opt=4, n_ng=1, log=cuts)
+    ref_theta = enumerate_master(state)
+    first = master.master_solve(state)
+    assert_optimum(state, first, ref_theta)
+    master.add_cut(state, cuts[0])
+    assert enumerate_master(state) == ref_theta
+    second = master.master_solve(state)
+    assert_optimum(state, second, ref_theta)
+    assert second[1] == first[1]
 
 
 def test_no_good_is_never_returned_again():
@@ -218,8 +230,10 @@ def test_box_bound_is_the_best_single_cut():
     for _ in range(300):
         n = int(rng.integers(2, 11))
         k = int(rng.integers(1, n + 1))
+        cuts = []
         state = random_state(rng, n, k, n_opt=int(rng.integers(0, 9)),
-                             n_ng=0, p_zero=float(rng.choice([0.0, 0.3])))
+                             n_ng=0, p_zero=float(rng.choice([0.0, 0.3])),
+                             log=cuts)
         mark = rng.integers(0, 3, n)   # 0 fixed off, 1 fixed on, 2 free
         on = np.flatnonzero(mark == 1)
         mark[on[k:]] = 2               # at most k fixed ones
@@ -241,7 +255,7 @@ def test_box_bound_is_the_best_single_cut():
             assert bound <= theta + 1e-12 * (1.0 + abs(theta))
 
         per_cut = [state.theta_lb]
-        for c in state.cuts:
+        for c in cuts:
             at_lb = c.intercept + float(c.grad @ (lb - c.origin.bits))
             steps = sorted(float(c.grad[j]) for j in free)
             per_cut.append(at_lb + sum(steps[:min(budget, len(free))]))
@@ -262,8 +276,9 @@ def test_leaf_bound_is_theta_at_bit_for_bit():
     for _ in range(50):
         n = int(rng.integers(8, 41))
         k = int(rng.integers(1, n + 1))
+        cuts = []
         state = random_state(rng, n, k, n_opt=int(rng.integers(1, 40)),
-                             n_ng=0)
+                             n_ng=0, log=cuts)
         for _ in range(20):
             bits = np.zeros(n, dtype=np.int64)
             bits[rng.choice(n, rng.integers(0, k + 1), replace=False)] = 1
@@ -275,12 +290,13 @@ def test_leaf_bound_is_theta_at_bit_for_bit():
             # the per-cut form sums in another order: equal up to rounding
             per_cut = max([state.theta_lb] + [
                 c.intercept + float(c.grad @ (bits - c.origin.bits))
-                for c in state.cuts])
+                for c in cuts])
             assert bound == pytest.approx(per_cut, rel=1e-12, abs=1e-12)
 
 
-def milp_master(state):
-    """HiGHS's solve of the master as a MILP over (z, theta)."""
+def milp_master(state, no_goods):
+    """HiGHS's solve of the master as a MILP over (z, theta), with the
+    selections in no_goods excluded."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     n = state.n_assets
@@ -288,7 +304,7 @@ def milp_master(state):
             np.append(np.ones(n), 0.0)[None, :]]
     lo = [np.full(state.n_opt, -np.inf), [-np.inf]]
     hi = [-state.base, [state.k]]
-    for bits in state.no_goods.values():
+    for bits in no_goods:
         # at least one coordinate differs from the excluded selection
         rows.append(np.append(1.0 - 2.0 * bits, 0.0)[None, :])
         lo.append([1.0 - bits.sum()])
@@ -316,36 +332,30 @@ def test_branch_and_bound_matches_milp():
             state = dyadic_state(rng, n, k, n_opt)
         else:
             state = random_state(rng, n, k, n_opt, n_ng=0)
+        excluded = []
         for _ in range(int(rng.integers(0, 4))):
-            master.add_cut(state, no_good(master.master_solve(state)[0].bits))
-        z, theta = master.master_solve(state)
-        ref = milp_master(state)
+            excluded.append(master.master_solve(state)[0].bits)
+            master.add_cut(state, no_good(excluded[-1]))
+        ref = milp_master(state, excluded)
         assert ref.status == 0
-        assert abs(theta - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
-        assert z.count() <= k
-        assert not state.excluded(z.bits)
-        assert master.theta_at(state, z.bits) == theta
-        z_ref = np.round(ref.x[:n]).astype(np.int64)
-        if master.theta_at(state, z_ref) == theta:
-            # a tie goes to the lexicographically smallest selection
-            assert z.as_tuple() <= tuple(z_ref)
+        assert_optimum(state, master.master_solve(state), ref.fun)
 
 
 def test_node_count_accumulates_across_solves():
-    # node_count adds the boxes each solve bounds: a repeat over the same
-    # pool bounds again only the leaf of the previous optimum, and a new
-    # cut makes the next solve bound more
+    # node_count adds the boxes each solve bounds, at least one per solve:
+    # a repeat over the same pool and a solve after a new cut both add to
+    # it, and both start from the frontier the previous solve left
     rng = np.random.default_rng(23)
     state = random_state(rng, 7, 3, n_opt=5, n_ng=0)
-    master.master_solve(state)
-    first = state.node_count
-    assert first > 0
-    master.master_solve(state)
-    assert state.node_count == first + 1
-    master.add_cut(state, opt_cut(np.ones(7, dtype=int), 5.0,
-                                  -np.ones(7)))
-    master.master_solve(state)
-    assert state.node_count > first + 1
+    counts = [0]
+    for step in range(3):
+        if step == 2:
+            master.add_cut(state, opt_cut(np.ones(7, dtype=int), 5.0,
+                                          -np.ones(7)))
+        assert_optimum(state, master.master_solve(state),
+                       enumerate_master(state))
+        assert state.node_count > counts[-1]
+        counts.append(state.node_count)
 
 
 def test_deadline_raises_timeout():
@@ -361,14 +371,14 @@ def test_callback_single_tree_injects_and_accepts():
 
     def callback(z, theta, bound):
         seen.append((z.as_tuple(), theta))
-        if len(state.cuts) == 0:
+        if state.n_cuts == 0:
             master.add_cut(state, opt_cut([0, 0, 0], 3.0,
                                           [-1.0, -1.0, -1.0]))
             return False
         return True
 
     z, theta = master.master_solve(state, callback=callback)
-    assert len(state.cuts) == 1
+    assert state.n_cuts == 1
     assert len(seen) >= 2
     assert theta == pytest.approx(2.0, abs=1e-9)
     assert z.count() == 1
@@ -395,8 +405,7 @@ def dyadic_state(rng, n, k, n_opt):
 
 
 def test_tie_break_across_popcount_blocks():
-    # n=16: {1, 2} (two ones) ties with {0} (one one) and is
-    # lexicographically smaller
+    # n=16: {1, 2} (two ones) ties with {0} (one one) at the optimum
     n = 16
     state = master.MasterState(n_assets=n, k=2, theta_lb=-5.0)
     g = np.zeros(n)
@@ -408,28 +417,23 @@ def test_tie_break_across_popcount_blocks():
         master.add_cut(state, no_good(bits))
     z, theta = master.master_solve(state)
     assert theta == -1.0
-    assert z.support().tolist() == [1, 2]
+    assert z.support().tolist() in ([0], [1, 2])
 
 
 def test_high_part_wider_than_low_part():
-    # n=30, k=3 on the quarter grid: 30 of the 4,525 selections tie at
-    # the optimum, and the lexicographically smallest wins
+    # n=30, k=3 on the quarter grid: several of the 4,525 selections tie
+    # at the optimum, and the search returns one of them
     n, k = 30, 3
     rng = np.random.default_rng(30)
     state = dyadic_state(rng, n, k, n_opt=2)
     master.add_cut(state, no_good(master.master_solve(state)[0].bits))
-    scored = []
-    for count in range(k + 1):
-        for combo in itertools.combinations(range(n), count):
-            bits = np.zeros(n, dtype=np.int64)
-            bits[list(combo)] = 1
-            if not state.excluded(bits):
-                scored.append((master.theta_at(state, bits), tuple(bits)))
+    scored = [master.theta_at(state, bits)
+              for bits in all_selections(n, k) if not state.excluded(bits)]
     best = min(scored)
-    assert sum(theta == best[0] for theta, _ in scored) > 1
-    z, theta = master.master_solve(state)
-    assert theta == best[0]
-    assert z.as_tuple() == best[1]
+    assert scored.count(best) > 1
+    result = master.master_solve(state)
+    assert_optimum(state, result, best)
+    assert result[1] == best
 
 
 def test_empty_pool_returns_the_empty_selection():
@@ -451,29 +455,10 @@ def test_no_good_on_the_best_single_asset_at_n_70():
     assert theta == pytest.approx(-68.0 / 69.0, abs=1e-12)
 
 
-def brute_force(state, selections):
-    """(theta, bits) of the smallest theta_at over the selections a no-good
-    does not exclude, ties to the lexicographically smallest bits."""
-    excluded = {c.origin.as_tuple() for c in state.cuts
-                if c.kind == master.NO_GOOD}
-    return min((master.theta_at(state, bits), tuple(bits))
-               for bits in selections if tuple(bits) not in excluded)
-
-
-def all_selections(n, k):
-    out = []
-    for count in range(k + 1):
-        for combo in itertools.combinations(range(n), count):
-            bits = np.zeros(n, dtype=np.int64)
-            bits[list(combo)] = 1
-            out.append(bits)
-    return out
-
-
 def test_lazy_master_matches_brute_force_over_cut_sequences():
     # one state takes nine cuts and solves after each, so every solve but
     # the first starts from the frontier the previous one left; quarter-grid
-    # ties make the tie-break decide among boxes kept with stale bounds
+    # ties leave boxes kept with stale bounds at the optimum's value
     rng = np.random.default_rng(64)
     for n, k in ((16, 4), (18, 3), (20, 3)):
         selections = all_selections(n, k)
@@ -488,13 +473,14 @@ def test_lazy_master_matches_brute_force_over_cut_sequences():
                 master.add_cut(state, opt_cut(
                     bits, 0.25 * int(rng.integers(-4, 5)),
                     -0.25 * rng.integers(0, 3, n)))
-            z, theta = master.master_solve(state)
-            assert (theta, z.as_tuple()) == brute_force(state, selections)
+            result = master.master_solve(state)
+            assert_optimum(state, result, brute_force(state, selections))
+            z = result[0]
 
 
 def test_tie_in_a_stale_chunk_at_the_cutoff():
     # n=20, k=2: no-goods leave {0, 19} and {5, 6} tied at -2, the least
-    # theta; the lexicographically smaller {5, 6} must win
+    # theta; either may come back
     n = 20
     state = master.MasterState(n_assets=n, k=2, theta_lb=-10.0)
     g = np.zeros(n)
@@ -504,15 +490,33 @@ def test_tie_in_a_stale_chunk_at_the_cutoff():
         bits = np.zeros(n, dtype=int)
         bits[list(pair)] = 1
         master.add_cut(state, no_good(bits))
-    z, theta = master.master_solve(state)
-    assert theta == -2.0
-    assert z.support().tolist() == [5, 6]
-    assert (theta, z.as_tuple()) == brute_force(state, all_selections(n, 2))
+    result = master.master_solve(state)
+    assert result[1] == -2.0
+    assert result[0].support().tolist() in ([0, 19], [5, 6])
+    assert_optimum(state, result, brute_force(state, all_selections(n, 2)))
+
+
+def assert_frontier_covers(state, selections):
+    """Every selection a no-good does not exclude lies in exactly one box
+    of the frontier, and that box's stored bound is at most its theta, up
+    to the rounding of node_eval's other order of summation."""
+    bounds = np.array([entry[0] for entry in state._frontier])
+    boxes = np.array([entry[-1] for entry in state._frontier])
+    for bits in selections:
+        inside = np.flatnonzero(np.all((boxes == 2) | (boxes == bits),
+                                       axis=1))
+        if state.excluded(bits):
+            assert inside.size <= 1
+            continue
+        assert inside.size == 1
+        theta = master.theta_at(state, bits)
+        assert bounds[inside[0]] <= theta + 1e-12 * (1.0 + abs(theta))
 
 
 def test_timeout_leaves_the_frontier_whole(monkeypatch):
     # a solve that times out, at its first box or later, must not lose a
-    # box of the frontier: the next solve without a deadline is still exact.
+    # box of the frontier: the boxes still cover every selection, and the
+    # next solve without a deadline is still exact.
     # Each clock read is one tick; at stop = 0 the deadline has passed
     clock = itertools.count()
     monkeypatch.setattr(master, "time",
@@ -536,6 +540,7 @@ def test_timeout_leaves_the_frontier_whole(monkeypatch):
             timeouts += 1
         else:
             assert stop > 0
-        z, theta = master.master_solve(state)
-        assert (theta, z.as_tuple()) == brute_force(state, selections)
+        assert_frontier_covers(state, selections)
+        assert_optimum(state, master.master_solve(state),
+                       brute_force(state, selections))
     assert timeouts >= 20
