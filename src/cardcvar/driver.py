@@ -1,10 +1,12 @@
 """Outer solve orchestration: one cutting-plane loop and the big-M baseline.
 
 solve_bcp and solve_cp run one driver. Its step solves the lower level at a
-candidate selection, adds the cut, lowers the upper bound and reports the
+candidate selection z, adds a cut, lowers the upper bound and reports the
 iteration: bcp solves by the scenario cutting-plane algorithm, cp solves
-lower.lifted_program exactly, and both cut from the certificate of the
-LowerResult they get back. Multi-tree mode takes its first step, which
+lower.lifted_program exactly, and both add the row
+theta >= f_lo + g @ (z' - z) from the LowerResult they get back, with g the
+subgradient of its certificate (master.add_cut), or a no-good when z is
+infeasible (master.add_no_good). Multi-tree mode takes its first step, which
 iterations counts like any other, at the top-k assets of the all-ones
 portfolio that theta_lb solves anyway, then re-solves the master after
 each step; single-tree mode (bcp only) runs one master search that takes
@@ -157,34 +159,25 @@ def _echo(eps, delta, time_limit) -> dict:
     return {"eps": eps, "delta": delta, "time_limit": time_limit}
 
 
-def _cut(z, res, gamma):
-    """The cut of a lower result at z: (cut, f_lo, f_hi) with f_lo <= f(z)
-    <= f_hi, where bcp's scenario cutting-plane result has f_hi <= f_lo +
-    delta and cp's exact lifting f_lo = f_hi. It cuts at f_lo with the
-    subgradient of the certificate; an infeasible z (res None) gets a
-    no-good cut and f_lo = f_hi = inf."""
-    if res is None:
-        return master.Cut(master.NO_GOOD, z), np.inf, np.inf
-    grad = lower.subgradient(res.certificate, gamma)
-    return (master.Cut(master.OPTIMALITY, z, res.f_lo, grad),
-            res.f_lo, res.f_hi)
-
-
 def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
                    on_iteration):
     """The outer loop of bcp, single-tree bcp and cp.
 
-    Every lower solve is one step (evaluate): add the cut of its result,
-    lower the upper bound, count the iteration and report it, and keep the
-    selection's f_lo. bcp's step at the all-ones selection reuses theta_lb's
-    solve, which ran at the same delta. Multi-tree takes its first step at
-    the top-k of theta_lb's all-ones portfolio (its k largest weights, ties
-    to the lower index), so the first master call already has an optimality
-    cut; that step counts as an iteration like any other. It then re-solves
-    the master after each step and stops on the gap test or on a repeated
-    selection: that one is not solved again (the solve would only reproduce
-    its cut), and its kept f_lo closes the lower bound, so iterations and
-    n_cuts count distinct selections.
+    Every lower solve is one step (evaluate). Its result brackets f(z) by
+    f_lo <= f(z) <= f_hi, where bcp's scenario loop has f_hi <= f_lo +
+    delta and cp's exact lifting f_lo = f_hi. The step adds the cut at f_lo
+    with the certificate's subgradient, or a no-good with f_lo = f_hi = inf
+    when z is infeasible, lowers the upper bound with f_hi, counts the
+    iteration and reports it, and keeps the selection's f_lo. bcp's step at
+    the all-ones selection reuses theta_lb's solve, which ran at the same
+    delta. Multi-tree takes its first step at the top-k of theta_lb's
+    all-ones portfolio (its k largest weights, ties to the lower index), so
+    the first master call already has an optimality cut; that step counts
+    as an iteration like any other. It then re-solves the master after each
+    step and stops on the gap test or on a repeated selection: that one is
+    not solved again (the solve would only reproduce its cut), and its kept
+    f_lo closes the lower bound, so iterations and n_cuts count distinct
+    selections.
 
     Single-tree runs one master search that takes the steps through its
     callback and ends at that search's optimum; lb follows the bound the
@@ -232,9 +225,14 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
             res = ones    # theta_lb solved it at this delta
         else:
             res = lower.solve_lower_cp(z, instance, delta)
-        cut, f_lo, f_hi = _cut(z, res, instance.gamma)
+        if res is None:
+            f_lo = f_hi = np.inf
+            master.add_no_good(state, z)
+        else:
+            f_lo, f_hi = res.f_lo, res.f_hi
+            master.add_cut(state, z, f_lo,
+                           lower.subgradient(res.certificate, instance.gamma))
         seen[z.bits.tobytes()] = f_lo
-        master.add_cut(state, cut)
         if f_hi < ub:
             ub, z_hat, res_hat = f_hi, z, res
         t += 1

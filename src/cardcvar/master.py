@@ -2,20 +2,20 @@
 
 The feasible region is theta >= theta_lb, one affine row per optimality cut,
 one exclusion row per no-good cut, and the cardinality bound 1'z <= k with z
-binary. MasterState stores the pool once, and every path reads it in place:
-theta at z is max(theta_lb, max(base + grad @ z)) everywhere (theta_at).
-master_solve runs one best-bound branch and bound over coordinate boxes.
-Each box is bounded by its best single cut, the largest of the cuts' exact
-minima over it (one sort per cut, because cut gradients are nonpositive),
-and that binding cut picks the box's witness and branch coordinate. The
-cutting-plane loop needs a master optimum, not a particular one among ties,
-so both modes share one rule: a candidate replaces the incumbent only when
-its theta is lower, and a box is pruned once its bound comes within the
-relative tolerance of the incumbent's theta. The open boxes, the frontier,
-live on the MasterState and carry over from one solve to the next: cuts
-only add rows, so a stored bound stays a lower bound, and a pruned box is
-kept with its bound, to reopen in a later solve whose incumbent theta has
-risen. Reruns are reproducible.
+binary. A cut is written straight into MasterState as a row (add_cut,
+add_no_good), and every path reads the rows in place: theta at z is
+max(theta_lb, max(base + grad @ z)) everywhere (theta_at). master_solve runs
+one best-bound branch and bound over coordinate boxes. Each box is bounded
+by its best single cut, the largest of the cuts' exact minima over it (one
+sort per cut, because cut gradients are nonpositive), and that binding cut
+picks the box's witness and branch coordinate. The cutting-plane loop needs
+a master optimum, not a particular one among ties, so both modes share one
+rule: a candidate replaces the incumbent only when its theta is lower, and a
+box is pruned once its bound comes within the relative tolerance of the
+incumbent's theta. The open boxes, the frontier, live on the MasterState and
+carry over from one solve to the next: cuts only add rows, so a stored bound
+stays a lower bound, and a pruned box is kept with its bound, to reopen in a
+later solve whose incumbent theta has risen. Reruns are reproducible.
 """
 
 from __future__ import annotations
@@ -30,18 +30,13 @@ import numpy as np
 from .model import SelectionVector
 
 __all__ = [
-    "OPTIMALITY",
-    "NO_GOOD",
-    "Cut",
     "MasterState",
     "MasterTimeout",
     "add_cut",
+    "add_no_good",
     "theta_at",
     "master_solve",
 ]
-
-OPTIMALITY = "Optimality"
-NO_GOOD = "NoGood"
 
 _BB_TOL = 1e-9         # relative pruning tolerance
 _CUT_CAPACITY = 64     # optimality rows stored before the first doubling
@@ -51,48 +46,21 @@ class MasterTimeout(RuntimeError):
     """Deadline passed mid-search."""
 
 
-@dataclass
-class Cut:
-    """Optimality cut theta >= intercept + grad @ (z - origin), or a no-good
-    row excluding origin."""
-
-    kind: str
-    origin: SelectionVector
-    intercept: float = 0.0
-    grad: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (OPTIMALITY, NO_GOOD):
-            raise ValueError(f"unknown cut kind {self.kind!r}")
-        self.intercept = float(self.intercept)
-        if self.kind == OPTIMALITY:
-            if self.grad is None:
-                raise ValueError("optimality cut needs a gradient")
-            self.grad = np.asarray(self.grad, dtype=float).ravel()
-            if self.grad.size != self.origin.bits.size:
-                raise ValueError("gradient length must match origin")
-            if np.any(self.grad > 0.0):
-                raise ValueError("optimality gradients must be nonpositive")
-            if not (np.isfinite(self.intercept)
-                    and np.all(np.isfinite(self.grad))):
-                raise ValueError("cut coefficients must be finite")
-
-
 def _key(bits: np.ndarray) -> bytes:
     return np.asarray(bits, dtype=np.int64).tobytes()
 
 
 @dataclass(eq=False)
 class MasterState:
-    """The append-only cut pool of one outer solve (add_cut is its writer)
-    and the region parameters. The first n_opt rows of base and grad are
-    the optimality cuts theta >= base + grad @ z, with base = intercept -
-    grad @ origin, in arrays that double when full. no_goods holds each
-    excluded selection's _key; n_cuts counts every Cut added. _frontier is
-    the branch and bound's heap of open boxes, None until the first solve;
-    each box is an int8 vector over the assets, 0 fixed off, 1 fixed on and
-    2 free, and _tick numbers them for the heap's order. node_count sums the
-    boxes the solves have bounded."""
+    """The append-only cut pool of one outer solve and the region
+    parameters. The first n_opt rows of base and grad are the optimality
+    cuts theta >= base + grad @ z, in arrays that double when full (add_cut
+    writes them). no_goods holds each excluded selection's _key
+    (add_no_good); n_cuts counts the cuts of both kinds. _frontier is the
+    branch and bound's heap of open boxes, the root box alone before the
+    first solve; each box is an int8 vector over the assets, 0 fixed off, 1
+    fixed on and 2 free, and _tick numbers them for the heap's order.
+    node_count sums the boxes the solves have bounded."""
 
     n_assets: int
     k: int
@@ -108,7 +76,9 @@ class MasterState:
         self.n_cuts, self.n_opt, self.no_goods = 0, 0, set()
         self._base = np.empty(_CUT_CAPACITY)
         self._grad = np.empty((_CUT_CAPACITY, self.n_assets))
-        self._frontier, self._tick = None, itertools.count()
+        self._tick = itertools.count()
+        self._frontier = [(-np.inf, next(self._tick),
+                           np.full(self.n_assets, 2, dtype=np.int8))]
 
     @property
     def base(self) -> np.ndarray:
@@ -122,22 +92,37 @@ class MasterState:
         return _key(bits) in self.no_goods
 
 
-def add_cut(state: MasterState, cut: Cut) -> MasterState:
-    bits = cut.origin.bits
-    if bits.size != state.n_assets:
+def add_cut(state: MasterState, z: SelectionVector, value: float,
+            grad) -> None:
+    """Add the optimality cut theta >= value + grad @ (z' - z), stored as
+    the row base + grad @ z' with base = value - grad @ z. The gradient must
+    have one entry per asset, all nonpositive, and the row must be
+    finite."""
+    if z.bits.size != state.n_assets:
         raise ValueError("cut dimension does not match n_assets")
+    value = float(value)
+    grad = np.asarray(grad, dtype=float).ravel()
+    if grad.size != state.n_assets:
+        raise ValueError("gradient length must match z")
+    if np.any(grad > 0.0):
+        raise ValueError("optimality gradients must be nonpositive")
+    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+        raise ValueError("cut coefficients must be finite")
     state.n_cuts += 1
-    if cut.kind == NO_GOOD:
-        state.no_goods.add(_key(bits))
-        return state
     if state.n_opt == state._base.size:
         state._base, state._grad = (np.concatenate([a, np.empty_like(a)])
                                     for a in (state._base, state._grad))
-    row = state.n_opt
-    state._base[row] = cut.intercept - float(cut.grad @ bits)
-    state._grad[row] = cut.grad
+    state._base[state.n_opt] = value - float(grad @ z.bits)
+    state._grad[state.n_opt] = grad
     state.n_opt += 1
-    return state
+
+
+def add_no_good(state: MasterState, z: SelectionVector) -> None:
+    """Exclude the selection z from the region."""
+    if z.bits.size != state.n_assets:
+        raise ValueError("cut dimension does not match n_assets")
+    state.n_cuts += 1
+    state.no_goods.add(_key(z.bits))
 
 
 def theta_at(state: MasterState, bits: np.ndarray) -> float:
@@ -188,55 +173,50 @@ def node_eval(state: MasterState, box: np.ndarray):
     return max(float(mins[binding]), state.theta_lb), bits, branch
 
 
-class _Search:
-    """Incumbent and deadline of one branch-and-bound solve. best is the
-    incumbent's theta, infinite until the first one, and best_bits its
-    selection; cutoff is best less the relative tolerance _BB_TOL, and a
-    box whose bound reaches it cannot hold a selection better than the
-    incumbent by more than the tolerance. The incumbent only improves during
-    a solve, so a box pruned once stays pruned until the solve ends."""
+def master_solve(state: MasterState, callback=None,
+                 deadline: float | None = None):
+    """Exact solve of the master problem; returns (z, theta) or None when the
+    no-good cuts exclude all feasible selections.
 
-    def __init__(self, state, deadline):
-        self.state = state
-        self.deadline = deadline
-        self.best = self.cutoff = np.inf
-        self.best_bits = None
+    One best-bound branch and bound runs over the state's frontier, heap
+    ties to the older box, branching on the free coordinate that most sways
+    the cut binding at the node, and every node contributes the selection
+    attaining that cut's minimum as an incumbent candidate. It starts from
+    the frontier the state's earlier solves left, the root box at the first
+    solve, so a solve after new cuts resumes where the last one stopped
+    instead of at the root. A candidate replaces the incumbent only when its
+    theta is below the incumbent's, and the cutoff is then the incumbent's
+    theta less the relative tolerance 1e-9 (1 + |theta|): a box whose bound
+    reaches it cannot hold a selection better by more than the tolerance.
+    The search stops once the least open bound reaches the cutoff. The
+    incumbent only improves during a solve, so a box pruned once stays
+    pruned until the solve ends; boxes pruned when bounded, and leaves no
+    no-good excludes, are set aside with their bounds and return to the
+    frontier when the solve ends, also on a MasterTimeout, so the next solve
+    is exact too. A box is counted in node_count, and the deadline checked,
+    before it leaves the heap.
 
-    def charge(self) -> None:
-        self.state.node_count += 1
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise MasterTimeout("master deadline passed")
-
-    def offer(self, bits: np.ndarray, theta: float) -> None:
-        """Make bits the incumbent when its theta is below the incumbent's."""
-        if theta < self.best:
-            self.best, self.best_bits = theta, bits.copy()
-            self.cutoff = theta - _BB_TOL * (1.0 + abs(theta))
-
-
-def _branch_and_bound(search: _Search, callback) -> None:
-    """Best-bound branch and bound over the state's frontier, heap ties to
-    the older box; the answer is the search's incumbent, none when the
-    no-good cuts exclude every selection. The search stops once the least
-    open bound reaches the cutoff. Boxes whose bound reaches it when
-    bounded, and leaves no no-good excludes, are set aside with their bounds
-    and return to the frontier when the search ends, also on a timeout; a
-    box is counted, and the deadline checked, before it leaves the heap. The
-    callback also gets the search's current lower bound: the least bound of
-    the open boxes, the current one included, capped at the best theta."""
-    state = search.state
-    tick = state._tick
-    if state._frontier is None:
-        state._frontier = [(-np.inf, next(tick),
-                            np.full(state.n_assets, 2, dtype=np.int8))]
-    heap = state._frontier
+    Without a callback, theta is theta_at(z) and within the tolerance of
+    the master optimum; among selections tied within it any one may come
+    back. With a callback the search runs single-tree branch and bound:
+    callback(z, theta, bound) sees every integer-feasible candidate with its
+    master value and the search's current lower bound on the master optimum
+    (the least bound of the open boxes, the current one included, capped at
+    the incumbent's theta), and either accepts it or injects at least one
+    cut and rejects; the best accepted candidate is returned as-is.
+    """
+    heap, tick = state._frontier, state._tick
+    best = cutoff = np.inf
+    best_bits = None
     kept = []
     try:
-        while heap and heap[0][0] < search.cutoff:
-            search.charge()
+        while heap and heap[0][0] < cutoff:
+            state.node_count += 1
+            if deadline is not None and time.monotonic() > deadline:
+                raise MasterTimeout("master deadline passed")
             _, t, box = heapq.heappop(heap)
             bound, bits, branch = node_eval(state, box)
-            if bound >= search.cutoff:
+            if bound >= cutoff:
                 kept.append((bound, t, box))
                 continue
             excluded = state.excluded(bits)
@@ -244,8 +224,7 @@ def _branch_and_bound(search: _Search, callback) -> None:
                 theta_z = theta_at(state, bits)
                 if callback is not None:
                     n_before = state.n_cuts
-                    least = min(bound, heap[0][0] if heap else np.inf,
-                                search.best)
+                    least = min(bound, heap[0][0] if heap else np.inf, best)
                     accepted = callback(SelectionVector(bits.copy()),
                                         theta_z, least)
                     if state.n_cuts != n_before:
@@ -256,7 +235,9 @@ def _branch_and_bound(search: _Search, callback) -> None:
                                                "without adding a cut")
                         heapq.heappush(heap, (bound, next(tick), box))
                         continue
-                search.offer(bits, theta_z)
+                if theta_z < best:
+                    best, best_bits = theta_z, bits
+                    cutoff = best - _BB_TOL * (1.0 + abs(best))
             if branch < 0:
                 # the box holds the one selection bits
                 if not excluded:
@@ -270,30 +251,6 @@ def _branch_and_bound(search: _Search, callback) -> None:
     finally:
         for entry in kept:
             heapq.heappush(heap, entry)
-
-
-def master_solve(state: MasterState, callback=None,
-                 deadline: float | None = None):
-    """Exact solve of the master problem; returns (z, theta) or None when the
-    no-good cuts exclude all feasible selections.
-
-    One best-bound branch and bound runs, branching on the free coordinate
-    that most sways the cut binding at the node, and every node contributes
-    the selection attaining that cut's minimum as an incumbent candidate.
-    The search starts from the frontier the state's earlier solves left,
-    the root box at the first solve, so a solve after new cuts resumes
-    where the last one stopped instead of at the root; a MasterTimeout
-    leaves the frontier whole, so the next solve is exact too. Without a
-    callback, theta is theta_at(z) and within the relative tolerance
-    1e-9 (1 + |theta|) of the master optimum; among selections tied within
-    it any one may come back. With a callback the search runs single-tree
-    branch and bound: callback(z, theta, bound) sees every integer-feasible
-    candidate with its master value and the search's current lower bound
-    on the master optimum, and either accepts it or injects at least one
-    cut and rejects; the best accepted candidate is returned as-is.
-    """
-    search = _Search(state, deadline)
-    _branch_and_bound(search, callback)
-    if search.best_bits is None:
+    if best_bits is None:
         return None
-    return SelectionVector(search.best_bits), search.best
+    return SelectionVector(best_bits), best

@@ -64,6 +64,7 @@ IPM_TOL = 1e-9
 IPM_MAX_ITER = 200
 _REG = 1e-12
 _DIVERGE = 1e12
+_REFINE = 4
 
 
 def _empty_rows(n: int) -> np.ndarray:
@@ -283,16 +284,11 @@ def _phase1(M, rhs):
 
 def feasible(G, h, A_eq, b_eq) -> np.ndarray | None:
     """A point of {G x <= h, A_eq x = b_eq}, or None when the minimum total
-    violation found by phase 1 is above FEAS_TOL."""
-    G = np.atleast_2d(np.asarray(G, dtype=float)) if G is not None else None
-    A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float)) if A_eq is not None else None
-    if G is None and A_eq is None:
-        raise ValueError("need at least one constraint block")
-    n = G.shape[1] if G is not None else A_eq.shape[1]
-    if G is None:
-        G, h = _empty_rows(n), np.zeros(0)
-    if A_eq is None:
-        A_eq, b_eq = _empty_rows(n), np.zeros(0)
+    violation found by phase 1 is above FEAS_TOL. All four arrays are
+    required; a block without rows is an empty (0, n) matrix."""
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
+    n = G.shape[1]
     h = np.asarray(h, dtype=float).ravel()
     b_eq = np.asarray(b_eq, dtype=float).ravel()
     m, p = G.shape[0], A_eq.shape[0]
@@ -478,7 +474,7 @@ def _step_len(v, dv):
     return float(np.min(-v[neg] / dv[neg]))
 
 
-def _newton_solve(kk, d, rx, re, refine=4):
+def _newton_solve(kk, d, rx, re):
     """Solve the reduced Newton system with iterative refinement.
 
     The factorization only preconditions: residuals are measured against the
@@ -487,7 +483,7 @@ def _newton_solve(kk, d, rx, re, refine=4):
     """
     dx, dnu = kk.solve_kkt(rx, re)
     scale = 1.0 + np.max(np.abs(rx), initial=0.0)
-    for _ in range(refine):
+    for _ in range(_REFINE):
         r1 = (kk.mul_P(dx) + kk.mul_GT(d * kk.mul_G(dx))
               + kk.mul_AT(dnu) - rx)
         r2 = kk.mul_A(dx) - re
@@ -501,7 +497,7 @@ def _newton_solve(kk, d, rx, re, refine=4):
     return dx, dnu
 
 
-def _ipm(kk, max_iter=IPM_MAX_ITER, tol=IPM_TOL):
+def _ipm(kk):
     """Mehrotra predictor-corrector on the backend kk (requires kk.m >= 1)."""
     m = kk.m
     x = kk.init_x()
@@ -515,7 +511,7 @@ def _ipm(kk, max_iter=IPM_MAX_ITER, tol=IPM_TOL):
     recent = deque(maxlen=8)
     stall = 0
 
-    for it in range(max_iter):
+    for it in range(IPM_MAX_ITER):
         Gx = kk.mul_G(x)
         r_p = Gx + s - kk.h
         r_e = kk.mul_A(x) - kk.b
@@ -527,18 +523,20 @@ def _ipm(kk, max_iter=IPM_MAX_ITER, tol=IPM_TOL):
         prim_res = max(np.max(np.abs(r_p), initial=0.0),
                        np.max(np.abs(r_e), initial=0.0))
         dual_res = np.max(np.abs(r_d), initial=0.0)
-        if (prim_res <= tol * rhs_scale and dual_res <= tol * q_scale
-                and comp <= tol * (1.0 + abs(obj))):
+        if (prim_res <= IPM_TOL * rhs_scale
+                and dual_res <= IPM_TOL * q_scale
+                and comp <= IPM_TOL * (1.0 + abs(obj))):
             return Solution(OPTIMAL, x, obj, lam, nu, iters=it)
         if np.max(np.abs(x)) > _DIVERGE:
             return Solution(UNBOUNDED, x, obj, lam, nu, iters=it)
 
         # once primal feasibility and the gap are done, a dual residual that
         # stops improving is a rounding floor; hand the iterate back so the
-        # caller can polish the multipliers instead of spinning to max_iter.
+        # caller can polish the multipliers instead of running out the loop.
         # the floor is judged against a sliding window, not the all-time
         # best: a transient dip must not mask later genuine progress
-        if (prim_res <= tol * rhs_scale and comp <= tol * (1.0 + abs(obj))):
+        if (prim_res <= IPM_TOL * rhs_scale
+                and comp <= IPM_TOL * (1.0 + abs(obj))):
             floor = min(recent) if recent else np.inf
             stall = 0 if dual_res < 0.9 * floor else stall + 1
             if stall >= 20:
@@ -584,7 +582,7 @@ def _ipm(kk, max_iter=IPM_MAX_ITER, tol=IPM_TOL):
         nu = nu + alpha * dnu
 
     obj = float(0.5 * (x @ kk.mul_P(x)) + kk.q @ x)
-    return Solution(ITER_LIMIT, x, obj, lam, nu, iters=max_iter)
+    return Solution(ITER_LIMIT, x, obj, lam, nu, iters=IPM_MAX_ITER)
 
 
 def _kkt_converged(prim_res, dual_res, comp, obj, h, b, q) -> bool:

@@ -456,6 +456,25 @@ def test_multi_tree_matches_single_tree_at_n_100():
                                            + driver.DELTA_DEFAULT)
 
 
+@pytest.mark.slow
+def test_single_tree_row_order_at_n_100_seed_9():
+    # differential at the heavy tail of n=100 (580 lower solves and 64,602
+    # boxes in each order): scenario row order leaves the problem unchanged,
+    # so both orders must reach the same optimum
+    inst = make_instance(9, 100, 1000, 10)
+    order = np.random.default_rng(1).permutation(1000)
+    permuted = Instance(n_assets=100, scenarios=inst.scenarios[order],
+                        probs=inst.probs[order], side_A=inst.side_A,
+                        side_b=inst.side_b, beta=inst.beta, gamma=inst.gamma,
+                        k=10)
+    runs = [driver.solve_bcp(case, mode="single_tree")
+            for case in (inst, permuted)]
+    assert [rep.status for rep in runs] == [driver.OPTIMAL] * 2
+    assert runs[0].selection.as_tuple() == runs[1].selection.as_tuple()
+    assert abs(runs[0].obj - runs[1].obj) <= (driver.EPS_DEFAULT
+                                              + driver.DELTA_DEFAULT)
+
+
 def test_bigm_program_wraps_the_lifted_program():
     # rows: x - z <= 0, the lifted core rows, 1'z <= k, z <= ub, -z <= -lb
     inst = make_instance(5, 6, 30, 2)

@@ -11,13 +11,12 @@ from cardcvar import master
 from cardcvar.model import SelectionVector
 
 
-def opt_cut(z0, f0, g):
-    return master.Cut(kind=master.OPTIMALITY, origin=SelectionVector(z0),
-                      intercept=f0, grad=g)
+def opt_cut(state, z0, f0, g):
+    master.add_cut(state, SelectionVector(z0), f0, g)
 
 
-def no_good(z0):
-    return master.Cut(kind=master.NO_GOOD, origin=SelectionVector(z0))
+def no_good(state, z0):
+    master.add_no_good(state, SelectionVector(z0))
 
 
 def brute_force(state, selections):
@@ -57,25 +56,23 @@ def assert_optimum(state, result, ref_theta):
 def random_state(rng, n, k, n_opt, n_ng, p_zero=0.0, log=None):
     """Continuous cuts; with p_zero, each gradient entry is exactly 0 with
     that probability, as a clipped omega makes it. log, when given,
-    receives every Cut added."""
+    receives each optimality cut as (z0, f0, g)."""
     state = master.MasterState(n_assets=n, k=k,
                                theta_lb=float(rng.normal(-2.0, 1.0)))
-    cuts = []
     for _ in range(n_opt):
         bits = np.zeros(n, dtype=int)
         bits[rng.choice(n, rng.integers(0, k + 1), replace=False)] = 1
         g = -rng.uniform(0.0, 2.0, n)
         if p_zero:
             g[rng.random(n) < p_zero] = 0.0
-        cuts.append(opt_cut(bits, float(rng.normal()), g))
+        cut = (bits, float(rng.normal()), g)
+        opt_cut(state, *cut)
+        if log is not None:
+            log.append(cut)
     for _ in range(n_ng):
         bits = np.zeros(n, dtype=int)
         bits[rng.choice(n, rng.integers(0, k + 1), replace=False)] = 1
-        cuts.append(no_good(bits))
-    for cut in cuts:
-        master.add_cut(state, cut)
-    if log is not None:
-        log.extend(cuts)
+        no_good(state, bits)
     return state
 
 
@@ -88,7 +85,7 @@ def test_lower_bound_alone_binds():
 
 def test_single_optimality_cut():
     state = master.MasterState(n_assets=2, k=1, theta_lb=-10.0)
-    master.add_cut(state, opt_cut([1, 0], 5.0, [-2.0, -3.0]))
+    opt_cut(state, [1, 0], 5.0, [-2.0, -3.0])
     z, theta = master.master_solve(state)
     assert theta == pytest.approx(4.0, abs=1e-12)
     assert z.as_tuple() == (0, 1)
@@ -96,27 +93,51 @@ def test_single_optimality_cut():
 
 def test_no_good_shifts_optimum():
     state = master.MasterState(n_assets=2, k=1, theta_lb=-10.0)
-    master.add_cut(state, opt_cut([1, 0], 5.0, [-2.0, -3.0]))
-    master.add_cut(state, no_good([0, 1]))
+    opt_cut(state, [1, 0], 5.0, [-2.0, -3.0])
+    no_good(state, [0, 1])
     z, theta = master.master_solve(state)
     assert theta == pytest.approx(5.0, abs=1e-12)
     assert z.as_tuple() == (1, 0)
 
 
-def test_excluded_cut_origin_does_not_seed_the_search():
+def test_excluded_best_selection_gives_the_next_best():
     # theta is 1 at the cut's origin, which a no-good excludes, and 2, 3
     # and 4 elsewhere: branch and bound must not start from the origin
     state = master.MasterState(n_assets=3, k=1, theta_lb=-10.0)
-    master.add_cut(state, opt_cut([1, 0, 0], 1.0, [-3.0, -1.0, -2.0]))
-    master.add_cut(state, no_good([1, 0, 0]))
+    opt_cut(state, [1, 0, 0], 1.0, [-3.0, -1.0, -2.0])
+    no_good(state, [1, 0, 0])
     z, theta = master.master_solve(state)
     assert theta == 2.0
     assert z.as_tuple() == (0, 0, 1)
 
 
 def test_positive_gradient_rejected():
+    state = master.MasterState(n_assets=2, k=1, theta_lb=0.0)
     with pytest.raises(ValueError):
-        opt_cut([0, 0], 0.0, [0.5, -1.0])
+        opt_cut(state, [0, 0], 0.0, [0.5, -1.0])
+
+
+@pytest.mark.parametrize("z0, f0, g", [
+    ([0, 0], 0.0, [-1.0, -1.0, -1.0]),      # z of the wrong dimension
+    ([0, 0], 0.0, [-1.0, -1.0]),            # both of the wrong dimension
+    ([0, 0, 0], 0.0, [-1.0, -1.0]),         # gradient of the wrong length
+    ([0, 0, 0], 0.0, None),                 # no gradient
+    ([0, 0, 0], np.inf, [-1.0, -1.0, -1.0]),
+    ([0, 0, 0], 0.0, [-1.0, -np.inf, -1.0]),
+    ([0, 0, 0], 0.0, [-1.0, np.nan, -1.0]),
+])
+def test_malformed_optimality_cut_rejected(z0, f0, g):
+    state = master.MasterState(n_assets=3, k=1, theta_lb=0.0)
+    with pytest.raises(ValueError):
+        opt_cut(state, z0, f0, g)
+    assert state.n_cuts == state.n_opt == 0
+
+
+def test_no_good_of_the_wrong_dimension_rejected():
+    state = master.MasterState(n_assets=3, k=1, theta_lb=0.0)
+    with pytest.raises(ValueError):
+        no_good(state, [1, 0])
+    assert state.n_cuts == 0 and not state.no_goods
 
 
 def test_matches_enumeration_on_random_pools():
@@ -156,7 +177,7 @@ def test_branch_and_bound_matches_enumeration():
                 break
             result = master.master_solve(state)
             assert_optimum(state, result, ref_theta)
-            master.add_cut(state, no_good(result[0].bits))
+            no_good(state, result[0].bits)
 
 
 def test_theta_nondecreasing_as_cuts_accumulate():
@@ -166,8 +187,7 @@ def test_theta_nondecreasing_as_cuts_accumulate():
     for _ in range(12):
         bits = np.zeros(8, dtype=int)
         bits[rng.choice(8, 3, replace=False)] = 1
-        master.add_cut(state, opt_cut(bits, float(rng.normal()),
-                                      -rng.uniform(0.0, 1.0, 8)))
+        opt_cut(state, bits, float(rng.normal()), -rng.uniform(0.0, 1.0, 8))
         _, theta = master.master_solve(state)
         assert theta >= prev - 1e-9
         prev = theta
@@ -180,7 +200,7 @@ def test_duplicate_cut_changes_nothing():
     ref_theta = enumerate_master(state)
     first = master.master_solve(state)
     assert_optimum(state, first, ref_theta)
-    master.add_cut(state, cuts[0])
+    opt_cut(state, *cuts[0])
     assert enumerate_master(state) == ref_theta
     second = master.master_solve(state)
     assert_optimum(state, second, ref_theta)
@@ -198,7 +218,7 @@ def test_no_good_is_never_returned_again():
         z, _ = result
         assert z.as_tuple() not in seen
         seen.add(z.as_tuple())
-        master.add_cut(state, no_good(z.bits))
+        no_good(state, z.bits)
     # all of {z : sum(z) <= 2} over 5 assets must have been visited
     assert len(seen) == 1 + 5 + 10
 
@@ -206,7 +226,7 @@ def test_no_good_is_never_returned_again():
 def test_infeasible_when_no_goods_exhaust_region():
     state = master.MasterState(n_assets=3, k=1, theta_lb=0.0)
     for bits in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-        master.add_cut(state, no_good(bits))
+        no_good(state, bits)
     assert master.master_solve(state) is None
 
 
@@ -255,9 +275,9 @@ def test_box_bound_is_the_best_single_cut():
             assert bound <= theta + 1e-12 * (1.0 + abs(theta))
 
         per_cut = [state.theta_lb]
-        for c in cuts:
-            at_lb = c.intercept + float(c.grad @ (lb - c.origin.bits))
-            steps = sorted(float(c.grad[j]) for j in free)
+        for z0, f0, g in cuts:
+            at_lb = f0 + float(g @ (lb - z0))
+            steps = sorted(float(g[j]) for j in free)
             per_cut.append(at_lb + sum(steps[:min(budget, len(free))]))
         assert bound == pytest.approx(max(per_cut), rel=1e-12, abs=1e-12)
 
@@ -289,8 +309,7 @@ def test_leaf_bound_is_theta_at_bit_for_bit():
             assert bound == master.theta_at(state, bits)
             # the per-cut form sums in another order: equal up to rounding
             per_cut = max([state.theta_lb] + [
-                c.intercept + float(c.grad @ (bits - c.origin.bits))
-                for c in cuts])
+                f0 + float(g @ (bits - z0)) for z0, f0, g in cuts])
             assert bound == pytest.approx(per_cut, rel=1e-12, abs=1e-12)
 
 
@@ -335,7 +354,7 @@ def test_branch_and_bound_matches_milp():
         excluded = []
         for _ in range(int(rng.integers(0, 4))):
             excluded.append(master.master_solve(state)[0].bits)
-            master.add_cut(state, no_good(excluded[-1]))
+            no_good(state, excluded[-1])
         ref = milp_master(state, excluded)
         assert ref.status == 0
         assert_optimum(state, master.master_solve(state), ref.fun)
@@ -350,8 +369,7 @@ def test_node_count_accumulates_across_solves():
     counts = [0]
     for step in range(3):
         if step == 2:
-            master.add_cut(state, opt_cut(np.ones(7, dtype=int), 5.0,
-                                          -np.ones(7)))
+            opt_cut(state, np.ones(7, dtype=int), 5.0, -np.ones(7))
         assert_optimum(state, master.master_solve(state),
                        enumerate_master(state))
         assert state.node_count > counts[-1]
@@ -372,8 +390,7 @@ def test_callback_single_tree_injects_and_accepts():
     def callback(z, theta, bound):
         seen.append((z.as_tuple(), theta))
         if state.n_cuts == 0:
-            master.add_cut(state, opt_cut([0, 0, 0], 3.0,
-                                          [-1.0, -1.0, -1.0]))
+            opt_cut(state, [0, 0, 0], 3.0, [-1.0, -1.0, -1.0])
             return False
         return True
 
@@ -399,34 +416,33 @@ def dyadic_state(rng, n, k, n_opt):
         bits = np.zeros(n, dtype=int)
         bits[rng.choice(n, int(rng.integers(0, k + 1)), replace=False)] = 1
         g = -0.25 * rng.integers(0, 3, n)
-        master.add_cut(state, opt_cut(bits, 0.25 * int(rng.integers(-4, 5)),
-                                      g))
+        opt_cut(state, bits, 0.25 * int(rng.integers(-4, 5)), g)
     return state
 
 
-def test_tie_break_across_popcount_blocks():
+def test_tie_between_one_and_two_asset_selections():
     # n=16: {1, 2} (two ones) ties with {0} (one one) at the optimum
     n = 16
     state = master.MasterState(n_assets=n, k=2, theta_lb=-5.0)
     g = np.zeros(n)
     g[:3] = [-1.0, -0.5, -0.5]
-    master.add_cut(state, opt_cut(np.zeros(n, dtype=int), 0.0, g))
+    opt_cut(state, np.zeros(n, dtype=int), 0.0, g)
     for j in (1, 2):
         bits = np.zeros(n, dtype=int)
         bits[[0, j]] = 1
-        master.add_cut(state, no_good(bits))
+        no_good(state, bits)
     z, theta = master.master_solve(state)
     assert theta == -1.0
     assert z.support().tolist() in ([0], [1, 2])
 
 
-def test_high_part_wider_than_low_part():
+def test_many_tied_optima_at_n_30():
     # n=30, k=3 on the quarter grid: several of the 4,525 selections tie
     # at the optimum, and the search returns one of them
     n, k = 30, 3
     rng = np.random.default_rng(30)
     state = dyadic_state(rng, n, k, n_opt=2)
-    master.add_cut(state, no_good(master.master_solve(state)[0].bits))
+    no_good(state, master.master_solve(state)[0].bits)
     scored = [master.theta_at(state, bits)
               for bits in all_selections(n, k) if not state.excluded(bits)]
     best = min(scored)
@@ -447,9 +463,8 @@ def test_no_good_on_the_best_single_asset_at_n_70():
     # the last asset is the best single pick, and a no-good excludes it
     n = 70
     state = master.MasterState(n_assets=n, k=1, theta_lb=-2.0)
-    master.add_cut(state, opt_cut(np.zeros(n, dtype=int), 0.0,
-                                  -np.linspace(0.0, 1.0, n)))
-    master.add_cut(state, no_good(np.eye(n, dtype=int)[n - 1]))
+    opt_cut(state, np.zeros(n, dtype=int), 0.0, -np.linspace(0.0, 1.0, n))
+    no_good(state, np.eye(n, dtype=int)[n - 1])
     z, theta = master.master_solve(state)
     assert z.support().tolist() == [n - 2]
     assert theta == pytest.approx(-68.0 / 69.0, abs=1e-12)
@@ -465,31 +480,30 @@ def test_lazy_master_matches_brute_force_over_cut_sequences():
         state = dyadic_state(rng, n, k, n_opt=1)
         for step in range(9):
             if step % 3 == 2:
-                master.add_cut(state, no_good(z.bits))
+                no_good(state, z.bits)
             else:
                 bits = np.zeros(n, dtype=int)
                 bits[rng.choice(n, int(rng.integers(0, k + 1)),
                                 replace=False)] = 1
-                master.add_cut(state, opt_cut(
-                    bits, 0.25 * int(rng.integers(-4, 5)),
-                    -0.25 * rng.integers(0, 3, n)))
+                opt_cut(state, bits, 0.25 * int(rng.integers(-4, 5)),
+                        -0.25 * rng.integers(0, 3, n))
             result = master.master_solve(state)
             assert_optimum(state, result, brute_force(state, selections))
             z = result[0]
 
 
-def test_tie_in_a_stale_chunk_at_the_cutoff():
+def test_tie_left_by_no_goods_at_the_cutoff():
     # n=20, k=2: no-goods leave {0, 19} and {5, 6} tied at -2, the least
     # theta; either may come back
     n = 20
     state = master.MasterState(n_assets=n, k=2, theta_lb=-10.0)
     g = np.zeros(n)
     g[[0, 5, 6, 19]] = -1.0
-    master.add_cut(state, opt_cut(np.zeros(n, dtype=int), 0.0, g))
+    opt_cut(state, np.zeros(n, dtype=int), 0.0, g)
     for pair in ((5, 19), (6, 19), (0, 5), (0, 6)):
         bits = np.zeros(n, dtype=int)
         bits[list(pair)] = 1
-        master.add_cut(state, no_good(bits))
+        no_good(state, bits)
     result = master.master_solve(state)
     assert result[1] == -2.0
     assert result[0].support().tolist() in ([0, 19], [5, 6])
@@ -531,8 +545,7 @@ def test_timeout_leaves_the_frontier_whole(monkeypatch):
         master.master_solve(state)
         bits = np.zeros(n, dtype=int)
         bits[rng.choice(n, k, replace=False)] = 1
-        master.add_cut(state, opt_cut(bits, float(rng.normal()),
-                                      -rng.uniform(0.0, 2.0, n)))
+        opt_cut(state, bits, float(rng.normal()), -rng.uniform(0.0, 2.0, n))
         stop = trial % 4 * 3
         try:
             master.master_solve(state, deadline=next(clock) + stop - 0.5)
