@@ -1,35 +1,37 @@
 """Outer solve orchestration: one cutting-plane loop and the big-M baseline.
 
-solve_bcp and solve_cp run one driver. Its step solves the lower level at a
-candidate selection z, adds a cut, lowers the upper bound and reports the
-iteration: bcp solves by the scenario cutting-plane algorithm, cp solves
-lower.lifted_program exactly, and both add the row
-theta >= f_lo + g @ (z' - z) from the LowerResult they get back, with g the
-subgradient of its certificate (master.add_cut), or a no-good when z is
-infeasible (master.add_no_good). Multi-tree mode takes its first step, which
-iterations counts like any other, at the top-k assets of the all-ones
-portfolio that theta_lb solves anyway, then re-solves the master after
-each step; single-tree mode (bcp only) runs one master search that takes
-the steps through its callback, and only at new candidates whose master
-value is still below the upper bound: cuts are valid, so f(z) >= theta(z),
-and a candidate with theta(z) >= ub cannot improve the incumbent. bcp never
-solves the all-ones selection twice: theta_lb's solve is its step there,
-which at k = n is multi-tree's first. solve_bigm skips cuts entirely and runs
-branch and bound on one QP, lower.lifted_program over every asset inside a
-block of selection variables. All share a wall-clock budget and
-SolveReport assembly. The reported portfolio, objective, VaR and CVaR
-always come from the scenario cutting-plane solve at the incumbent
-selection taken to delta = 1e-9, so the objective is a true upper bound
-regardless of inner tolerances. bcp gets there by resuming the
-incumbent's own lower loop, which the search already ran at its delta, so
-that the QPs the search ran are not run again; cp, bigm and the oracle
-have no such loop and solve afresh.
+solve_bcp and solve_cp run one driver around one master search per solve
+(master.master_solve). Its step solves the lower level at a selection z,
+adds a cut, lowers the upper bound and reports the iteration: bcp solves by
+the scenario cutting-plane algorithm, cp solves lower.lifted_program
+exactly, and both add the row theta >= f_lo + g @ (z' - z) from the
+LowerResult they get back, with g the subgradient of its certificate
+(master.add_cut), or a no-good when z is infeasible (master.add_no_good).
+The search's callback takes the steps. Multi-tree mode takes its first
+step, which iterations counts like any other, at the top-k assets of the
+all-ones portfolio that theta_lb solves anyway, then steps only at the
+search's proven optima, and the search goes on with each new cut;
+single-tree mode (bcp only) steps at the search's candidates as they come,
+and only at new ones whose master value is still below the upper bound:
+cuts are valid, so f(z) >= theta(z), and a candidate with theta(z) >= ub
+cannot improve the incumbent. bcp never solves the all-ones selection
+twice: theta_lb's solve is its step there, which at k = n is multi-tree's
+first. solve_bigm skips cuts entirely and runs branch and bound on one QP,
+lower.lifted_program over every asset inside a block of selection
+variables. All share a wall-clock budget and SolveReport assembly. The
+reported portfolio, objective, VaR and CVaR always come from the scenario
+cutting-plane solve at the incumbent selection taken to delta = 1e-9, so
+the objective is a true upper bound regardless of inner tolerances. bcp
+gets there by resuming the incumbent's own lower loop, which the search
+already ran at its delta, so that the QPs the search ran are not run
+again; cp, bigm and the oracle have no such loop and solve afresh.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -159,34 +161,47 @@ def _echo(eps, delta, time_limit) -> dict:
     return {"eps": eps, "delta": delta, "time_limit": time_limit}
 
 
+def _check_params(eps, delta, time_limit) -> None:
+    """Reject a negative eps or delta and a NaN anywhere; inf passes. NaN
+    fails every comparison, so eps = NaN would switch the gap test off."""
+    if not eps >= 0:
+        raise ValueError("eps must be nonnegative")
+    if not delta >= 0:
+        raise ValueError("delta must be nonnegative")
+    if math.isnan(time_limit):
+        raise ValueError("time_limit must be a number")
+
+
 def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
                    on_iteration):
-    """The outer loop of bcp, single-tree bcp and cp.
+    """The outer solve of bcp, single-tree bcp and cp: one master search
+    (master.master_solve) whose callback takes the steps.
 
     Every lower solve is one step (evaluate). Its result brackets f(z) by
     f_lo <= f(z) <= f_hi, where bcp's scenario loop has f_hi <= f_lo +
     delta and cp's exact lifting f_lo = f_hi. The step adds the cut at f_lo
     with the certificate's subgradient, or a no-good with f_lo = f_hi = inf
     when z is infeasible, lowers the upper bound with f_hi, counts the
-    iteration and reports it, and keeps the selection's f_lo. bcp's step at
-    the all-ones selection reuses theta_lb's solve, which ran at the same
-    delta. Multi-tree takes its first step at the top-k of theta_lb's
-    all-ones portfolio (its k largest weights, ties to the lower index), so
-    the first master call already has an optimality cut; that step counts
-    as an iteration like any other. It then re-solves the master after each
-    step and stops on the gap test or on a repeated selection: that one is
-    not solved again (the solve would only reproduce its cut), and its kept
-    f_lo closes the lower bound, so iterations and n_cuts count distinct
-    selections.
+    iteration and reports it. bcp's step at the all-ones selection reuses
+    theta_lb's solve, which ran at the same delta.
 
-    Single-tree runs one master search that takes the steps through its
-    callback and ends at that search's optimum; lb follows the bound the
-    search hands over with each candidate. The callback accepts without a
-    step a candidate seen before, whose cut is in the pool and so already
-    met, and a candidate whose master value theta reaches the upper bound
-    within the relative tolerance 1e-9 (1 + |ub|) that also accepts a
-    solved candidate. That second rule is the lazy-cut pruning of
-    branch-and-cut solvers, and it keeps the solve exact:
+    The callback raises lb to the bound the search hands over with z and
+    accepts z unsolved when z was solved before: its own cut is a row, so
+    theta(z) >= f_lo(z) already, and iterations and n_cuts count distinct
+    selections. Multi-tree sees only the search's proven optimum, so its
+    bound is theta(z); a repeat there also raises lb to the f_lo kept for
+    z, which theta(z) meets only up to rounding, and a new z takes a step
+    and is accepted once ub - lb <= eps. Before the search multi-tree takes
+    the same step at the top-k of theta_lb's all-ones portfolio (its k
+    largest weights, ties to the lower index) at lb = theta_lb, so the
+    search starts with an optimality cut; that step counts as an iteration
+    like any other, and a gap it closes ends the solve without a search.
+
+    Single-tree (lazy) sees every candidate with the search's current bound.
+    It also accepts unsolved a candidate whose master value theta reaches
+    the upper bound within the relative tolerance 1e-9 (1 + |ub|). That rule
+    is the lazy-cut pruning of branch-and-cut solvers, and it keeps the
+    solve exact:
     - cuts are valid, so f(z) >= theta(z) >= ub - tol, and z cannot improve
       the incumbent; a lower solve there would not lower ub;
     - the search is still exact on the master with the cuts it has, so its
@@ -195,7 +210,12 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
       so the closing gap test below still holds.
     Every other candidate takes a step and is rejected unless theta meets
     its new cut, so iterations still counts lower solves and equals n_cuts.
+
+    Either way the search ends at a master optimum whose theta bounds f*
+    from below, and the closing check holds every mode to ub - lb <=
+    max(eps, delta): a repeat z has ub <= f_hi(z) <= f_lo(z) + delta.
     """
+    _check_params(eps, delta, time_limit)
     name = "bcp_single_tree" if single_tree else method
     t0 = time.monotonic()
     deadline = t0 + time_limit
@@ -211,7 +231,6 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     lb, ub = tlb, float("inf")
     z_hat = res_hat = None    # the incumbent and its lower result
     t = 0
-    warm = None if single_tree else _top_k(ones.portfolio.weights, instance.k)
 
     def out(status):
         return _report(name, status, instance, t0, t, state.node_count,
@@ -243,48 +262,38 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     def callback(z, theta, bound):
         nonlocal lb
         lb = max(lb, bound)
-        if z.bits.tobytes() in seen:
-            # its cut is in the pool, so theta already satisfies it
+        key = z.bits.tobytes()
+        if key in seen:
+            if not single_tree:
+                # the search's optimum repeats z, so f_lo(z) <= f*: theta(z)
+                # meets z's own row only up to rounding
+                lb = max(lb, seen[key])
             return True
+        if not single_tree:
+            evaluate(z)
+            return ub - lb <= eps
         if ub < np.inf and theta >= ub - 1e-9 * (1.0 + abs(ub)):
             # f(z) >= theta: z cannot beat the incumbent
             return True
         f_lo = evaluate(z)
         return f_lo < np.inf and theta >= f_lo - 1e-9 * (1.0 + abs(f_lo))
 
-    while True:
+    solved = True
+    try:
         if time.monotonic() > deadline:
-            return out(TIME_LIMIT)
-        if warm is not None:
-            # the warm selection stands in for the first master call
-            solved, warm = (warm, lb), None
-        else:
-            try:
-                solved = master.master_solve(
-                    state, callback=callback if single_tree else None,
-                    deadline=deadline)
-            except master.MasterTimeout:
-                return out(TIME_LIMIT)
-        if solved is None:
-            # no-good cuts exhausted every selection
-            return out(INFEASIBLE if z_hat is None else OPTIMAL)
-        z, theta = solved
-        lb = max(lb, theta)
-        if single_tree:
-            if ub - lb > max(eps, delta) + 1e-9 * (1.0 + abs(ub)):
-                raise lower.SolverError(
-                    f"single-tree search closed with gap {ub - lb:.3e}")
-            return out(OPTIMAL)
-        key = z.bits.tobytes()
-        if key in seen:
-            # a repeated selection is delta-optimal (cp's, exactly optimal);
-            # its lower bound f_delta(z) <= f* closes the reported gap
-            # honestly
-            lb = max(lb, seen[key])
-            return out(OPTIMAL)
-        evaluate(z)
-        if ub - lb <= eps:
-            return out(OPTIMAL)
+            raise master.MasterTimeout("deadline passed before the search")
+        if single_tree or not callback(
+                _top_k(ones.portfolio.weights, instance.k), lb, lb):
+            solved = master.master_solve(state, callback, deadline,
+                                         lazy=single_tree)
+    except master.MasterTimeout:
+        return out(TIME_LIMIT)
+    if solved is None:
+        # no-good cuts exhausted every selection
+        return out(INFEASIBLE if z_hat is None else OPTIMAL)
+    if ub - lb > max(eps, delta) + 1e-9 * (1.0 + abs(ub)):
+        raise lower.SolverError(f"search closed with gap {ub - lb:.3e}")
+    return out(OPTIMAL)
 
 
 def solve_bcp(instance: Instance, eps: float = EPS_DEFAULT,
@@ -294,24 +303,25 @@ def solve_bcp(instance: Instance, eps: float = EPS_DEFAULT,
     """Bilevel cutting-plane solve; delta-inexact cuts from Algorithm-2
     certificates keep every subproblem dimension independent of S.
 
-    mode "multi_tree" first solves the top-k of the all-ones portfolio that
-    theta_lb computes (its k largest weights, ties to the lower index), then
-    re-solves the master after each cut; "single_tree" (reported as method
-    "bcp_single_tree") takes the cuts inside one master search.
-    on_iteration(t, z, lb, ub) is called after each lower solve, t = 1, 2,
-    ..., with the selection z and the bounds after its cut; in multi-tree
-    mode t = 1 is the top-k selection at lb = theta_lb, and in single-tree
-    mode lb is the master search's bound when it offered z. The report's
-    iterations counts lower solves, the top-k one included, which equals
-    n_cuts. Multi-tree mode ends when the master repeats a selection,
+    Both modes run one master branch and bound. mode "multi_tree" first
+    solves the top-k of the all-ones portfolio that theta_lb computes (its k
+    largest weights, ties to the lower index), then solves the lower level
+    only at each proven optimum of the search, which goes on with the new
+    cut; "single_tree" (reported as method "bcp_single_tree") solves it at
+    the search's candidates as they come. on_iteration(t, z, lb, ub) is
+    called after each lower solve, t = 1, 2, ..., with the selection z and
+    the bounds after its cut; in multi-tree mode t = 1 is the top-k
+    selection at lb = theta_lb, and in single-tree mode lb is the master
+    search's bound when it offered z. The report's iterations counts lower
+    solves, the top-k one included, which equals n_cuts. Multi-tree mode
+    ends when the gap closes or the search's optimum repeats a selection,
     without solving it again, so no z is reported twice. Single-tree mode
     solves the lower level only at new candidates whose master value is
     below the upper bound: the cuts are valid, so a candidate whose master
     value already reaches ub cannot improve the incumbent, and the search
-    accepts it unsolved while staying exact on the master.
+    accepts it unsolved while staying exact on the master. eps and delta
+    must be nonnegative and time_limit not NaN (ValueError).
     """
-    if eps < 0 or delta < 0:
-        raise ValueError("eps and delta must be nonnegative")
     if mode not in ("multi_tree", "single_tree"):
         raise ValueError(f"unknown mode {mode!r}")
     return _cutting_plane("bcp", mode == "single_tree", instance, eps, delta,
@@ -323,15 +333,15 @@ def solve_cp(instance: Instance, eps: float = EPS_DEFAULT,
              on_iteration=None) -> SolveReport:
     """Cutting-plane solve with exact lifted lower solves (zero-delta cuts).
 
-    The multi-tree loop of solve_bcp: the same first selection, the top-k
-    of theta_lb's all-ones portfolio, the same on_iteration contract and
-    the same meaning of iterations, which counts that first lower solve.
-    Like bcp it ends when the master repeats a selection, without solving
-    it again: the cut there is exact, so the master's theta already meets
-    the upper bound, and no selection is solved twice.
+    Multi-tree bcp with the lifted solve as its step: the same first
+    selection, the top-k of theta_lb's all-ones portfolio, one master
+    search that takes a step at each of its proven optima, the same
+    on_iteration contract and the same meaning of iterations, which counts
+    that first lower solve. Like bcp it ends when the search's optimum
+    repeats a selection, without solving it again: the cut there is exact,
+    so the master's theta already meets the upper bound, and no selection
+    is solved twice. eps must be nonnegative and time_limit not NaN.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
     return _cutting_plane("cp", False, instance, eps, DELTA_DEFAULT,
                           time_limit, on_iteration)
 
@@ -374,8 +384,7 @@ def solve_bigm(instance: Instance, eps: float = EPS_DEFAULT,
     Every node solves the full S-scenario program, so this baseline is
     intended for small scenario counts only.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_params(eps, 0.0, time_limit)
     t0 = time.monotonic()
     deadline = t0 + time_limit
     echo = _echo(eps, float("nan"), time_limit)

@@ -359,7 +359,7 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
     loop over, so the earlier result no longer carries it; a result that
     carries none (the lifted one, or one resumed already) starts afresh.
     """
-    if delta < 0:
+    if not delta >= 0:    # NaN included
         raise ValueError("delta must be nonnegative")
     support = z.support()
     loop = None if resume is None else resume._loop

@@ -5,17 +5,19 @@ one exclusion row per no-good cut, and the cardinality bound 1'z <= k with z
 binary. A cut is written straight into MasterState as a row (add_cut,
 add_no_good), and every path reads the rows in place: theta at z is
 max(theta_lb, max(base + grad @ z)) everywhere (theta_at). master_solve runs
-one best-bound branch and bound over coordinate boxes. Each box is bounded
-by its best single cut, the largest of the cuts' exact minima over it (one
-sort per cut, because cut gradients are nonpositive), and that binding cut
-picks the box's witness and branch coordinate. The cutting-plane loop needs
-a master optimum, not a particular one among ties, so both modes share one
-rule: a candidate replaces the incumbent only when its theta is lower, and a
-box is pruned once its bound comes within the relative tolerance of the
-incumbent's theta. The open boxes, the frontier, live on the MasterState and
-carry over from one solve to the next: cuts only add rows, so a stored bound
-stays a lower bound, and a pruned box is kept with its bound, to reopen in a
-later solve whose incumbent theta has risen. Reruns are reproducible.
+one best-bound branch and bound over coordinate boxes per outer solve. Each
+box is bounded by its best single cut, the largest of the cuts' exact minima
+over it (one sort per cut, because cut gradients are nonpositive), and that
+binding cut picks the box's witness and branch coordinate. The cutting-plane
+loop needs a master optimum, not a particular one among ties, so every mode
+shares one rule: a candidate replaces the incumbent only when its theta is
+lower, and a box is pruned once its bound comes within the relative
+tolerance of the incumbent's theta. A pruned box stays on the heap with its
+bound: cuts only add rows, so the bound stays a lower bound, and the box
+reopens when a callback rejects the incumbent and the search goes on with
+the new cut. Multi-tree and single-tree differ only in which selections the
+callback sees: the search's proven optimum alone, or every candidate
+(lazy). Reruns are reproducible.
 """
 
 from __future__ import annotations
@@ -56,11 +58,9 @@ class MasterState:
     parameters. The first n_opt rows of base and grad are the optimality
     cuts theta >= base + grad @ z, in arrays that double when full (add_cut
     writes them). no_goods holds each excluded selection's _key
-    (add_no_good); n_cuts counts the cuts of both kinds. _frontier is the
-    branch and bound's heap of open boxes, the root box alone before the
-    first solve; each box is an int8 vector over the assets, 0 fixed off, 1
-    fixed on and 2 free, and _tick numbers them for the heap's order.
-    node_count sums the boxes the solves have bounded."""
+    (add_no_good); n_cuts counts the cuts of both kinds. node_count sums
+    the boxes master_solve has bounded; the boxes themselves live only for
+    one call."""
 
     n_assets: int
     k: int
@@ -76,9 +76,6 @@ class MasterState:
         self.n_cuts, self.n_opt, self.no_goods = 0, 0, set()
         self._base = np.empty(_CUT_CAPACITY)
         self._grad = np.empty((_CUT_CAPACITY, self.n_assets))
-        self._tick = itertools.count()
-        self._frontier = [(-np.inf, next(self._tick),
-                           np.full(self.n_assets, 2, dtype=np.int8))]
 
     @property
     def base(self) -> np.ndarray:
@@ -173,43 +170,54 @@ def node_eval(state: MasterState, box: np.ndarray):
     return max(float(mins[binding]), state.theta_lb), bits, branch
 
 
+def _offer(state: MasterState, callback, z: SelectionVector, theta: float,
+           bound: float) -> bool:
+    """callback(z, theta, bound), which must add a cut when it rejects."""
+    n_before = state.n_cuts
+    if callback(z, theta, bound):
+        return True
+    if state.n_cuts == n_before:
+        raise RuntimeError("callback rejected a node without adding a cut")
+    return False
+
+
 def master_solve(state: MasterState, callback=None,
-                 deadline: float | None = None):
-    """Exact solve of the master problem; returns (z, theta) or None when the
-    no-good cuts exclude all feasible selections.
+                 deadline: float | None = None, lazy: bool = False):
+    """Exact solve of the master problem, cuts the callback adds included;
+    returns (z, theta) or None when the no-good cuts exclude all feasible
+    selections.
 
-    One best-bound branch and bound runs over the state's frontier, heap
-    ties to the older box, branching on the free coordinate that most sways
-    the cut binding at the node, and every node contributes the selection
-    attaining that cut's minimum as an incumbent candidate. It starts from
-    the frontier the state's earlier solves left, the root box at the first
-    solve, so a solve after new cuts resumes where the last one stopped
-    instead of at the root. A candidate replaces the incumbent only when its
-    theta is below the incumbent's, and the cutoff is then the incumbent's
-    theta less the relative tolerance 1e-9 (1 + |theta|): a box whose bound
-    reaches it cannot hold a selection better by more than the tolerance.
-    The search stops once the least open bound reaches the cutoff. The
-    incumbent only improves during a solve, so a box pruned once stays
-    pruned until the solve ends; boxes pruned when bounded, and leaves no
-    no-good excludes, are set aside with their bounds and return to the
-    frontier when the solve ends, also on a MasterTimeout, so the next solve
-    is exact too. A box is counted in node_count, and the deadline checked,
-    before it leaves the heap.
+    One best-bound branch and bound runs from the root box, heap ties to
+    the older box, branching on the free coordinate that most sways the cut
+    binding at the node, and every node contributes the selection attaining
+    that cut's minimum as an incumbent candidate. A candidate replaces the
+    incumbent only when its theta is below the incumbent's, and the cutoff
+    is then the incumbent's theta less the relative tolerance 1e-9 (1 +
+    |theta|): a box whose bound reaches it cannot hold a selection better by
+    more than the tolerance. Such a box goes back on the heap with its
+    bound, and a leaf no no-good excludes goes back with its theta: cuts
+    only add rows, so a stored key stays a lower bound. A box is counted in
+    node_count, and the deadline checked, before it leaves the heap.
 
-    Without a callback, theta is theta_at(z) and within the tolerance of
-    the master optimum; among selections tied within it any one may come
-    back. With a callback the search runs single-tree branch and bound:
-    callback(z, theta, bound) sees every integer-feasible candidate with its
-    master value and the search's current lower bound on the master optimum
-    (the least bound of the open boxes, the current one included, capped at
-    the incumbent's theta), and either accepts it or injects at least one
-    cut and rejects; the best accepted candidate is returned as-is.
+    Once the least open bound reaches the cutoff, the incumbent is a master
+    optimum: theta is theta_at(z), and among selections tied within the
+    tolerance any one may come back. Without a callback it is returned.
+    With one, callback(z, theta, theta) either accepts it, and it is
+    returned, or adds at least one cut and rejects it; best and cutoff then
+    reset, so every box pruned against the old incumbent reopens, and the
+    search goes on. This is multi-tree outer approximation: the callback
+    takes its step only at the search's proven optimum. lazy=True makes it
+    single-tree branch and cut: the callback also sees every candidate as
+    callback(z, theta, bound), with its master value and the search's
+    current lower bound on the master optimum (the least bound of the open
+    boxes, the current one included, capped at the incumbent's theta); a
+    rejected candidate's box goes back on the heap to be bounded again.
     """
-    heap, tick = state._frontier, state._tick
-    best = cutoff = np.inf
-    best_bits = None
-    kept = []
-    try:
+    tick = itertools.count()
+    heap = [(-np.inf, next(tick), np.full(state.n_assets, 2, dtype=np.int8))]
+    while True:
+        best = cutoff = np.inf
+        best_bits = None
         while heap and heap[0][0] < cutoff:
             state.node_count += 1
             if deadline is not None and time.monotonic() > deadline:
@@ -217,40 +225,36 @@ def master_solve(state: MasterState, callback=None,
             _, t, box = heapq.heappop(heap)
             bound, bits, branch = node_eval(state, box)
             if bound >= cutoff:
-                kept.append((bound, t, box))
+                heapq.heappush(heap, (bound, t, box))
                 continue
             excluded = state.excluded(bits)
             if not excluded:
                 theta_z = theta_at(state, bits)
-                if callback is not None:
+                if lazy:
                     n_before = state.n_cuts
                     least = min(bound, heap[0][0] if heap else np.inf, best)
-                    accepted = callback(SelectionVector(bits.copy()),
-                                        theta_z, least)
-                    if state.n_cuts != n_before:
-                        theta_z = theta_at(state, bits)
-                    if not accepted:
-                        if state.n_cuts == n_before:
-                            raise RuntimeError("callback rejected a node "
-                                               "without adding a cut")
+                    z = SelectionVector(bits.copy())
+                    if not _offer(state, callback, z, theta_z, least):
                         heapq.heappush(heap, (bound, next(tick), box))
                         continue
+                    if state.n_cuts != n_before:
+                        # the accepting callback added a cut
+                        theta_z = theta_at(state, bits)
                 if theta_z < best:
                     best, best_bits = theta_z, bits
                     cutoff = best - _BB_TOL * (1.0 + abs(best))
             if branch < 0:
                 # the box holds the one selection bits
                 if not excluded:
-                    kept.append((bound, t, box))
+                    heapq.heappush(heap, (theta_z, t, box))
                 continue
             hi = box.copy()
             hi[branch] = 1
             box[branch] = 0
             heapq.heappush(heap, (bound, next(tick), box))
             heapq.heappush(heap, (bound, next(tick), hi))
-    finally:
-        for entry in kept:
-            heapq.heappush(heap, entry)
-    if best_bits is None:
-        return None
-    return SelectionVector(best_bits), best
+        if best_bits is None:
+            return None
+        z = SelectionVector(best_bits)
+        if callback is None or _offer(state, callback, z, best, best):
+            return z, best

@@ -156,6 +156,18 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_nan_parameter_exit_one(tmp_path, capsys):
+    # NaN would switch the gap test off: one error line, no report
+    scen = write_two_asset_fixture(tmp_path / "two.scen")
+    report = tmp_path / "r.json"
+    code = cli.main(["solve", "--scenarios", scen, "--k", "1", "--method",
+                     "bcp", "--eps", "nan", "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not report.exists()
+
+
 def test_malformed_scenario_file_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.scen"
     bad.write_text("2 2\n0.1 0.2\n")

@@ -279,9 +279,10 @@ def test_single_tree_lower_bound_rises_during_the_search():
 
 
 def test_multi_tree_bcp_stops_on_a_repeat_without_solving_it(monkeypatch):
-    # the selections these seeds' master offers last are repeats: the run
-    # ends there with the repeat's kept f_lo, and no lower solve beyond
-    # theta_lb, one per iteration and the final extraction
+    # on these seeds the search's last optimum repeats a solved selection:
+    # the run accepts it unsolved, with lb raised to the f_lo its solve
+    # gave, and makes no lower solve beyond theta_lb, one per iteration and
+    # the final extraction
     real = lower.solve_lower_cp
     for seed in (0, 2, 5):
         inst = random_instance(np.random.default_rng(seed), 10, 50, k=3)
@@ -328,36 +329,52 @@ def test_cp_never_solves_a_selection_twice(monkeypatch):
 
 
 def test_iterations_count_lower_solves_when_master_times_out(monkeypatch):
-    # the master runs out of time on its second call (multi-tree, after the
-    # warm selection and the first master selection) or at the third
-    # candidate it offers (single-tree), after two lower solves each
+    # the one master search runs out of time at its second proven optimum
+    # (multi-tree and cp, after the warm selection and the first optimum)
+    # or at the third candidate it offers (single-tree), after two lower
+    # solves each
     rng = np.random.default_rng(23)
     inst = random_instance(rng, 6, 40, k=3)
     real_solve = master.master_solve
-    calls = []
 
-    def timing_out(state, callback=None, deadline=None):
-        calls.append(None)
-        if callback is None:
-            if len(calls) == 2:
-                raise master.MasterTimeout("master deadline passed")
-            return real_solve(state, deadline=deadline)
+    def timing_out(state, callback=None, deadline=None, lazy=False):
         offered = []
 
         def cb(z, theta, bound):
             offered.append(None)
-            if len(offered) == 3:
+            if len(offered) == (3 if lazy else 2):
                 raise master.MasterTimeout("master deadline passed")
             return callback(z, theta, bound)
 
-        return real_solve(state, callback=cb, deadline=deadline)
+        return real_solve(state, cb, deadline, lazy=lazy)
 
     monkeypatch.setattr(master, "master_solve", timing_out)
-    for solve, done in zip(CUTTING_PLANE_SOLVES, (2, 2, 2)):
-        calls.clear()
+    for solve in CUTTING_PLANE_SOLVES:
         rep = solve(inst)
         assert rep.status == driver.TIME_LIMIT
-        assert rep.iterations == rep.n_cuts == done
+        assert rep.iterations == rep.n_cuts == 2
+
+
+def test_one_master_search_per_solve(monkeypatch):
+    # bcp in both modes and cp run the whole outer solve inside one
+    # master_solve call: multi-tree steps at the search's optima, and the
+    # search goes on with each new cut instead of being called again
+    real_solve = master.master_solve
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(master, "master_solve", counting)
+    for seed in (0, 2, 5, 13):
+        inst = random_instance(np.random.default_rng(seed), 10, 50, k=3)
+        for solve in CUTTING_PLANE_SOLVES:
+            calls.clear()
+            rep = solve(inst)
+            assert rep.status == driver.OPTIMAL
+            assert rep.iterations > 1
+            assert len(calls) == 1
 
 
 def test_single_tree_matches_multi_tree():
@@ -386,7 +403,7 @@ def test_single_tree_solves_only_candidates_below_the_upper_bound(
         solved.append(z.as_tuple())
         return real_lower(z, instance, delta, resume=resume)
 
-    def spying(state, callback=None, deadline=None):
+    def spying(state, callback=None, deadline=None, lazy=False):
         def cb(z, theta, bound):
             ub, n_before = ub_now[0], len(solved)
             seen = z.as_tuple() in solved
@@ -399,7 +416,7 @@ def test_single_tree_solves_only_candidates_below_the_upper_bound(
                 unsolved.append(z.as_tuple())
             return accepted
 
-        return real_solve(state, callback=cb, deadline=deadline)
+        return real_solve(state, cb, deadline, lazy=lazy)
 
     def on_iteration(t, z, lb, ub):
         steps.append(t)
@@ -446,7 +463,8 @@ def test_single_tree_matches_the_oracle_and_multi_tree():
 
 def test_multi_tree_matches_single_tree_at_n_100():
     # differential at the paper's first difficulty, n=100: both modes run
-    # the same branch and bound, multi-tree across about 70 master calls
+    # one branch and bound, which multi-tree stops about 70 times at a
+    # proven optimum to solve the lower level
     inst = make_instance(7, 100, 1000, 10)
     multi = driver.solve_bcp(inst)
     single = driver.solve_bcp(inst, mode="single_tree")
@@ -673,6 +691,23 @@ def test_parameter_validation_and_echo():
         driver.solve_cp(inst, eps=-1.0)
     with pytest.raises(ValueError):
         driver.solve_bigm(inst, eps=-1.0)
+    # NaN fails every comparison: it would switch the gap test off, lift
+    # the time limit or fail deep in the master
+    nan = float("nan")
+    for kwargs in ({"eps": nan}, {"delta": nan}, {"time_limit": nan}):
+        with pytest.raises(ValueError):
+            driver.solve_bcp(inst, **kwargs)
+        with pytest.raises(ValueError):
+            driver.solve_bcp(inst, mode="single_tree", **kwargs)
+        if "delta" not in kwargs:
+            with pytest.raises(ValueError):
+                driver.solve_cp(inst, **kwargs)
+            with pytest.raises(ValueError):
+                driver.solve_bigm(inst, **kwargs)
+    # inf stays allowed
+    rep = driver.solve_bcp(inst, eps=float("inf"),
+                           time_limit=float("inf"))
+    assert rep.status == driver.OPTIMAL
     rep = driver.solve_bcp(inst)
     assert rep.params == {"eps": driver.EPS_DEFAULT,
                           "delta": driver.DELTA_DEFAULT,

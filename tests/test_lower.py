@@ -350,6 +350,8 @@ def test_rejects_negative_delta():
     inst = two_asset_instance()
     with pytest.raises(ValueError):
         lower.solve_lower_cp(SelectionVector([1, 1]), inst, -1e-6)
+    with pytest.raises(ValueError):
+        lower.solve_lower_cp(SelectionVector([1, 1]), inst, float("nan"))
 
 
 def test_warm_and_cold_reduced_qps_agree(monkeypatch):

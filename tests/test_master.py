@@ -2,7 +2,6 @@
 
 import itertools
 import time
-import types
 
 import numpy as np
 import pytest
@@ -156,8 +155,7 @@ def test_branch_and_bound_matches_enumeration():
     # the box search agrees with enumeration: on continuous pools, on
     # quarter-grid pools, where distinct selections tie exactly, and on
     # pools whose gradients are 0 on most coordinates; each pool is solved
-    # again after a no-good on each optimum, from the frontier the previous
-    # solve left
+    # again after a no-good on each optimum
     rng = np.random.default_rng(91)
     for trial in range(60):
         n = int(rng.integers(3, 13))
@@ -363,7 +361,7 @@ def test_branch_and_bound_matches_milp():
 def test_node_count_accumulates_across_solves():
     # node_count adds the boxes each solve bounds, at least one per solve:
     # a repeat over the same pool and a solve after a new cut both add to
-    # it, and both start from the frontier the previous solve left
+    # it, each from the root box, since no box outlives its solve
     rng = np.random.default_rng(23)
     state = random_state(rng, 7, 3, n_opt=5, n_ng=0)
     counts = [0]
@@ -394,7 +392,7 @@ def test_callback_single_tree_injects_and_accepts():
             return False
         return True
 
-    z, theta = master.master_solve(state, callback=callback)
+    z, theta = master.master_solve(state, callback=callback, lazy=True)
     assert state.n_cuts == 1
     assert len(seen) >= 2
     assert theta == pytest.approx(2.0, abs=1e-9)
@@ -402,9 +400,12 @@ def test_callback_single_tree_injects_and_accepts():
 
 
 def test_callback_reject_without_cut_is_an_error():
-    state = master.MasterState(n_assets=2, k=1, theta_lb=0.0)
-    with pytest.raises(RuntimeError):
-        master.master_solve(state, callback=lambda z, theta, bound: False)
+    # at a candidate (lazy) and at the search's optimum alike
+    for lazy in (True, False):
+        state = master.MasterState(n_assets=2, k=1, theta_lb=0.0)
+        with pytest.raises(RuntimeError):
+            master.master_solve(state, callback=lambda z, theta, bound:
+                                False, lazy=lazy)
 
 
 def dyadic_state(rng, n, k, n_opt):
@@ -471,14 +472,23 @@ def test_no_good_on_the_best_single_asset_at_n_70():
 
 
 def test_lazy_master_matches_brute_force_over_cut_sequences():
-    # one state takes nine cuts and solves after each, so every solve but
-    # the first starts from the frontier the previous one left; quarter-grid
-    # ties leave boxes kept with stale bounds at the optimum's value
+    # one search takes nine cuts from its callback, which sees only the
+    # search's proven optima, and each rejection reopens the boxes pruned
+    # against the old incumbent; quarter-grid ties leave boxes on the heap
+    # with stale bounds at the optimum's value
     rng = np.random.default_rng(64)
     for n, k in ((16, 4), (18, 3), (20, 3)):
         selections = all_selections(n, k)
         state = dyadic_state(rng, n, k, n_opt=1)
-        for step in range(9):
+        offered = []
+
+        def callback(z, theta, bound):
+            assert bound == theta
+            assert_optimum(state, (z, theta), brute_force(state, selections))
+            offered.append(z.as_tuple())
+            step = len(offered) - 1
+            if step == 9:
+                return True
             if step % 3 == 2:
                 no_good(state, z.bits)
             else:
@@ -487,9 +497,12 @@ def test_lazy_master_matches_brute_force_over_cut_sequences():
                                 replace=False)] = 1
                 opt_cut(state, bits, 0.25 * int(rng.integers(-4, 5)),
                         -0.25 * rng.integers(0, 3, n))
-            result = master.master_solve(state)
-            assert_optimum(state, result, brute_force(state, selections))
-            z = result[0]
+            return False
+
+        z, theta = master.master_solve(state, callback)
+        assert len(offered) == 10 and z.as_tuple() == offered[-1]
+        assert state.n_cuts == 10
+        assert_optimum(state, (z, theta), brute_force(state, selections))
 
 
 def test_tie_left_by_no_goods_at_the_cutoff():
@@ -508,52 +521,3 @@ def test_tie_left_by_no_goods_at_the_cutoff():
     assert result[1] == -2.0
     assert result[0].support().tolist() in ([0, 19], [5, 6])
     assert_optimum(state, result, brute_force(state, all_selections(n, 2)))
-
-
-def assert_frontier_covers(state, selections):
-    """Every selection a no-good does not exclude lies in exactly one box
-    of the frontier, and that box's stored bound is at most its theta, up
-    to the rounding of node_eval's other order of summation."""
-    bounds = np.array([entry[0] for entry in state._frontier])
-    boxes = np.array([entry[-1] for entry in state._frontier])
-    for bits in selections:
-        inside = np.flatnonzero(np.all((boxes == 2) | (boxes == bits),
-                                       axis=1))
-        if state.excluded(bits):
-            assert inside.size <= 1
-            continue
-        assert inside.size == 1
-        theta = master.theta_at(state, bits)
-        assert bounds[inside[0]] <= theta + 1e-12 * (1.0 + abs(theta))
-
-
-def test_timeout_leaves_the_frontier_whole(monkeypatch):
-    # a solve that times out, at its first box or later, must not lose a
-    # box of the frontier: the boxes still cover every selection, and the
-    # next solve without a deadline is still exact.
-    # Each clock read is one tick; at stop = 0 the deadline has passed
-    clock = itertools.count()
-    monkeypatch.setattr(master, "time",
-                        types.SimpleNamespace(monotonic=lambda:
-                                              float(next(clock))))
-    rng = np.random.default_rng(17)
-    n, k = 12, 4
-    selections = all_selections(n, k)
-    timeouts = 0
-    for trial in range(24):
-        state = random_state(rng, n, k, n_opt=4, n_ng=1)
-        master.master_solve(state)
-        bits = np.zeros(n, dtype=int)
-        bits[rng.choice(n, k, replace=False)] = 1
-        opt_cut(state, bits, float(rng.normal()), -rng.uniform(0.0, 2.0, n))
-        stop = trial % 4 * 3
-        try:
-            master.master_solve(state, deadline=next(clock) + stop - 0.5)
-        except master.MasterTimeout:
-            timeouts += 1
-        else:
-            assert stop > 0
-        assert_frontier_covers(state, selections)
-        assert_optimum(state, master.master_solve(state),
-                       brute_force(state, selections))
-    assert timeouts >= 20
