@@ -6,19 +6,19 @@ cut row and resumes the active-set solve of the one before it. Its QP is
 over (a, v, x_support), with the inequality rows in the order
     v >= 0, side rows, x_support >= 0, one cut row per scenario subset
 (the subsets in the order they were added) and the budget row as the one
-equality. The rows live in one workspace per loop (_CutQP); a new cut is
-written after the last, so no earlier row moves. The loop's state
-(_CutLoop) outlives the call in the LowerResult, so a later call at the
-same z can resume it at a smaller delta instead of solving its QPs again.
-Each call gathers the support columns of the scenario matrix once (S x
-|supp(z)|, no copy when z selects every asset), and every inner
-iteration computes its losses on that block; the kept state does not
-hold it. Each cut is anchored at the left beta-quantile a_ref of the
-losses of the QP's portfolio (_var_level, O(S) by partition), where the
-cut is tight on the true CVaR: its subset is the loss tail at a_ref, so it
-holds about (1 - beta) S scenarios, and the loop stops on the exact gap
-between the QP value and the objective of the QP's portfolio. The subset
-aggregates stay full width, so a certificate needs no second pass.
+equality. Each loop keeps its rows in one _CutQP, which appends a new cut's
+row after the last, so no earlier row moves. The loop's state (_CutLoop)
+outlives the call in the LowerResult, so a later call at the same z can
+resume it at a smaller delta instead of solving its QPs again. Each call
+gathers the support columns of the scenario matrix once (S x |supp(z)|, no
+copy when z selects every asset), and every inner iteration computes its
+losses on that block; the kept state does not hold it. Each cut is anchored
+at the left beta-quantile a_ref of the losses of the QP's portfolio
+(_var_level, O(S) by partition), where the cut is tight on the true CVaR:
+its subset is the loss tail at a_ref, so it holds about (1 - beta) S
+scenarios, and the loop stops on the exact gap between the QP value and the
+objective of the QP's portfolio. The subset aggregates stay full width, so
+a certificate needs no second pass.
 
 A fresh loop starts with two cut rows: the all-scenario cut and the cut of
 the tail J0 of the risk-neutral portfolio x^ = proj_simplex(gamma mu_S)
@@ -65,7 +65,6 @@ log = logging.getLogger(__name__)
 
 GAP_NOISE = 1e-12      # relative size of a rounding-level gap past delta
 MAX_INNER_ITERS = 10_000
-_CUT_CAPACITY = 16     # cut rows a lower solve's workspace starts with
 
 
 class SolverError(RuntimeError):
@@ -129,13 +128,10 @@ def _var_level(losses: np.ndarray, probs: np.ndarray, reach: float, q: int):
     Each scenario passed adds at least p_min, so the walk ends within the
     q largest losses for q = ceil((1 - beta) / p_min) + 2 (_quantile_window):
     a partition finds the q-th largest in O(S), and only the losses at or
-    above it are sorted.
+    above it are sorted (all of them when q = S).
     """
     S = losses.size
-    if q < S:
-        top = np.flatnonzero(losses >= np.partition(losses, S - q)[S - q])
-    else:
-        top = np.arange(S)
+    top = np.flatnonzero(losses >= np.partition(losses, S - q)[S - q])
     # ties may come in any order: they share the value the walk returns
     desc = top[np.argsort(losses.take(top))[::-1]]
     above = np.cumsum(probs.take(desc))
@@ -150,14 +146,13 @@ def _aggregate(instance: Instance, J: np.ndarray):
 
 
 class _CutQP:
-    """The scenario-cut QP over (a, v, x_support), kept in one row workspace.
+    """The scenario-cut QP over (a, v, x_support): its inequality rows G,
+    h and its objective and budget row.
 
     Inequality row order: v >= 0 (row 0), the side rows, x >= 0 (`fixed`
     rows in all), then one cut row -(p_J a + rho_J x) / (1 - beta) - v <= 0
     per subset, in the order the subsets were added; the one equality row is
-    the budget. A cut is written in place after the last one, and a full
-    workspace is copied into one twice as tall, so adding a cut never moves
-    a row, nor overwrites a row that an earlier QP's view covers.
+    the budget. add_cut appends one row, so no row ever moves.
     """
 
     def __init__(self, instance: Instance, support: np.ndarray):
@@ -166,9 +161,8 @@ class _CutQP:
         self.support = support
         self.one_m_beta = 1.0 - instance.beta
         self.fixed = 1 + M + K
-        self.count = self.fixed
-        self.G = np.zeros((self.fixed + _CUT_CAPACITY, K + 2))
-        self.h = np.zeros(self.G.shape[0])
+        self.G = np.zeros((self.fixed, K + 2))
+        self.h = np.zeros(self.fixed)
         self.G[0, 1] = -1.0
         self.G[1:1 + M, 2:] = instance.side_A[:, support]
         self.h[1:1 + M] = instance.side_b
@@ -183,22 +177,19 @@ class _CutQP:
             eq_b=np.ones(1))
 
     def add_cut(self, pJ: float, rho: np.ndarray) -> int:
-        """Write the cut of the aggregate (p_J, rho_J); returns its row."""
-        if self.count == self.h.size:
-            self.G = np.concatenate([self.G, np.zeros_like(self.G)])
-            self.h = np.concatenate([self.h, np.zeros_like(self.h)])
-        row = self.G[self.count]
+        """Append the cut of the aggregate (p_J, rho_J); returns its row."""
+        row = np.empty(self.G.shape[1])
         row[0] = -pJ / self.one_m_beta
         row[1] = -1.0
         row[2:] = -rho[self.support] / self.one_m_beta
-        self.count += 1
-        return self.count - 1
+        self.G = np.vstack([self.G, row])
+        self.h = np.append(self.h, 0.0)
+        return self.h.size - 1
 
     def program(self, start: np.ndarray, working: list):
-        """The QP over the rows written so far, warm-started at start with
+        """The QP over the rows added so far, warm-started at start with
         the given working rows."""
-        return self.base.with_rows(self.G[:self.count], self.h[:self.count],
-                                   start, working)
+        return self.base.with_rows(self.G, self.h, start, working)
 
 
 def _support_feasible(instance: Instance, support: np.ndarray):
@@ -247,6 +238,14 @@ def _anchor_subset(instance: Instance, support: np.ndarray,
     return top[losses.take(top) >= a_ref]
 
 
+def _support(z: SelectionVector, instance: Instance) -> np.ndarray:
+    """The support of z, which must have one entry per asset."""
+    if z.bits.size != instance.n_assets:
+        raise ValueError(f"selection has {z.bits.size} entries, instance "
+                         f"has {instance.n_assets} assets")
+    return z.support()
+
+
 def _embed(support: np.ndarray, x_s: np.ndarray, n: int) -> np.ndarray:
     x = np.zeros(n)
     x[support] = x_s
@@ -256,12 +255,12 @@ def _embed(support: np.ndarray, x_s: np.ndarray, n: int) -> np.ndarray:
 class _CutLoop:
     """The scenario cutting-plane loop of one selection between two QPs.
 
-    It holds the workspace, the subsets with their aggregates (p_J, rho_J),
-    the byte keys of every subset but the all-scenario one (recognised by
-    its size), the count of QPs solved so far, the last QP's solution with
-    its a_ref, v_ref and gap, the subset it would cut next (pending) and
-    whether that subset is a row already, and the warm start of the next
-    QP. A fresh loop holds the all-scenario subset and then J0
+    It holds the QP's rows (_CutQP), the subsets with their aggregates
+    (p_J, rho_J), the byte keys of every subset but the all-scenario one
+    (recognised by its size), the count of QPs solved so far, the last QP's
+    solution with its a_ref, v_ref and gap, the subset it would cut next
+    (pending) and whether that subset is a row already, and the warm start
+    of the next QP. A fresh loop holds the all-scenario subset and then J0
     (_anchor_subset), unless J0 is every scenario; each later subset is the
     one cut after a QP, in order. Before the first QP, sol is None and the
     warm start is the cold start. It never holds the support columns of the
@@ -318,7 +317,8 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
 
     Returns a LowerResult with f_lo <= f(z) <= f_hi <= f_lo + delta, or None
     when the selection admits no feasible portfolio. Subproblem failures
-    raise SolverError (distinct from infeasibility by contract).
+    raise SolverError (distinct from infeasibility by contract), and a z
+    without one entry per asset raises ValueError.
 
     After each inner QP at (a_t, v_t, x_t), with losses L = -r @ x_t, the
     loop takes a_ref, the left beta-quantile of L, and v' = E[(L - a_ref)_+]
@@ -361,7 +361,7 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
     """
     if not delta >= 0:    # NaN included
         raise ValueError("delta must be nonnegative")
-    support = z.support()
+    support = _support(z, instance)
     loop = None if resume is None else resume._loop
     if loop is None:
         x0 = _support_feasible(instance, support)
@@ -531,9 +531,10 @@ def solve_lower_lifted(z: SelectionVector, instance: Instance):
     or None when the selection admits no feasible portfolio. Its
     certificate carries one alpha weight per scenario row (they sum to 1,
     each at most p_s / (1 - beta)), the side multipliers zeta, the budget
-    multiplier lambda and omega completed on every coordinate.
+    multiplier lambda and omega completed on every coordinate. A z without
+    one entry per asset raises ValueError.
     """
-    support = z.support()
+    support = _support(z, instance)
     K = support.size
     S = instance.n_scenarios
     sol = numeric.solve(lifted_program(instance, support))

@@ -2,22 +2,22 @@
 
 The feasible region is theta >= theta_lb, one affine row per optimality cut,
 one exclusion row per no-good cut, and the cardinality bound 1'z <= k with z
-binary. A cut is written straight into MasterState as a row (add_cut,
-add_no_good), and every path reads the rows in place: theta at z is
-max(theta_lb, max(base + grad @ z)) everywhere (theta_at). master_solve runs
-one best-bound branch and bound over coordinate boxes per outer solve. Each
-box is bounded by its best single cut, the largest of the cuts' exact minima
-over it (one sort per cut, because cut gradients are nonpositive), and that
-binding cut picks the box's witness and branch coordinate. The cutting-plane
-loop needs a master optimum, not a particular one among ties, so every mode
-shares one rule: a candidate replaces the incumbent only when its theta is
-lower, and a box is pruned once its bound comes within the relative
-tolerance of the incumbent's theta. A pruned box stays on the heap with its
-bound: cuts only add rows, so the bound stays a lower bound, and the box
-reopens when a callback rejects the incumbent and the search goes on with
-the new cut. Multi-tree and single-tree differ only in which selections the
-callback sees: the search's proven optimum alone, or every candidate
-(lazy). Reruns are reproducible.
+binary. MasterState holds the cut pool as plain arrays: add_cut appends one
+row to base and grad, add_no_good one key to no_goods, and every path reads
+the arrays as they stand, so theta at z is max(theta_lb, max(base + grad @
+z)) everywhere (theta_at). master_solve runs one best-bound branch and bound
+over coordinate boxes per outer solve. Each box is bounded by its best
+single cut, the largest of the cuts' exact minima over it (one sort per cut,
+because cut gradients are nonpositive), and that binding cut picks the box's
+witness and branch coordinate. The cutting-plane loop needs a master
+optimum, not a particular one among ties, so every mode shares one rule: a
+candidate replaces the incumbent only when its theta is lower, and a box is
+pruned once its bound comes within the relative tolerance of the incumbent's
+theta. A pruned box stays on the heap with its bound: cuts only add rows, so
+the bound stays a lower bound, and the box reopens when a callback rejects
+the incumbent and the search goes on with the new cut. Multi-tree and
+single-tree differ only in which selections the callback sees: the search's
+proven optimum alone, or every candidate (lazy). Reruns are reproducible.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _BB_TOL = 1e-9         # relative pruning tolerance
-_CUT_CAPACITY = 64     # optimality rows stored before the first doubling
 
 
 class MasterTimeout(RuntimeError):
@@ -55,12 +54,11 @@ def _key(bits: np.ndarray) -> bytes:
 @dataclass(eq=False)
 class MasterState:
     """The append-only cut pool of one outer solve and the region
-    parameters. The first n_opt rows of base and grad are the optimality
-    cuts theta >= base + grad @ z, in arrays that double when full (add_cut
-    writes them). no_goods holds each excluded selection's _key
-    (add_no_good); n_cuts counts the cuts of both kinds. node_count sums
-    the boxes master_solve has bounded; the boxes themselves live only for
-    one call."""
+    parameters. Row i of base and grad is the optimality cut theta >= base
+    + grad @ z; add_cut appends one row, so base.size counts them. no_goods
+    holds each excluded selection's _key (add_no_good); n_cuts counts the
+    cuts of both kinds. node_count sums the boxes master_solve has bounded;
+    the boxes themselves live only for one call."""
 
     n_assets: int
     k: int
@@ -73,17 +71,9 @@ class MasterState:
             raise ValueError("theta_lb must be finite")
         if not 1 <= self.k <= self.n_assets:
             raise ValueError("need 1 <= k <= n_assets")
-        self.n_cuts, self.n_opt, self.no_goods = 0, 0, set()
-        self._base = np.empty(_CUT_CAPACITY)
-        self._grad = np.empty((_CUT_CAPACITY, self.n_assets))
-
-    @property
-    def base(self) -> np.ndarray:
-        return self._base[:self.n_opt]
-
-    @property
-    def grad(self) -> np.ndarray:
-        return self._grad[:self.n_opt]
+        self.n_cuts, self.no_goods = 0, set()
+        self.base = np.empty(0)
+        self.grad = np.empty((0, self.n_assets))
 
     def excluded(self, bits: np.ndarray) -> bool:
         return _key(bits) in self.no_goods
@@ -106,12 +96,8 @@ def add_cut(state: MasterState, z: SelectionVector, value: float,
     if not (np.isfinite(value) and np.all(np.isfinite(grad))):
         raise ValueError("cut coefficients must be finite")
     state.n_cuts += 1
-    if state.n_opt == state._base.size:
-        state._base, state._grad = (np.concatenate([a, np.empty_like(a)])
-                                    for a in (state._base, state._grad))
-    state._base[state.n_opt] = value - float(grad @ z.bits)
-    state._grad[state.n_opt] = grad
-    state.n_opt += 1
+    state.base = np.append(state.base, value - float(grad @ z.bits))
+    state.grad = np.vstack([state.grad, grad])
 
 
 def add_no_good(state: MasterState, z: SelectionVector) -> None:
@@ -142,7 +128,11 @@ def node_eval(state: MasterState, box: np.ndarray):
     branch): that bound, the selection attaining the binding cut's minimum
     (an incumbent candidate), and the free coordinate that sways that cut
     most, or -1 when the box holds the one selection lb, whose bound is
-    exactly theta_at(lb).
+    exactly theta_at(lb). When the binding cut is flat on the free
+    coordinates, the branch is the free coordinate with the most negative
+    entry of any cut, the first free one if every cut is flat there: a box
+    with free coordinates always branches, as a no-good may exclude its
+    witness.
     """
     base, grad = state.base, state.grad
     bits = (box == 1).astype(np.int64)
@@ -155,11 +145,6 @@ def node_eval(state: MasterState, box: np.ndarray):
         return max(state.theta_lb, float(vals0.max())), bits, -1
     gfree = grad[:, fidx]
     low = np.sort(gfree, axis=1)[:, :take]
-    if float(low[:, 0].min()) >= 0.0:
-        # every cut is flat on the free coordinates, so the bound is exact;
-        # the box still hands back a branch, as its witness may be excluded
-        # by a no-good
-        return max(state.theta_lb, float(vals0.max())), bits, int(fidx[0])
     mins = vals0 + low.sum(axis=1)
     binding = int(np.argmax(mins))
     h = gfree[binding]

@@ -129,7 +129,7 @@ def test_malformed_optimality_cut_rejected(z0, f0, g):
     state = master.MasterState(n_assets=3, k=1, theta_lb=0.0)
     with pytest.raises(ValueError):
         opt_cut(state, z0, f0, g)
-    assert state.n_cuts == state.n_opt == 0
+    assert state.n_cuts == state.base.size == 0
 
 
 def test_no_good_of_the_wrong_dimension_rejected():
@@ -317,9 +317,9 @@ def milp_master(state, no_goods):
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     n = state.n_assets
-    rows = [np.hstack([state.grad, -np.ones((state.n_opt, 1))]),
+    rows = [np.hstack([state.grad, -np.ones((state.base.size, 1))]),
             np.append(np.ones(n), 0.0)[None, :]]
-    lo = [np.full(state.n_opt, -np.inf), [-np.inf]]
+    lo = [np.full(state.base.size, -np.inf), [-np.inf]]
     hi = [-state.base, [state.k]]
     for bits in no_goods:
         # at least one coordinate differs from the excluded selection
