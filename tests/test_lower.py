@@ -401,10 +401,12 @@ def test_warm_and_cold_reduced_qps_agree(monkeypatch):
         np.testing.assert_allclose(w.x[2:], c.x[2:], atol=1e-7)
 
 
-def test_cut_rows_never_change_and_keep_bounds(monkeypatch):
-    """Lower solves keep the sandwich property and the QP dimension K + 2,
-    and no QP handed to the solver sees its rows change afterwards, however
-    many cuts the loop adds after it: each cut is a new row after the
+@pytest.mark.parametrize("capacity", [1, 3])
+def test_cut_workspace_growth_keeps_bounds_and_views(monkeypatch, capacity):
+    """Lower solves whose loops add more than 2 * capacity cuts (as many as
+    would make a workspace of that capacity double twice) keep the sandwich
+    property and the QP dimension K + 2, and no QP handed to the solver
+    sees its rows change afterwards: each cut is a new row after the
     last."""
     captured = []
     real_solve = numeric.solve
@@ -416,7 +418,7 @@ def test_cut_rows_never_change_and_keep_bounds(monkeypatch):
 
     monkeypatch.setattr(numeric, "solve", spy)
     rng = np.random.default_rng(37)
-    most_qps = 0
+    most_cuts = most_qps = 0
     for trial in range(8):
         n = int(rng.integers(2, 8))
         inst = random_instance(rng, n, int(rng.integers(40, 150)),
@@ -429,12 +431,15 @@ def test_cut_rows_never_change_and_keep_bounds(monkeypatch):
             assert prog.n == z.count() + 2
             assert np.array_equal(prog.ineq_G, G)
             assert np.array_equal(prog.ineq_h, h)
+        most_cuts = max(most_cuts,
+                        np.count_nonzero(captured[-1][0].ineq_G[:, 0]))
         most_qps = max(most_qps, len(captured))
         f = lower.solve_lower_lifted(z, inst).f_lo
         assert res.f_lo <= f + 1e-9
         assert f <= res.f_hi + 1e-9
         assert res.f_hi <= res.f_lo + 1e-7 + 1e-9
     # some loop added cuts after several of its QPs were built
+    assert most_cuts > 2 * capacity
     assert most_qps >= 4
 
 
