@@ -181,9 +181,11 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     f_lo <= f(z) <= f_hi, where bcp's scenario loop has f_hi <= f_lo +
     delta and cp's exact lifting f_lo = f_hi. The step adds the cut at f_lo
     with the certificate's subgradient, or a no-good with f_lo = f_hi = inf
-    when z is infeasible, lowers the upper bound with f_hi, counts the
-    iteration and reports it. bcp's step at the all-ones selection reuses
-    theta_lb's solve, which ran at the same delta.
+    when z is infeasible, lowers the upper bound with f_hi and reports the
+    iteration. Each step adds exactly one row, so state.n_cuts counts the
+    iterations, and the report's iterations and on_iteration's t read it.
+    bcp's step at the all-ones selection reuses theta_lb's solve, which ran
+    at the same delta.
 
     The callback raises lb to the bound the search hands over with z and
     accepts z unsolved when z was solved before: its own cut is a row, so
@@ -230,14 +232,14 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     seen = {}    # f_lo of every selection solved so far, keyed by its bits
     lb, ub = tlb, float("inf")
     z_hat = res_hat = None    # the incumbent and its lower result
-    t = 0
 
     def out(status):
-        return _report(name, status, instance, t0, t, state.node_count,
-                       state.n_cuts, z_hat, lb, ub, echo, resume=res_hat)
+        return _report(name, status, instance, t0, state.n_cuts,
+                       state.node_count, state.n_cuts, z_hat, lb, ub, echo,
+                       resume=res_hat)
 
     def evaluate(z):
-        nonlocal ub, z_hat, res_hat, t
+        nonlocal ub, z_hat, res_hat
         if method == "cp":
             res = lower.solve_lower_lifted(z, instance)
         elif z.count() == instance.n_assets:
@@ -254,9 +256,8 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
         seen[z.bits.tobytes()] = f_lo
         if f_hi < ub:
             ub, z_hat, res_hat = f_hi, z, res
-        t += 1
         if on_iteration is not None:
-            on_iteration(t, z, lb, ub)
+            on_iteration(state.n_cuts, z, lb, ub)
         return f_lo
 
     def callback(z, theta, bound):

@@ -26,8 +26,8 @@ the tail J0 of the risk-neutral portfolio x^ = proj_simplex(gamma mu_S)
 with the all-scenario cut alone whenever the side rows are slack there, so
 J0 is the cut that QP would lead to, found by one sort instead. The first QP
 starts at the unit vertex of the first support asset that satisfies every
-side row, and only when no vertex does at the phase-1 point of the support
-polytope.
+side row, and only when no vertex does at the point numeric.feasible finds
+in the support polytope.
 
 lifted_program builds the per-scenario CVaR lifting of Rockafellar and
 Uryasev, the one S-sized program in the package: solve_lower_lifted solves
@@ -196,7 +196,8 @@ def _support_feasible(instance: Instance, support: np.ndarray):
     """A point of {side_A x <= side_b, sum x = 1, x >= 0, x off-support = 0}
     in support coordinates, or None when that set is empty: the unit vertex
     of the first support asset whose column satisfies every side row, else
-    the phase-1 point."""
+    the point of numeric.feasible. A feasibility check that does not finish
+    raises SolverError."""
     K = support.size
     if K == 0:
         return None
@@ -208,7 +209,10 @@ def _support_feasible(instance: Instance, support: np.ndarray):
         return x
     G = np.vstack([A, -np.eye(K)])
     h = np.concatenate([instance.side_b, np.zeros(K)])
-    return numeric.feasible(G, h, np.ones((1, K)), np.array([1.0]))
+    try:
+        return numeric.feasible(G, h, np.ones((1, K)), np.array([1.0]))
+    except numeric.FeasibilityError as exc:
+        raise SolverError(str(exc)) from exc
 
 
 def _simplex_projection(y: np.ndarray) -> np.ndarray:
@@ -280,7 +284,7 @@ class _CutLoop:
         rows = [self.qp.add_cut(*self.aggregates[0])]
         if anchor.size < instance.n_scenarios:
             rows.append(self._add(instance, anchor))
-        # cold start at x0 (a vertex, or the phase-1 point) with a = 0 and
+        # cold start at x0 (a vertex, or a feasible point) with a = 0 and
         # v on the row holding it: the larger initial cut or v >= 0 (row 0)
         v0 = [float(self.qp.G[row, 2:] @ x0) for row in rows]
         i = int(np.argmax(v0))
@@ -531,8 +535,11 @@ def solve_lower_lifted(z: SelectionVector, instance: Instance):
     or None when the selection admits no feasible portfolio. Its
     certificate carries one alpha weight per scenario row (they sum to 1,
     each at most p_s / (1 - beta)), the side multipliers zeta, the budget
-    multiplier lambda and omega completed on every coordinate. A z without
-    one entry per asset raises ValueError.
+    multiplier lambda and omega completed on every coordinate; a
+    certificate whose objective misses f(z) by more than 1e-6 (1 + |f(z)|)
+    raises CertificateError, as in solve_lower_cp. A QP that ends other
+    than Optimal or Infeasible raises SolverError, and a z without one
+    entry per asset raises ValueError.
     """
     support = _support(z, instance)
     K = support.size
@@ -557,5 +564,6 @@ def solve_lower_lifted(z: SelectionVector, instance: Instance):
         bound -= instance.side_A.T @ zeta
     cert = DualCertificate(alpha=alpha, zeta=zeta, lam=lam,
                            omega=np.maximum(bound, 0.0))
+    _check_certificate_value(cert, z, instance, f)
     return LowerResult(f_lo=f, f_hi=f, portfolio=portfolio, subsets=None,
                        certificate=cert, iters=1)

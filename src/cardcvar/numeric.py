@@ -18,9 +18,10 @@ One engine per kind of program, behind one entry point (`solve`):
   lower level and the oracle solve it; big-M wraps it in a selection
   block). It runs on a structured KKT backend,
   so the per-scenario block costs O(S) memory and O(S T^2) work per
-  iteration instead of a dense factorization in S;
-- phase 1 of a tableau simplex for the feasibility check (`feasible`)
-  that runs before either; its point also starts the active-set method.
+  iteration instead of a dense factorization in S.
+The feasibility check that runs before either (`feasible`) is phase 1 of
+the active-set method, on an elastic QP; its point also starts the
+active-set method of a dense QP that has no start point.
 A QP point and multipliers that did not come out of the interior-point
 loop's own convergence test (every active-set result, and a rescued
 scenario solve) are Optimal only after a full KKT check.
@@ -49,6 +50,7 @@ __all__ = [
     "ConvexProgram",
     "ScenarioProgram",
     "Solution",
+    "FeasibilityError",
     "solve",
     "feasible",
 ]
@@ -79,7 +81,8 @@ class ConvexProgram:
     feasible point, working the inequality rows tight at start that it
     keeps tight (linearly independent of each other and of eq_A). Without
     working the method starts from no tight rows; without start, from the
-    phase-1 point. The ScenarioProgram path ignores both.
+    point of the feasibility check (`feasible`). The ScenarioProgram path
+    ignores both.
     """
 
     quad_diag: np.ndarray
@@ -193,112 +196,9 @@ class Solution:
     iters: int = 0
 
 
-# ---------------------------------------------------------------------------
-# phase 1 of the tableau simplex (feasibility)
-
-_PIV_TOL = 1e-9
-_BLAND_AFTER = 200
-
-
-def _pivot(T, cost, basis, row, col):
-    T[row] /= T[row, col]
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
-    cost -= cost[col] * T[row]
-    basis[row] = col
-
-
-def _price_and_pivot(T, cost, basis, max_iter) -> bool:
-    """Primal simplex loop on the current tableau; Dantzig pricing with a
-    switch to Bland's rule after a long degenerate streak. False when
-    max_iter pivots did not finish. A priced column without a positive
-    entry also ends the loop: the phase-1 objective is bounded below, so
-    that column is rounding."""
-    degenerate = 0
-    bland = False
-    for _ in range(max_iter):
-        rc = cost[:-1]
-        if bland:
-            cand = np.flatnonzero(rc < -1e-11)
-            if cand.size == 0:
-                return True
-            col = int(cand[0])
-        else:
-            col = int(np.argmin(rc))
-            if rc[col] >= -_PIV_TOL:
-                return True
-        direction = T[:, col]
-        pos = direction > _PIV_TOL
-        if not np.any(pos):
-            return True
-        ratios = np.full(direction.shape, np.inf)
-        ratios[pos] = T[pos, -1] / direction[pos]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-12)
-        if bland:
-            row = int(min(ties, key=lambda i: basis[i]))
-        else:
-            row = int(ties[0])
-        if T[row, -1] <= _PIV_TOL:
-            degenerate += 1
-            if degenerate > _BLAND_AFTER:
-                bland = True
-        else:
-            degenerate = 0
-        _pivot(T, cost, basis, row, col)
-    return False
-
-
-def _phase1(M, rhs):
-    """A point v >= 0 with M v = rhs, from phase 1 of the tableau method
-    with one artificial column per row; None when the least total
-    violation is above FEAS_TOL, or when the pivot cap is reached."""
-    r, ncols = M.shape
-    max_iter = max(5000, 80 * (r + ncols))
-    sign = np.where(rhs < 0, -1.0, 1.0)
-
-    T = np.empty((r, ncols + r + 1))
-    T[:, :ncols] = M * sign[:, None]
-    T[:, ncols:-1] = np.eye(r)
-    T[:, -1] = rhs * sign
-    basis = list(range(ncols, ncols + r))
-    cost = np.concatenate([np.zeros(ncols), np.ones(r), [0.0]])
-    cost -= T.sum(axis=0)
-
-    if not _price_and_pivot(T, cost, basis, max_iter) or -cost[-1] > FEAS_TOL:
-        return None
-    # pivot artificials out where a structural column can replace them;
-    # rows without one are redundant and keep their artificial
-    for i in range(r):
-        if basis[i] >= ncols:
-            j = int(np.argmax(np.abs(T[i, :ncols])))
-            if abs(T[i, j]) > 1e-7:
-                _pivot(T, cost, basis, i, j)
-    v = np.zeros(ncols)
-    for b, val in zip(basis, T[:, -1]):
-        if b < ncols:
-            v[b] = val
-    return v
-
-
-def feasible(G, h, A_eq, b_eq) -> np.ndarray | None:
-    """A point of {G x <= h, A_eq x = b_eq}, or None when the minimum total
-    violation found by phase 1 is above FEAS_TOL. All four arrays are
-    required; a block without rows is an empty (0, n) matrix."""
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-    n = G.shape[1]
-    h = np.asarray(h, dtype=float).ravel()
-    b_eq = np.asarray(b_eq, dtype=float).ravel()
-    m, p = G.shape[0], A_eq.shape[0]
-    if m + p == 0:
-        return np.zeros(n)
-    # free x = x+ - x-, and one slack per inequality
-    M = np.vstack([np.hstack([G, -G, np.eye(m)]),
-                   np.hstack([A_eq, -A_eq, np.zeros((p, m))])])
-    v = _phase1(M, np.concatenate([h, b_eq]))
-    return None if v is None else v[:n] - v[n:2 * n]
+class FeasibilityError(RuntimeError):
+    """The feasibility QP of `feasible` stopped short of its optimum
+    (iteration cap or a singular step), so it decided nothing."""
 
 
 # ---------------------------------------------------------------------------
@@ -738,16 +638,63 @@ def _stopped(status, prog, x, work, iters) -> Solution:
                     np.zeros(prog.eq_b.size), np.array(work), iters)
 
 
+def feasible(G, h, A_eq, b_eq) -> np.ndarray | None:
+    """A point of {G x <= h, A_eq x = b_eq}, or None when that set is empty.
+    All four arrays are required; a block without rows is an empty (0, n)
+    matrix.
+
+    Phase 1 of the active-set method (Nocedal and Wright 2006, sec. 16.5):
+    the elastic QP over (x, t)
+        min 0.5 t^2  s.t.  G x - t <= h,  A_eq x = b_eq,
+    whose only curvature is on t, so x is the flat block of _active_set. It
+    starts at x0, the minimum-norm solution of the equality rows, with t0 =
+    max(G x0 - h), and with the row of that maximum, tight there, as its one
+    working row; x0 itself is returned when t0 <= 0. One SVD of A_eq gives
+    x0 and an orthonormal basis of its row space, which stands in for the
+    equality rows, so redundant rows never reach the working set. None when
+    x0 misses an equality row by more than FEAS_TOL (the rows are
+    inconsistent) or when the QP's optimal t is above FEAS_TOL. A QP that
+    stops short of its optimum raises FeasibilityError: it has decided
+    nothing.
+    """
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
+    n = G.shape[1]
+    h = np.asarray(h, dtype=float).ravel()
+    b_eq = np.asarray(b_eq, dtype=float).ravel()
+    rows, rhs, x0 = _empty_rows(n), np.zeros(0), np.zeros(n)
+    if b_eq.size:
+        U, sv, Vt = np.linalg.svd(A_eq, full_matrices=False)
+        r = int(np.count_nonzero(sv > _RANK_TOL * np.abs(A_eq).max()))
+        rows, rhs = Vt[:r], (U[:, :r].T @ b_eq) / sv[:r]
+        x0 = rows.T @ rhs
+        if np.abs(A_eq @ x0 - b_eq).max() > FEAS_TOL:
+            return None
+    excess = G @ x0 - h
+    if np.max(excess, initial=0.0) <= 0.0:
+        return x0
+    elastic = ConvexProgram(
+        quad_diag=np.append(np.zeros(n), 1.0), lin=np.zeros(n + 1),
+        ineq_G=np.hstack([G, -np.ones((h.size, 1))]), ineq_h=h,
+        eq_A=np.hstack([rows, np.zeros((rhs.size, 1))]), eq_b=rhs)
+    worst = int(np.argmax(excess))
+    sol = _active_set(elastic, np.append(x0, excess[worst]), [worst])
+    if sol.status != OPTIMAL:
+        raise FeasibilityError(f"phase 1 ended with status {sol.status}")
+    return sol.x[:n] if sol.x[n] <= FEAS_TOL else None
+
+
 def solve(prog) -> Solution:
     """Solve a ConvexProgram or ScenarioProgram.
 
     A ScenarioProgram goes to the interior-point method, a ConvexProgram to
     the active-set method; a ConvexProgram without curvature (all of
     quad_diag zero, a pure LP) is rejected with ValueError. Infeasibility
-    is decided by a phase-1 check (`feasible`) before the main solve. A
-    dense QP runs it only when it has no start point, and then begins the
+    is decided by the feasibility check (`feasible`) before the main solve.
+    A dense QP runs it only when it has no start point, and then begins the
     active-set method at its point; a start point is the caller's promise
-    of feasibility.
+    of feasibility. A check that does not finish (FeasibilityError) ends
+    the solve as NumericalError, never as Infeasible.
     """
     if isinstance(prog, ScenarioProgram):
         return _solve_scenario(prog)
@@ -756,9 +703,13 @@ def solve(prog) -> Solution:
                          "pure LPs have no engine")
     start = prog.start
     if start is None:
-        start = feasible(prog.ineq_G, prog.ineq_h, prog.eq_A, prog.eq_b)
+        try:
+            start = feasible(prog.ineq_G, prog.ineq_h, prog.eq_A, prog.eq_b)
+            failed = INFEASIBLE
+        except FeasibilityError:
+            failed = NUMERICAL_ERROR
         if start is None:
-            return Solution(INFEASIBLE, np.zeros(prog.n), np.nan,
+            return Solution(failed, np.zeros(prog.n), np.nan,
                             np.zeros(prog.ineq_h.size),
                             np.zeros(prog.eq_b.size))
     return _active_set(prog, start,
@@ -851,15 +802,19 @@ def _failed(sp: ScenarioProgram, status: str) -> Solution:
 
 
 def _solve_scenario(sp: ScenarioProgram, _depth: int = 0) -> Solution:
-    """IPM solve after a phase-1 check of the core rows. A rescue re-solve
-    (_depth > 0) skips the check: its core rows are the checked rows of the
-    caller plus guard rows that hold at the stalled iterate by construction.
-    A KKT system that no shift level factors or solves finitely ends the
-    solve as NumericalError before the iterate turns into NaN."""
+    """IPM solve after a feasibility check of the core rows (`feasible`). A
+    rescue re-solve (_depth > 0) skips the check: its core rows are the
+    checked rows of the caller plus guard rows that hold at the stalled
+    iterate by construction. A check that does not finish, and a KKT system
+    that no shift level factors or solves finitely, end the solve as
+    NumericalError, the latter before the iterate turns into NaN."""
     core = sp.core
-    if _depth == 0 and feasible(core.ineq_G, core.ineq_h, core.eq_A,
-                                core.eq_b) is None:
-        return _failed(sp, INFEASIBLE)
+    try:
+        if _depth == 0 and feasible(core.ineq_G, core.ineq_h, core.eq_A,
+                                    core.eq_b) is None:
+            return _failed(sp, INFEASIBLE)
+    except FeasibilityError:
+        return _failed(sp, NUMERICAL_ERROR)
     kk = _ArrowKKT(sp)
     try:
         sol = _ipm(kk)

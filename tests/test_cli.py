@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from cardcvar import cli, ingest
+from cardcvar import cli, ingest, numeric
 from test_acceptance import make_instance
 
 ORLIB_1 = "1\n0.01 0.05\n1 1 1.0\n"
@@ -238,4 +238,25 @@ def test_solver_failure_exit_four(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert not report.exists()
+
+
+def test_unfinished_feasibility_check_exit_four(tmp_path, capsys,
+                                                monkeypatch):
+    # bigm's node QPs reach the active-set method only through the
+    # feasibility check of their rows, which the start x = 1/n, z = 0
+    # violates: a check that stops short is a solver failure, not an
+    # infeasible instance
+    monkeypatch.setattr(numeric, "_active_set",
+                        lambda prog, x, work: numeric._stopped(
+                            numeric.ITER_LIMIT, prog, x, work, 1))
+    scen = write_random_fixture(tmp_path / "r.scen",
+                                np.random.default_rng(5), 30, 4)
+    report = tmp_path / "r.json"
+    code = cli.main(["solve", "--scenarios", scen, "--k", "2",
+                     "--method", "bigm", "--report", str(report)])
+    assert code == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "NumericalError" in err[0]
     assert not report.exists()

@@ -639,8 +639,8 @@ def capped_instance(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_side_rows_match_the_oracle(seed):
     """Caps and a return row beside the simplex: no unit vertex meets the
-    caps, so every scenario loop starts at the phase-1 point of
-    lower._support_feasible. Every method ends Optimal within 2e-5 of the
+    caps, so every scenario loop starts at the point numeric.feasible finds
+    for lower._support_feasible. Every method ends Optimal within 2e-5 of the
     oracle, at a portfolio that meets the side rows."""
     inst = capped_instance(seed)
     best_f = oracle.brute_force(inst, 3).best_f

@@ -146,7 +146,8 @@ def count_feasible_calls(monkeypatch):
 
 
 def test_vertex_start_skips_phase1(monkeypatch):
-    # the return floor admits the best asset's vertex: no simplex runs
+    # the return floor admits the best asset's vertex: numeric.feasible
+    # never runs
     rng = np.random.default_rng(8)
     inst = random_instance(rng, 5, 60, with_return_row=True)
     calls = count_feasible_calls(monkeypatch)
@@ -185,6 +186,28 @@ def test_side_rows_excluding_every_portfolio_give_none(monkeypatch, cap,
     assert lower.solve_lower_cp(z, inst, 1e-5) is None
     assert len(calls) == 1
     assert lower.solve_lower_lifted(z, inst) is None
+
+
+@pytest.mark.parametrize("status", [numeric.ITER_LIMIT,
+                                    numeric.NUMERICAL_ERROR])
+def test_unfinished_feasibility_check_raises_solver_error(monkeypatch,
+                                                          status):
+    """Caps 0.6, 0.6 and 0.1 exclude every vertex and the equal-weight
+    start, but not every portfolio. When the feasibility QP stops short,
+    both lower solves raise SolverError instead of reading the selection as
+    infeasible. The lifted QP's interior-point method never calls the
+    active-set method, so only its feasibility check can fail here."""
+    inst = dataclasses.replace(capped_instance(0.6), side_b=[0.6, 0.6, 0.1])
+    z = SelectionVector([1, 1, 1])
+    assert lower.solve_lower_cp(z, inst, 1e-5) is not None
+    assert lower.solve_lower_lifted(z, inst) is not None
+    monkeypatch.setattr(numeric, "_active_set",
+                        lambda prog, x, work: numeric._stopped(
+                            status, prog, x, work, 1))
+    with pytest.raises(lower.SolverError, match="phase 1 ended"):
+        lower.solve_lower_cp(z, inst, 1e-5)
+    with pytest.raises(lower.SolverError, match="NumericalError"):
+        lower.solve_lower_lifted(z, inst)
 
 
 def test_theta_lb_does_not_copy_the_scenario_matrix():

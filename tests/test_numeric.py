@@ -6,12 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cardcvar import numeric
 from cardcvar.numeric import (
     INFEASIBLE,
+    ITER_LIMIT,
     NUMERICAL_ERROR,
     OPTIMAL,
     UNBOUNDED,
     ConvexProgram,
+    FeasibilityError,
     ScenarioProgram,
     Solution,
     _kkt_converged,
@@ -122,8 +125,8 @@ def test_feasible_examples():
     assert x is not None
     assert x[0] == pytest.approx(0.3, abs=1e-9)
 
-    # the second equality row is redundant: phase 1 leaves its artificial
-    # basic and still returns a point of the set
+    # the second equality row is twice the first: the SVD keeps one row of
+    # the two, and the point meets both
     x = feasible(-np.eye(2), np.zeros(2), np.array([[1.0, 1.0], [2.0, 2.0]]),
                  np.array([1.0, 2.0]))
     assert x is not None
@@ -180,8 +183,70 @@ def test_feasible_agrees_with_highs():
     assert 60 <= sum(verdicts) <= 180
 
 
+def duplicated_polytope(seed):
+    """{G x <= h} stacked twice, with every row tight at one point x0: each
+    row's copy enters a degenerate vertex together with it."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(18, 27)
+    m = rng.integers(40, 80)
+    G = rng.normal(size=(m, n))
+    x0 = rng.normal(size=n)
+    h = G @ x0
+    return np.vstack([G, G]), np.concatenate([h, h])
+
+
+def test_feasible_on_duplicated_rows_agrees_with_highs():
+    """Rows duplicated through one point, so every vertex is degenerate:
+    feasible() reaches HiGHS's verdict (the set is never empty here) and
+    its point meets every row to 1e-9."""
+    from scipy.optimize import linprog
+
+    wrong = []
+    for seed in range(40):
+        G, h = duplicated_polytope(seed)
+        n = G.shape[1]
+        x = feasible(G, h, np.zeros((0, n)), np.zeros(0))
+        ref = linprog(np.zeros(n), A_ub=G, b_ub=h, bounds=(None, None),
+                      method="highs")
+        assert ref.status == 0
+        if x is None or np.max(G @ x - h) > 1e-9:
+            wrong.append(seed)
+    assert wrong == []
+
+
+def test_cold_qp_over_duplicated_rows_is_optimal():
+    G, h = duplicated_polytope(24)
+    n = G.shape[1]
+    assert (n, G.shape[0] // 2) == (21, 53)
+    prog = make_prog(P=np.ones(n), q=np.zeros(n), G=G, h=h)
+    sol = solve(prog)
+    assert sol.status == OPTIMAL
+    assert max(kkt_residuals(prog, sol)) <= 1e-9
+
+
+@pytest.mark.parametrize("status", [ITER_LIMIT, NUMERICAL_ERROR])
+def test_unfinished_feasibility_check_is_not_infeasible(monkeypatch, status):
+    """A feasibility QP that stops short decides nothing: feasible() raises,
+    and both solve paths end NumericalError, not Infeasible. Here every row
+    set holds a point, and the start x0 = 0 violates x1 >= 1."""
+    monkeypatch.setattr(numeric, "_active_set",
+                        lambda prog, x, work: numeric._stopped(
+                            status, prog, x, work, 1))
+    G = np.array([[-1.0, 0.0, 0.0]])
+    with pytest.raises(FeasibilityError):
+        feasible(G, [-1.0], np.zeros((0, 3)), np.zeros(0))
+    sol = solve(make_prog(P=np.ones(3), q=np.zeros(3), G=G, h=[-1.0]))
+    assert sol.status == NUMERICAL_ERROR
+    sp = random_scenario_program(np.random.default_rng(5))
+    # the floor x_1 >= 0.5, which the equal-weight start misses
+    sp.core.ineq_G = np.vstack([sp.core.ineq_G, [0.0, 0.0, -1.0, 0.0, 0.0]])
+    sp.core.ineq_h = np.append(sp.core.ineq_h, -0.5)
+    assert solve(sp).status == NUMERICAL_ERROR
+
+
 def test_qp_infeasible_without_start():
-    # without a start point, phase 1 decides infeasibility of a dense QP
+    # without a start point, the feasibility check decides infeasibility of
+    # a dense QP
     sol = solve(make_prog(P=[1.0], q=[1.0], G=[[-1.0], [1.0]], h=[-2.0, 1.0]))
     assert sol.status == INFEASIBLE
 
