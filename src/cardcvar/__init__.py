@@ -37,7 +37,6 @@ from .ingest import (
 from .lower import (
     DualCertificate,
     LowerResult,
-    recover_certificate,
     solve_lower_cp,
     solve_lower_lifted,
     subgradient,
@@ -69,7 +68,6 @@ __all__ = [
     "write_scenarios",
     "DualCertificate",
     "LowerResult",
-    "recover_certificate",
     "solve_lower_cp",
     "solve_lower_lifted",
     "subgradient",

@@ -227,8 +227,8 @@ def cmd_bench(args) -> int:
         writer.writerow(_CSV_HEADER)
         f.flush()
         for name, scen, config in _bench_cells(cfg):
-            gamma = config.resolved_gamma(scen.shape[1])
             try:
+                gamma = config.resolved_gamma(scen.shape[1])
                 probs = np.full(scen.shape[0], 1.0 / scen.shape[0])
                 instance = build_instance(scen, probs, config)
                 rep = run_method(instance, config)
@@ -239,8 +239,8 @@ def cmd_bench(args) -> int:
                 print(f"bench cell {name}/{config.method} failed: {exc}",
                       file=sys.stderr)
                 nan = float("nan")
-                row = [name, config.method, scen.shape[0], config.k, gamma,
-                       nan, nan, nan, 0, 0, "Error"]
+                row = [name, config.method, scen.shape[0], config.k,
+                       config.gamma, nan, nan, nan, 0, 0, "Error"]
             writer.writerow(row)
             f.flush()
             rows += 1

@@ -290,8 +290,9 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     except master.MasterTimeout:
         return out(TIME_LIMIT)
     if solved is None:
-        # no-good cuts exhausted every selection
-        return out(INFEASIBLE if z_hat is None else OPTIMAL)
+        # no-good cuts exhausted every selection; a feasible one would have
+        # had an optimality cut instead, so there is no incumbent
+        return out(INFEASIBLE)
     if ub - lb > max(eps, delta) + 1e-9 * (1.0 + abs(ub)):
         raise lower.SolverError(f"search closed with gap {ub - lb:.3e}")
     return out(OPTIMAL)

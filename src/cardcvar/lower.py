@@ -1,24 +1,25 @@
 """Lower-level solvers for a fixed asset selection z.
 
-solve_lower_cp runs the scenario cutting-plane loop whose QP dimension stays
-at |supp(z)| + 2 regardless of the scenario count; each inner QP adds one
-cut row and resumes the active-set solve of the one before it. Its QP is
-over (a, v, x_support), with the inequality rows in the order
+solve_lower_cp runs the scenario cutting-plane loop whose QP dimension
+stays at |supp(z)| + 2 regardless of the scenario count; each inner QP adds
+one cut row and resumes the active-set solve of the one before it. Its QP
+is over (a, v, x_support), with the inequality rows in the order
     v >= 0, side rows, x_support >= 0, one cut row per scenario subset
 (the subsets in the order they were added) and the budget row as the one
-equality. Each loop keeps its rows in one _CutQP, which appends a new cut's
-row after the last, so no earlier row moves. The loop's state (_CutLoop)
-outlives the call in the LowerResult, so a later call at the same z can
-resume it at a smaller delta instead of solving its QPs again. Each call
-gathers the support columns of the scenario matrix once (S x |supp(z)|, no
-copy when z selects every asset), and every inner iteration computes its
-losses on that block; the kept state does not hold it. Each cut is anchored
-at the left beta-quantile a_ref of the losses of the QP's portfolio
-(_var_level, O(S) by partition), where the cut is tight on the true CVaR:
-its subset is the loss tail at a_ref, so it holds about (1 - beta) S
-scenarios, and the loop stops on the exact gap between the QP value and the
-objective of the QP's portfolio. The subset aggregates stay full width, so
-a certificate needs no second pass.
+equality. One object owns that QP, the loop's state (_CutLoop): it writes
+each new cut's row after the last, so no earlier row moves, and reads the
+last QP's multipliers by those row blocks into the certificate. It outlives
+the call in the LowerResult, so a later call at the same z can resume it at
+a smaller delta instead of solving its QPs again. Each call gathers the
+support columns of the scenario matrix once (S x |supp(z)|, no copy when z
+selects every asset), and every inner iteration computes its losses on that
+block; the kept state does not hold it. Each cut is anchored at the left
+beta-quantile a_ref of the losses of the QP's portfolio (_var_level, O(S)
+by partition), where the cut is tight on the true CVaR: its subset is the
+loss tail at a_ref, so it holds about (1 - beta) S scenarios, and the loop
+stops on the exact gap between the QP value and the objective of the QP's
+portfolio. The subset aggregates stay full width, so a certificate needs no
+second pass.
 
 A fresh loop starts with two cut rows: the all-scenario cut and the cut of
 the tail J0 of the risk-neutral portfolio x^ = proj_simplex(gamma mu_S)
@@ -35,7 +36,9 @@ it exactly (the cp baseline and the oracle), and the big-M baseline wraps
 it in a selection block. Both lower solves return a LowerResult whose
 DualCertificate has the objective -(gamma/2) z @ (omega * omega) - b @ zeta
 + lambda, which reproduces the lower bound, and whose omega yields the
-subgradient -(gamma/2) omega^2.
+subgradient -(gamma/2) omega^2. Each reads its own QP's multipliers (the
+scenario loop in _CutLoop._certificate) and finishes zeta and omega in
+_dual_certificate.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ __all__ = [
     "solve_lower_cp",
     "lifted_program",
     "solve_lower_lifted",
-    "recover_certificate",
     "certificate_objective",
     "subgradient",
 ]
@@ -145,53 +147,6 @@ def _aggregate(instance: Instance, J: np.ndarray):
     return float(probs.sum()), probs @ instance.scenarios.take(J, axis=0)
 
 
-class _CutQP:
-    """The scenario-cut QP over (a, v, x_support): its inequality rows G,
-    h and its objective and budget row.
-
-    Inequality row order: v >= 0 (row 0), the side rows, x >= 0 (`fixed`
-    rows in all), then one cut row -(p_J a + rho_J x) / (1 - beta) - v <= 0
-    per subset, in the order the subsets were added; the one equality row is
-    the budget. add_cut appends one row, so no row ever moves.
-    """
-
-    def __init__(self, instance: Instance, support: np.ndarray):
-        K = support.size
-        M = instance.side_b.size
-        self.support = support
-        self.one_m_beta = 1.0 - instance.beta
-        self.fixed = 1 + M + K
-        self.G = np.zeros((self.fixed, K + 2))
-        self.h = np.zeros(self.fixed)
-        self.G[0, 1] = -1.0
-        self.G[1:1 + M, 2:] = instance.side_A[:, support]
-        self.h[1:1 + M] = instance.side_b
-        self.G[1 + M:self.fixed, 2:] = -np.eye(K)
-        # the objective and the budget row, validated once per lower solve
-        self.base = numeric.ConvexProgram(
-            quad_diag=np.concatenate([[0.0, 0.0],
-                                      np.full(K, 1.0 / instance.gamma)]),
-            lin=np.concatenate([[1.0, 1.0], np.zeros(K)]),
-            ineq_G=None, ineq_h=None,
-            eq_A=np.concatenate([[0.0, 0.0], np.ones(K)])[None, :],
-            eq_b=np.ones(1))
-
-    def add_cut(self, pJ: float, rho: np.ndarray) -> int:
-        """Append the cut of the aggregate (p_J, rho_J); returns its row."""
-        row = np.empty(self.G.shape[1])
-        row[0] = -pJ / self.one_m_beta
-        row[1] = -1.0
-        row[2:] = -rho[self.support] / self.one_m_beta
-        self.G = np.vstack([self.G, row])
-        self.h = np.append(self.h, 0.0)
-        return self.h.size - 1
-
-    def program(self, start: np.ndarray, working: list):
-        """The QP over the rows added so far, warm-started at start with
-        the given working rows."""
-        return self.base.with_rows(self.G, self.h, start, working)
-
-
 def _support_feasible(instance: Instance, support: np.ndarray):
     """A point of {side_A x <= side_b, sum x = 1, x >= 0, x off-support = 0}
     in support coordinates, or None when that set is empty: the unit vertex
@@ -257,36 +212,52 @@ def _embed(support: np.ndarray, x_s: np.ndarray, n: int) -> np.ndarray:
 
 
 class _CutLoop:
-    """The scenario cutting-plane loop of one selection between two QPs.
+    """The scenario cutting-plane loop of one selection between two QPs,
+    and the one owner of its QP over (a, v, x_support).
 
-    It holds the QP's rows (_CutQP), the subsets with their aggregates
-    (p_J, rho_J), the byte keys of every subset but the all-scenario one
-    (recognised by its size), the count of QPs solved so far, the last QP's
-    solution with its a_ref, v_ref and gap, the subset it would cut next
-    (pending) and whether that subset is a row already, and the warm start
-    of the next QP. A fresh loop holds the all-scenario subset and then J0
-    (_anchor_subset), unless J0 is every scenario; each later subset is the
-    one cut after a QP, in order. Before the first QP, sol is None and the
-    warm start is the cold start. It never holds the support columns of the
-    scenario matrix (S x |supp(z)|): each call of solve_lower_cp gathers
-    them again.
+    The QP's inequality rows are G x <= h: v >= 0 (row 0), the side rows,
+    x >= 0 (`fixed` rows in all), then one cut row
+    -(p_J a + rho_J x) / (1 - beta) - v <= 0 per subset, in the order the
+    subsets were added, so no row ever moves; base holds the objective and
+    the budget row, the one equality, validated once per loop. The loop
+    also holds the subsets with their aggregates (p_J, rho_J), the byte keys
+    of every subset but the all-scenario one (recognised by its size), the
+    count of QPs solved so far, the last QP's solution with its a_ref, v_ref
+    and gap, the subset it would cut next (pending) and whether that subset
+    is a row already, and the warm start of the next QP. A fresh loop holds
+    the all-scenario subset and then J0 (_anchor_subset), unless J0 is
+    every scenario; each later subset is the one cut after a QP, in order.
+    Before the first QP, sol is None and the warm start is the cold start.
+    It never holds the support columns of the scenario matrix
+    (S x |supp(z)|): each call of solve_lower_cp gathers them again.
     """
 
     def __init__(self, instance: Instance, support: np.ndarray,
                  x0: np.ndarray, anchor: np.ndarray):
-        self.subsets = [np.arange(instance.n_scenarios)]
-        # the all-scenario subset aggregates to the expected returns, no
-        # gather
-        self.aggregates = [(float(instance.probs.sum()),
-                            instance.expected_returns)]
-        self.seen = set()
-        self.qp = _CutQP(instance, support)
-        rows = [self.qp.add_cut(*self.aggregates[0])]
+        K = support.size
+        M = instance.side_b.size
+        self.support = support
+        self.fixed = 1 + M + K
+        self.G = np.zeros((self.fixed, K + 2))
+        self.h = np.zeros(self.fixed)
+        self.G[0, 1] = -1.0
+        self.G[1:1 + M, 2:] = instance.side_A[:, support]
+        self.h[1:1 + M] = instance.side_b
+        self.G[1 + M:self.fixed, 2:] = -np.eye(K)
+        self.base = numeric.ConvexProgram(
+            quad_diag=np.concatenate([[0.0, 0.0],
+                                      np.full(K, 1.0 / instance.gamma)]),
+            lin=np.concatenate([[1.0, 1.0], np.zeros(K)]),
+            ineq_G=None, ineq_h=None,
+            eq_A=np.concatenate([[0.0, 0.0], np.ones(K)])[None, :],
+            eq_b=np.ones(1))
+        self.subsets, self.aggregates, self.seen = [], [], set()
+        rows = [self._add(instance, np.arange(instance.n_scenarios))]
         if anchor.size < instance.n_scenarios:
             rows.append(self._add(instance, anchor))
         # cold start at x0 (a vertex, or a feasible point) with a = 0 and
         # v on the row holding it: the larger initial cut or v >= 0 (row 0)
-        v0 = [float(self.qp.G[row, 2:] @ x0) for row in rows]
+        v0 = [float(self.G[row, 2:] @ x0) for row in rows]
         i = int(np.argmax(v0))
         self.start = np.concatenate([[0.0, max(v0[i], 0.0)], x0])
         self.working = [rows[i] if v0[i] >= 0.0 else 0]
@@ -295,11 +266,21 @@ class _CutLoop:
         self.duplicate = False
 
     def _add(self, instance: Instance, J: np.ndarray) -> int:
-        """Record subset J and write its cut; returns the cut's row."""
-        self.seen.add(J.tobytes())
+        """Record subset J and write its cut after the last row; returns the
+        cut's row. The all-scenario subset takes no key and aggregates to
+        the expected returns, no gather."""
+        if J.size < instance.n_scenarios:
+            self.seen.add(J.tobytes())
+            pJ, rho = _aggregate(instance, J)
+        else:
+            pJ, rho = float(instance.probs.sum()), instance.expected_returns
         self.subsets.append(J)
-        self.aggregates.append(_aggregate(instance, J))
-        return self.qp.add_cut(*self.aggregates[-1])
+        self.aggregates.append((pJ, rho))
+        one_m_beta = 1.0 - instance.beta
+        row = np.concatenate([[-pJ, -one_m_beta], -rho[self.support]])
+        self.G = np.vstack([self.G, row / one_m_beta])
+        self.h = np.append(self.h, 0.0)
+        return self.h.size - 1
 
     def cut(self, instance: Instance) -> None:
         """Add the pending subset's cut and warm-start the next QP at the
@@ -307,12 +288,39 @@ class _CutLoop:
         (see solve_lower_cp), and the rows that held v (v >= 0 and the old
         cuts) leave the working set."""
         cut = self._add(instance, self.pending)
-        row = self.qp.G[cut]
+        row = self.G[cut]
         x = self.sol.x
         self.start = x.copy()
         self.start[1] = max(x[1], float(row[0] * x[0] + row[2:] @ x[2:]))
         self.working = [cut] + [int(i) for i in self.sol.working
-                                if 0 < i < self.qp.fixed]
+                                if 0 < i < self.fixed]
+
+    def _certificate(self, instance: Instance) -> DualCertificate:
+        """The last QP's multipliers as a feasible point of the reduced
+        dual: alpha from the cut rows, one weight per subset and a 0 for the
+        pending one unless it is a row already, zeta from the side rows and
+        lambda from the budget row (minus its dual). Raises CertificateError
+        when the alpha weights sum above 1 or their probability-weighted sum
+        misses 1 - beta."""
+        one_m_beta = 1.0 - instance.beta
+        duals = self.sol.ineq_duals
+        alpha = np.zeros(len(self.subsets) + (not self.duplicate))
+        alpha[:len(self.subsets)] = np.maximum(duals[self.fixed:], 0.0)
+        lam = -float(self.sol.eq_duals[0])
+        bound = np.full(instance.n_assets, lam)
+        weighted = 0.0
+        for a_J, (pJ, rho) in zip(alpha, self.aggregates):
+            if a_J > 0.0:
+                bound += (a_J / one_m_beta) * rho
+                weighted += a_J * pJ
+        total = float(alpha.sum())
+        if total > 1.0 + 1e-9:
+            raise CertificateError(f"alpha weights sum to {total}, above 1")
+        if abs(weighted - one_m_beta) > 1e-8:
+            raise CertificateError(
+                f"probability-weighted alpha sum {weighted} != {one_m_beta}")
+        return _dual_certificate(alpha, duals[1:1 + instance.side_b.size],
+                                 lam, bound, instance)
 
 
 def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
@@ -371,7 +379,7 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
         x0 = _support_feasible(instance, support)
         if x0 is None:
             return None
-    elif not np.array_equal(loop.qp.support, support):
+    elif not np.array_equal(loop.support, support):
         raise ValueError("resume holds the loop of another selection")
     else:
         resume._loop = None
@@ -395,7 +403,8 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
         loop.total += 1
         if loop.total > MAX_INNER_ITERS:
             raise SolverError("inner cutting-plane loop exceeded iteration cap")
-        sol = numeric.solve(loop.qp.program(loop.start, loop.working))
+        sol = numeric.solve(loop.base.with_rows(loop.G, loop.h, loop.start,
+                                                loop.working))
         if sol.status != numeric.OPTIMAL:
             raise SolverError(f"lower-level QP ended with status {sol.status}")
         a_t = float(sol.x[0])
@@ -422,12 +431,7 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
     portfolio = Portfolio(x_full, loop.a_ref, loop.v_ref)
     f_hi = float(x_full @ x_full / (2.0 * instance.gamma)
                  + loop.a_ref + loop.v_ref)
-    # row blocks of the QP: v >= 0, side rows, x >= 0, cuts (_CutQP)
-    duals = sol.ineq_duals
-    cert = recover_certificate(duals[loop.qp.fixed:],
-                               duals[1:1 + instance.side_b.size],
-                               -float(sol.eq_duals[0]), subsets,
-                               instance, loop.aggregates)
+    cert = loop._certificate(instance)
     _check_certificate_value(cert, z, instance, f_lo)
     if loop.total > 30:
         log.warning("inner loop took %d iterations", loop.total)
@@ -436,42 +440,16 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
                        _loop=loop)
 
 
-def recover_certificate(cut_duals: np.ndarray, side_duals: np.ndarray,
-                        lam: float, subsets: list, instance: Instance,
-                        aggregates: list) -> DualCertificate:
-    """Map reduced-QP multipliers to a feasible point of the reduced dual.
-
-    cut_duals and side_duals are the multipliers of the QP's cut rows and
-    side rows, lam the budget multiplier (minus the equality dual). alpha is
-    indexed by `subsets`; subsets beyond the QP's cut rows (the final,
-    never-added one) get weight 0. aggregates holds the (p_J, rho_J) of
-    each subset with a cut row. omega is completed on unselected
-    coordinates by clipping the constraint bound at 0, which maximizes the
-    dual objective there.
-    """
-    one_m_beta = 1.0 - instance.beta
-    alpha = np.zeros(len(subsets))
-    raw = np.maximum(np.asarray(cut_duals, dtype=float), 0.0)
-    alpha[:raw.size] = raw
-    zeta = np.maximum(np.asarray(side_duals, dtype=float), 0.0)
-
-    bound = np.full(instance.n_assets, lam)
-    weighted = 0.0
-    for a_J, (pJ, rho) in zip(alpha, aggregates):
-        if a_J > 0.0:
-            bound += (a_J / one_m_beta) * rho
-            weighted += a_J * pJ
-    if zeta.size:
-        bound -= instance.side_A.T @ zeta
-    omega = np.maximum(bound, 0.0)
-
-    total = float(alpha.sum())
-    if total > 1.0 + 1e-9:
-        raise CertificateError(f"alpha weights sum to {total}, above 1")
-    if abs(weighted - one_m_beta) > 1e-8:
-        raise CertificateError(
-            f"probability-weighted alpha sum {weighted} != {one_m_beta}")
-    return DualCertificate(alpha=alpha, zeta=zeta, lam=lam, omega=omega)
+def _dual_certificate(alpha: np.ndarray, side_duals: np.ndarray,
+                      lam: float, bound: np.ndarray,
+                      instance: Instance) -> DualCertificate:
+    """The certificate of alpha and lam, with zeta = max(side_duals, 0) and
+    omega = max(bound - side_A^T zeta, 0), bound being lam plus the
+    alpha-weighted returns. Clipping at 0 completes omega on unselected
+    coordinates where it maximizes the dual objective."""
+    zeta = np.maximum(side_duals, 0.0)
+    return DualCertificate(alpha=alpha, zeta=zeta, lam=lam, omega=np.maximum(
+        bound - instance.side_A.T @ zeta, 0.0))
 
 
 def certificate_objective(cert: DualCertificate, z: SelectionVector,
@@ -554,16 +532,11 @@ def solve_lower_lifted(z: SelectionVector, instance: Instance):
     x_full = _embed(support, sol.x[2:K + 2], instance.n_assets)
     portfolio = Portfolio(x_full, float(sol.x[0]), max(float(sol.x[1]), 0.0))
     # rows: S loss rows, S q >= 0 rows, the aggregate row, x >= 0, side rows
-    M = instance.side_b.size
     side = 2 * S + 1 + K
     alpha = np.maximum(sol.ineq_duals[:S], 0.0)
-    zeta = np.maximum(sol.ineq_duals[side:side + M], 0.0)
     lam = -float(sol.eq_duals[0])
-    bound = alpha @ instance.scenarios + lam
-    if M:
-        bound -= instance.side_A.T @ zeta
-    cert = DualCertificate(alpha=alpha, zeta=zeta, lam=lam,
-                           omega=np.maximum(bound, 0.0))
+    cert = _dual_certificate(alpha, sol.ineq_duals[side:], lam,
+                             alpha @ instance.scenarios + lam, instance)
     _check_certificate_value(cert, z, instance, f)
     return LowerResult(f_lo=f, f_hi=f, portfolio=portfolio, subsets=None,
                        certificate=cert, iters=1)

@@ -219,6 +219,26 @@ def test_bench_records_failures_and_continues(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+
+def test_bench_non_numeric_gamma_is_an_error_row(tmp_path, capsys):
+    """A gamma that is no number fails its own cell, which records the
+    configured value; the sweep goes on to the next cell."""
+    orlib = tmp_path / "moments.txt"
+    orlib.write_text(ORLIB_3)
+    cfg = {"instances": [{"name": "p1", "orlib": str(orlib), "seed": 3}],
+           "methods": ["bcp"], "S": [10], "k": [2], "gamma": ["x", "auto"]}
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert cli.main(["bench", "--config", str(cfg_path), "--out",
+                     str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 3
+    assert lines[1].split(",")[4] == "x"
+    assert lines[1].split(",")[-1] == "Error"
+    assert lines[2].split(",")[-1] == "Optimal"
+    assert "failed" in capsys.readouterr().err
+
 def test_run_config_round_trips_through_dict():
     config = cli.RunConfig(method="cp", k=3, gamma=2.5, mu_bar=0.1,
                            paths={"scenarios": "s", "report": "r"})

@@ -589,6 +589,25 @@ def test_infeasible_instance_all_methods():
         assert rep.portfolio is None
 
 
+
+def test_every_selection_infeasible_though_the_all_ones_portfolio_is_not():
+    """Caps x_j <= 0.3 on n = 5 assets: the all-ones lower level is feasible
+    but no selection of at most k = 2 assets is. theta_lb succeeds, every
+    selection the master offers gets a no-good, and the search ends with no
+    selection left: 16 lower solves (every selection of at most two assets,
+    the empty one included) for each cutting-plane method."""
+    base = make_instance(3, 5, 40, 2)
+    inst = Instance(n_assets=5, scenarios=base.scenarios, probs=base.probs,
+                    side_A=np.eye(5), side_b=np.full(5, 0.3),
+                    beta=base.beta, gamma=base.gamma, k=2)
+    assert driver.theta_lb(inst, driver.DELTA_DEFAULT) is not None
+    assert oracle.brute_force(inst, 2) is None
+    for rep in all_methods(inst):
+        assert rep.status == driver.INFEASIBLE, rep.method
+        assert rep.selection is None and rep.portfolio is None, rep.method
+        if rep.method != "bigm":
+            assert rep.iterations == rep.n_cuts == 16, rep.method
+
 def return_limit_instance(seed, offset):
     """test_acceptance.make_instance(seed, 8, 60, 3) with its return row
     rebuilt at mu_bar = max mu + offset: at offset 0 only the best-return

@@ -727,9 +727,10 @@ def check_anchor(inst, z):
     assert pJ >= 1.0 - inst.beta - 1e-12
     if not np.all(inst.side_A[:, support] @ x_hat < inst.side_b - 1e-9):
         return None
-    qp = lower._CutQP(inst, support)
-    qp.add_cut(float(inst.probs.sum()), inst.expected_returns)
-    sol = numeric.solve(qp.program(None, None))
+    # a loop whose anchor is every scenario holds the all-scenario cut alone
+    x0 = lower._support_feasible(inst, support)
+    loop = lower._CutLoop(inst, support, x0, np.arange(inst.n_scenarios))
+    sol = numeric.solve(loop.base.with_rows(loop.G, loop.h))
     assert sol.status == numeric.OPTIMAL
     np.testing.assert_allclose(sol.x[2:], x_hat, rtol=0.0, atol=1e-12)
     return x_hat

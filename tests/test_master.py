@@ -399,6 +399,25 @@ def test_callback_single_tree_injects_and_accepts():
     assert z.count() == 1
 
 
+
+def test_lazy_callback_that_accepts_after_adding_a_cut():
+    """A single-tree callback may add a cut and still accept the candidate;
+    the search then keeps the candidate at its theta with that cut, which
+    master_solve returns."""
+    state = master.MasterState(n_assets=3, k=1, theta_lb=-10.0)
+    opt_cut(state, [1, 0, 0], 1.0, [-0.5, -0.2, -0.1])
+    seen = set()
+
+    def callback(z, theta, bound):
+        if z.as_tuple() not in seen:
+            seen.add(z.as_tuple())
+            opt_cut(state, z.bits, theta + 0.3, np.zeros(3))
+        return True
+
+    z, theta = master.master_solve(state, callback=callback, lazy=True)
+    assert theta == master.theta_at(state, z.bits)
+    assert theta == pytest.approx(1.3, abs=1e-12)
+
 def test_callback_reject_without_cut_is_an_error():
     # at a candidate (lazy) and at the search's optimum alike
     for lazy in (True, False):
