@@ -10,16 +10,19 @@ equality. One object owns that QP, the loop's state (_CutLoop): it writes
 each new cut's row after the last, so no earlier row moves, and reads the
 last QP's multipliers by those row blocks into the certificate. It outlives
 the call in the LowerResult, so a later call at the same z can resume it at
-a smaller delta instead of solving its QPs again. Each call gathers the
-support columns of the scenario matrix once (S x |supp(z)|, no copy when z
-selects every asset), and every inner iteration computes its losses on that
-block; the kept state does not hold it. Each cut is anchored at the left
+a smaller delta instead of solving its QPs again. Losses are read from an
+asset-major copy of the scenario matrix (n x S, C order; _scenario_block):
+each call takes the support's rows of it once (|supp(z)| x S, one
+contiguous gather, none when z selects every asset), and every inner
+iteration computes its losses on those rows; the kept state does not hold
+them. One copy is kept, for the instance solved last, so it takes S n 8
+bytes while that instance lives. Each cut is anchored at the left
 beta-quantile a_ref of the losses of the QP's portfolio (_var_level, O(S)
 by partition), where the cut is tight on the true CVaR: its subset is the
 loss tail at a_ref, so it holds about (1 - beta) S scenarios, and the loop
 stops on the exact gap between the QP value and the objective of the QP's
-portfolio. The subset aggregates stay full width, so a certificate needs no
-second pass.
+portfolio. The subset aggregates stay full width and read the scenario
+matrix row by row, so a certificate needs no second pass.
 
 A fresh loop starts with two cut rows: the all-scenario cut and the cut of
 the tail J0 of the risk-neutral portfolio x^ = proj_simplex(gamma mu_S)
@@ -44,6 +47,7 @@ _dual_certificate.
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,6 +123,46 @@ def _quantile_window(probs: np.ndarray, beta: float):
     return float(probs.sum()) - beta + 1e-12, q
 
 
+# scenario rows copied per step of _scenario_block's transpose
+_BLOCK_CHUNK = 256
+
+# (weakref to an instance, its asset-major scenario block, reach, q), for
+# the instance solved last (_scenario_block)
+_block_entry = None
+
+
+def _drop_block(ref: weakref.ref) -> None:
+    """Free the kept block once its instance is gone."""
+    global _block_entry
+    if _block_entry is not None and _block_entry[0] is ref:
+        _block_entry = None
+
+
+def _scenario_block(instance: Instance):
+    """(block, reach, q) for the instance: block is its scenario matrix
+    asset-major (n x S, C order), so the support rows of a lower solve are
+    one contiguous gather, and (reach, q) is its _quantile_window.
+
+    One entry is kept, for the last instance asked for, which it holds by a
+    weak reference: an Instance is not mutated after construction, so the
+    entry is valid while the instance lives, and it is freed with it. The
+    old entry is dropped before a new block is built, so at most one block
+    is alive at a time. The block is filled in row chunks, which is faster
+    than a whole-matrix transpose copy."""
+    global _block_entry
+    entry = _block_entry
+    if entry is None or entry[0]() is not instance:
+        _block_entry = entry = None
+        sc = instance.scenarios
+        block = np.empty((instance.n_assets, sc.shape[0]))
+        for i in range(0, sc.shape[0], _BLOCK_CHUNK):
+            block[:, i:i + _BLOCK_CHUNK] = sc[i:i + _BLOCK_CHUNK].T
+        entry = ((weakref.ref(instance, _drop_block), block)
+                 + _quantile_window(instance.probs, instance.beta))
+        _block_entry = entry
+    return entry[1:]
+
+
 def _var_level(losses: np.ndarray, probs: np.ndarray, reach: float, q: int):
     """The left beta-quantile of the losses, as model.cvar defines it, and
     the scenarios whose loss is at or above the q-th largest loss, in index
@@ -180,10 +224,11 @@ def _simplex_projection(y: np.ndarray) -> np.ndarray:
 
 
 def _anchor_subset(instance: Instance, support: np.ndarray,
-                   cols: np.ndarray, reach: float, q: int) -> np.ndarray:
-    """J0 = {L >= a_ref} for the losses L = -cols @ x^ of the risk-neutral
+                   rows: np.ndarray, reach: float, q: int) -> np.ndarray:
+    """J0 = {L >= a_ref} for the losses L = (-x^) @ rows of the risk-neutral
     portfolio x^ = proj_simplex(gamma mu_S), with a_ref their left
-    beta-quantile (_var_level), as the loop cuts after a QP.
+    beta-quantile (_var_level), as the loop cuts after a QP; rows are the
+    support's rows of the asset-major scenario block (|supp(z)| x S).
 
     With the all-scenario cut alone, the QP's (a, v) block is optimal at
     a = -mu_S x, v = 0, so the QP is min |x|^2 / (2 gamma) - mu_S x over the
@@ -192,7 +237,7 @@ def _anchor_subset(instance: Instance, support: np.ndarray,
     """
     x_hat = _simplex_projection(instance.gamma
                                 * instance.expected_returns.take(support))
-    losses = -(cols @ x_hat)
+    losses = (-x_hat) @ rows
     a_ref, top = _var_level(losses, instance.probs, reach, q)
     return top[losses.take(top) >= a_ref]
 
@@ -228,8 +273,8 @@ class _CutLoop:
     the all-scenario subset and then J0 (_anchor_subset), unless J0 is
     every scenario; each later subset is the one cut after a QP, in order.
     Before the first QP, sol is None and the warm start is the cold start.
-    It never holds the support columns of the scenario matrix
-    (S x |supp(z)|): each call of solve_lower_cp gathers them again.
+    It never holds the support's rows of the scenario block
+    (|supp(z)| x S): each call of solve_lower_cp gathers them again.
     """
 
     def __init__(self, instance: Instance, support: np.ndarray,
@@ -384,17 +429,17 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
     else:
         resume._loop = None
 
-    # the support columns, gathered once per call; every asset needs no
-    # gather
-    cols = (instance.scenarios if support.size == instance.n_assets
-            else instance.scenarios.take(support, axis=1))
+    # the support's rows of the block, gathered once per call; every asset
+    # needs no gather
+    block, reach, q = _scenario_block(instance)
+    rows = (block if support.size == instance.n_assets
+            else block.take(support, axis=0))
     probs = instance.probs
     S = probs.size
     one_m_beta = 1.0 - instance.beta
-    reach, q = _quantile_window(probs, instance.beta)
     if loop is None:
         loop = _CutLoop(instance, support, x0,
-                        _anchor_subset(instance, support, cols, reach, q))
+                        _anchor_subset(instance, support, rows, reach, q))
     iters = 0
     while loop.sol is None or not (loop.gap <= delta or loop.duplicate):
         if loop.sol is not None:
@@ -409,7 +454,7 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
             raise SolverError(f"lower-level QP ended with status {sol.status}")
         a_t = float(sol.x[0])
         v_t = float(sol.x[1])
-        losses = -(cols @ sol.x[2:])
+        losses = (-sol.x[2:]) @ rows
         a_ref, top = _var_level(losses, probs, reach, q)
         excess = losses.take(top) - a_ref
         above = excess > 0.0

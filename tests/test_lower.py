@@ -1,6 +1,7 @@
 """Tests for the fixed-selection lower-level solvers."""
 
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -211,12 +212,13 @@ def test_unfinished_feasibility_check_raises_solver_error(monkeypatch,
 
 
 def test_theta_lb_does_not_copy_the_scenario_matrix():
-    # the all-ones lower solve reads the scenario matrix in place: a copy
-    # alone would take S * n * 8 bytes
+    # the all-ones lower solve reads the asset-major scenario block in
+    # place: a copy alone would take S * n * 8 bytes
     rng = np.random.default_rng(11)
     n, s = 20, 5000
     inst = random_instance(rng, n, s, with_return_row=True)
-    driver.theta_lb(inst)    # first-use allocations (expected returns)
+    # first-use allocations: the expected returns and the instance's block
+    driver.theta_lb(inst)
     tracemalloc.start()
     try:
         driver.theta_lb(inst)
@@ -224,6 +226,25 @@ def test_theta_lb_does_not_copy_the_scenario_matrix():
     finally:
         tracemalloc.stop()
     assert peak < s * n * 8
+
+
+def test_scenario_block_is_kept_for_the_last_instance_only():
+    """The block is the scenario matrix asset-major, whatever the matrix's
+    layout; it is rebuilt for another instance, and freed with the instance
+    it belongs to."""
+    rng = np.random.default_rng(12)
+    a = random_instance(rng, 4, 700)
+    b = dataclasses.replace(a, scenarios=np.asfortranarray(a.scenarios))
+    block_a, reach, q = lower._scenario_block(a)
+    assert block_a.flags.c_contiguous
+    assert np.array_equal(block_a, a.scenarios.T)
+    assert (reach, q) == lower._quantile_window(a.probs, a.beta)
+    assert lower._scenario_block(a)[0] is block_a
+    block_b = lower._scenario_block(b)[0]
+    assert block_b is not block_a and np.array_equal(block_b, block_a)
+    del a, b, block_a, block_b
+    gc.collect()
+    assert lower._block_entry is None
 
 
 def test_solver_failure_is_not_reported_as_infeasible():
@@ -715,8 +736,8 @@ def check_anchor(inst, z):
     x_hat = lower._simplex_projection(
         inst.gamma * inst.expected_returns[support])
     assert np.all(x_hat >= 0.0) and abs(x_hat.sum() - 1.0) <= 1e-12
-    J0 = lower._anchor_subset(inst, support, inst.scenarios[:, support],
-                              *lower._quantile_window(inst.probs, inst.beta))
+    block, reach, q = lower._scenario_block(inst)
+    J0 = lower._anchor_subset(inst, support, block[support], reach, q)
     x_full = np.zeros(inst.n_assets)
     x_full[support] = x_hat
     losses = -(inst.scenarios @ x_full)
