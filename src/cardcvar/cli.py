@@ -182,7 +182,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    scen, probs = ingest.parse_scenarios(Path(args.scenarios).read_text())
+    with open(args.scenarios) as f:
+        scen, probs = ingest.parse_scenarios(f)
     config = RunConfig(method=args.method, k=args.k, gamma=args.gamma,
                        beta=args.beta, eps=args.eps, delta=args.delta,
                        time_limit_sec=args.time_limit, mu_bar=args.mu_bar,

@@ -6,15 +6,17 @@ adds a cut, lowers the upper bound and reports the iteration: bcp solves by
 the scenario cutting-plane algorithm, cp solves lower.lifted_program
 exactly, and both add the row theta >= f_lo + g @ (z' - z) from the
 LowerResult they get back, with g the subgradient of its certificate
-(master.add_cut), or a no-good when z is infeasible (master.add_no_good).
-The search's callback takes the steps. Multi-tree mode takes its first
-step, which iterations counts like any other, at the top-k assets of the
-all-ones portfolio that theta_lb solves anyway, then steps only at the
-search's proven optima, and the search goes on with each new cut;
-single-tree mode (bcp only) steps at the search's candidates as they come,
-and only at new ones whose master value is still below the upper bound:
-cuts are valid, so f(z) >= theta(z), and a candidate with theta(z) >= ub
-cannot improve the incumbent. bcp never solves the all-ones selection
+(master.add_cut), or, when z is infeasible, the cover row that every
+feasible selection meets (lower.infeasible_cover, master.add_cover). The
+search's callback takes the steps. Multi-tree mode takes its first step,
+which iterations counts like any other, at the top-k assets of the all-ones
+portfolio that theta_lb solves anyway, then steps only at the search's
+proven optima, and the search goes on with each new cut; single-tree mode
+(bcp only) starts its search with the empty selection's cover, as that
+selection is never feasible, and steps at the search's candidates as they
+come, and only at new ones whose master value is still below the upper
+bound: cuts are valid, so f(z) >= theta(z), and a candidate with theta(z)
+>= ub cannot improve the incumbent. bcp never solves the all-ones selection
 twice: theta_lb's solve is its step there, which at k = n is multi-tree's
 first. solve_bigm skips cuts entirely and runs branch and bound on one QP,
 lower.lifted_program over every asset inside a block of selection
@@ -180,12 +182,13 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     Every lower solve is one step (evaluate). Its result brackets f(z) by
     f_lo <= f(z) <= f_hi, where bcp's scenario loop has f_hi <= f_lo +
     delta and cp's exact lifting f_lo = f_hi. The step adds the cut at f_lo
-    with the certificate's subgradient, or a no-good with f_lo = f_hi = inf
-    when z is infeasible, lowers the upper bound with f_hi and reports the
-    iteration. Each step adds exactly one row, so state.n_cuts counts the
-    iterations, and the report's iterations and on_iteration's t read it.
-    bcp's step at the all-ones selection reuses theta_lb's solve, which ran
-    at the same delta.
+    with the certificate's subgradient, or a cover row with f_lo = f_hi =
+    inf when z is infeasible, lowers the upper bound with f_hi and reports
+    the iteration. Each step solves a new selection and records it in seen,
+    so len(seen) counts the iterations, and the report's iterations and
+    n_cuts and on_iteration's t read it: single-tree's seeded cover, which
+    no lower solve made, counts in neither. bcp's step at the all-ones
+    selection reuses theta_lb's solve, which ran at the same delta.
 
     The callback raises lb to the bound the search hands over with z and
     accepts z unsolved when z was solved before: its own cut is a row, so
@@ -199,11 +202,13 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     search starts with an optimality cut; that step counts as an iteration
     like any other, and a gap it closes ends the solve without a search.
 
-    Single-tree (lazy) sees every candidate with the search's current bound.
-    It also accepts unsolved a candidate whose master value theta reaches
-    the upper bound within the relative tolerance 1e-9 (1 + |ub|). That rule
-    is the lazy-cut pruning of branch-and-cut solvers, and it keeps the
-    solve exact:
+    Single-tree (lazy) adds the empty selection's cover before the search,
+    so the search never offers a selection without an asset of that cover,
+    and sees every candidate with the search's current bound. It also
+    accepts unsolved a candidate whose master value theta reaches the upper
+    bound within the relative tolerance 1e-9 (1 + |ub|). That rule is the
+    lazy-cut pruning of branch-and-cut solvers, and it keeps the solve
+    exact:
     - cuts are valid, so f(z) >= theta(z) >= ub - tol, and z cannot improve
       the incumbent; a lower solve there would not lower ub;
     - the search is still exact on the master with the cuts it has, so its
@@ -234,8 +239,8 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     z_hat = res_hat = None    # the incumbent and its lower result
 
     def out(status):
-        return _report(name, status, instance, t0, state.n_cuts,
-                       state.node_count, state.n_cuts, z_hat, lb, ub, echo,
+        return _report(name, status, instance, t0, len(seen),
+                       state.node_count, len(seen), z_hat, lb, ub, echo,
                        resume=res_hat)
 
     def evaluate(z):
@@ -248,7 +253,7 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
             res = lower.solve_lower_cp(z, instance, delta)
         if res is None:
             f_lo = f_hi = np.inf
-            master.add_no_good(state, z)
+            master.add_cover(state, lower.infeasible_cover(z, instance))
         else:
             f_lo, f_hi = res.f_lo, res.f_hi
             master.add_cut(state, z, f_lo,
@@ -257,7 +262,7 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
         if f_hi < ub:
             ub, z_hat, res_hat = f_hi, z, res
         if on_iteration is not None:
-            on_iteration(state.n_cuts, z, lb, ub)
+            on_iteration(len(seen), z, lb, ub)
         return f_lo
 
     def callback(z, theta, bound):
@@ -283,6 +288,9 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     try:
         if time.monotonic() > deadline:
             raise master.MasterTimeout("deadline passed before the search")
+        if single_tree:
+            empty = SelectionVector(np.zeros(instance.n_assets, np.int64))
+            master.add_cover(state, lower.infeasible_cover(empty, instance))
         if single_tree or not callback(
                 _top_k(ones.portfolio.weights, instance.k), lb, lb):
             solved = master.master_solve(state, callback, deadline,
@@ -290,7 +298,7 @@ def _cutting_plane(method, single_tree, instance, eps, delta, time_limit,
     except master.MasterTimeout:
         return out(TIME_LIMIT)
     if solved is None:
-        # no-good cuts exhausted every selection; a feasible one would have
+        # cover rows exhausted every selection; a feasible one would have
         # had an optimality cut instead, so there is no incumbent
         return out(INFEASIBLE)
     if ub - lb > max(eps, delta) + 1e-9 * (1.0 + abs(ub)):
@@ -315,7 +323,9 @@ def solve_bcp(instance: Instance, eps: float = EPS_DEFAULT,
     the bounds after its cut; in multi-tree mode t = 1 is the top-k
     selection at lb = theta_lb, and in single-tree mode lb is the master
     search's bound when it offered z. The report's iterations counts lower
-    solves, the top-k one included, which equals n_cuts. Multi-tree mode
+    solves, the top-k one included, which equals n_cuts: single-tree's
+    cover of the empty selection, added before its search, counts in
+    neither. Multi-tree mode
     ends when the gap closes or the search's optimum repeats a selection,
     without solving it again, so no z is reported twice. Single-tree mode
     solves the lower level only at new candidates whose master value is

@@ -191,13 +191,31 @@ def generate_scenarios(moments: MomentData, S: int, seed: int) -> np.ndarray:
     return moments.mu + gauss @ L.T
 
 
-def parse_scenarios(text) -> tuple[np.ndarray, np.ndarray]:
-    """Parse 'S N' header plus S rows of N returns; uniform probabilities."""
-    lines = _as_lines(text)
-    body = [(i + 1, ln.split()) for i, ln in enumerate(lines) if ln.split()]
-    if not body:
+def _stream_lines(source):
+    """The lines of source, text (str or bytes) or a text file, as
+    str.splitlines would split the whole text; a file is read one line at
+    a time."""
+    if isinstance(source, (str, bytes)):
+        yield from _as_lines(source)
+        return
+    for raw in source:
+        yield from raw.splitlines()
+
+
+def parse_scenarios(source) -> tuple[np.ndarray, np.ndarray]:
+    """Parse 'S N' header plus S rows of N returns; uniform probabilities.
+
+    source is the text, str or bytes, or a text file, which is read one
+    line at a time into the preallocated S x N matrix: no line outlives its
+    own parse. A wrong row count is reported before any malformed row,
+    which is reported at the first one."""
+    lines = enumerate(_stream_lines(source), 1)
+    for lineno, line in lines:
+        toks = line.split()
+        if toks:
+            break
+    else:
         raise ParseError("line 1: expected 'S N' header, got end of input")
-    lineno, toks = body[0]
     if len(toks) != 2:
         raise ParseError(f"line {lineno}: header must be 'S N'")
     try:
@@ -206,17 +224,30 @@ def parse_scenarios(text) -> tuple[np.ndarray, np.ndarray]:
         raise ParseError(f"line {lineno}: header must be two integers") from None
     if S < 1 or n < 1:
         raise ParseError(f"line {lineno}: S and N must be positive")
-    if len(body) - 1 != S:
-        raise ParseError(f"line {len(lines) + 1}: expected {S} scenario rows, "
-                         f"got {len(body) - 1}")
-    R = np.empty((S, n))
-    for s, (lineno, toks) in enumerate(body[1:]):
-        if len(toks) != n:
-            raise ParseError(f"line {lineno}: expected {n} returns, got {len(toks)}")
-        try:
-            R[s] = [float(t) for t in toks]
-        except ValueError:
-            raise ParseError(f"line {lineno}: returns must be numeric") from None
+    try:
+        R = np.empty((S, n))
+    except (MemoryError, ValueError):
+        raise ParseError(f"line {lineno}: {S} x {n} returns do not fit in "
+                         "memory") from None
+    rows, error, last = 0, None, lineno
+    for last, line in lines:
+        toks = line.split()
+        if not toks:
+            continue
+        if rows < S and error is None:
+            if len(toks) != n:
+                error = f"line {last}: expected {n} returns, got {len(toks)}"
+            else:
+                try:
+                    R[rows] = [float(t) for t in toks]
+                except ValueError:
+                    error = f"line {last}: returns must be numeric"
+        rows += 1
+    if rows != S:
+        raise ParseError(f"line {last + 1}: expected {S} scenario rows, "
+                         f"got {rows}")
+    if error is not None:
+        raise ParseError(error)
     return R, np.full(S, 1.0 / S)
 
 

@@ -42,6 +42,13 @@ DualCertificate has the objective -(gamma/2) z @ (omega * omega) - b @ zeta
 subgradient -(gamma/2) omega^2. Each reads its own QP's multipliers (the
 scenario loop in _CutLoop._certificate) and finishes zeta and omega in
 _dual_certificate.
+
+Both solves return None at a selection that admits no portfolio, and
+infeasible_cover then gives the master its feasibility cut: a cover row
+sum_{j in C} z_j >= 1 that every feasible selection meets. Feasibility is
+monotone in the support, so the complement of an infeasible support is
+always such a C; with at most one side row, C is exactly the assets whose
+unit vertex meets it, the test _support_feasible makes first.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ __all__ = [
     "SolverError",
     "CertificateError",
     "solve_lower_cp",
+    "infeasible_cover",
     "lifted_program",
     "solve_lower_lifted",
     "certificate_objective",
@@ -212,6 +220,26 @@ def _support_feasible(instance: Instance, support: np.ndarray):
         return numeric.feasible(G, h, np.ones((1, K)), np.array([1.0]))
     except numeric.FeasibilityError as exc:
         raise SolverError(str(exc)) from exc
+
+
+def infeasible_cover(z: SelectionVector, instance: Instance) -> np.ndarray:
+    """The members C of a cover row sum_{j in C} z_j >= 1 that every
+    feasible selection meets, for a selection z that admits no portfolio, as
+    a boolean mask over the assets; z itself holds none of them.
+
+    With at most one side row, C is the assets whose unit vertex meets it,
+    those _support_feasible accepts alone: a convex combination of columns
+    above side_b stays above it, so a selection is feasible exactly when it
+    holds one of them. Otherwise C is the complement of supp(z): a subset of
+    an infeasible support is infeasible too, so the row holds for every
+    feasible selection and excludes every subset of supp(z), z included.
+    """
+    support = _support(z, instance)
+    if instance.side_b.size <= 1:
+        return np.all(instance.side_A <= instance.side_b[:, None], axis=0)
+    members = np.ones(instance.n_assets, dtype=bool)
+    members[support] = False
+    return members
 
 
 def _simplex_projection(y: np.ndarray) -> np.ndarray:
@@ -580,8 +608,11 @@ def solve_lower_lifted(z: SelectionVector, instance: Instance):
     side = 2 * S + 1 + K
     alpha = np.maximum(sol.ineq_duals[:S], 0.0)
     lam = -float(sol.eq_duals[0])
-    cert = _dual_certificate(alpha, sol.ineq_duals[side:], lam,
-                             alpha @ instance.scenarios + lam, instance)
+    # on C-order data, as Instance.expected_returns, so that the last bits
+    # do not depend on the scenario matrix's layout
+    rho = alpha @ np.ascontiguousarray(instance.scenarios)
+    cert = _dual_certificate(alpha, sol.ineq_duals[side:], lam, rho + lam,
+                             instance)
     _check_certificate_value(cert, z, instance, f)
     return LowerResult(f_lo=f, f_hi=f, portfolio=portfolio, subsets=None,
                        certificate=cert, iters=1)

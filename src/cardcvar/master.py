@@ -1,18 +1,22 @@
 """Upper-level master problem: minimize theta over selections z.
 
 The feasible region is theta >= theta_lb, one affine row per optimality cut,
-one exclusion row per no-good cut, and the cardinality bound 1'z <= k with z
-binary. MasterState holds the cut pool as plain arrays: add_cut appends one
-row to base and grad, add_no_good one key to no_goods, and every path reads
-the arrays as they stand, so theta at z is max(theta_lb, max(base + grad @
-z)) everywhere (theta_at). master_solve runs one best-bound branch and bound
-over coordinate boxes per outer solve. Each box is bounded by its best
-single cut, the largest of the cuts' exact minima over it (one sort per cut,
-because cut gradients are nonpositive), and that binding cut picks the box's
-witness and branch coordinate. The cutting-plane loop needs a master
-optimum, not a particular one among ties, so every mode shares one rule: a
-candidate replaces the incumbent only when its theta is lower, and a box is
-pruned once its bound comes within the relative tolerance of the incumbent's
+one cover row sum_{j in C} z_j >= 1 per feasibility cut, and the
+cardinality bound 1'z <= k with z binary. MasterState holds both pools as
+plain arrays: add_cut appends one row to base and grad, add_cover one 0/1
+row to covers, and every path reads the arrays as they stand, so theta at z
+is max(theta_lb, max(base + grad @ z)) everywhere (theta_at). master_solve
+runs one best-bound branch and bound over coordinate boxes per outer solve.
+Each box is bounded by its best single cut, the largest of the cuts' exact
+minima over it (one sort per cut, because cut gradients are nonpositive),
+and that binding cut picks the box's witness and branch coordinate. Covers
+cost a box one matvec, on its witness: only a cover the witness breaks is
+read further, to drop a box that cannot meet it, to raise each cut's
+minimum by a reserved slot for one of its members, and to rebuild the
+witness from the members. The cutting-plane loop needs a master optimum,
+not a particular one among ties, so every mode shares one rule: a candidate
+replaces the incumbent only when its theta is lower, and a box is pruned
+once its bound comes within the relative tolerance of the incumbent's
 theta. A pruned box stays on the heap with its bound: cuts only add rows, so
 the bound stays a lower bound, and the box reopens when a callback rejects
 the incumbent and the search goes on with the new cut. Multi-tree and
@@ -35,7 +39,7 @@ __all__ = [
     "MasterState",
     "MasterTimeout",
     "add_cut",
-    "add_no_good",
+    "add_cover",
     "theta_at",
     "master_solve",
 ]
@@ -47,18 +51,15 @@ class MasterTimeout(RuntimeError):
     """Deadline passed mid-search."""
 
 
-def _key(bits: np.ndarray) -> bytes:
-    return np.asarray(bits, dtype=np.int64).tobytes()
-
-
 @dataclass(eq=False)
 class MasterState:
-    """The append-only cut pool of one outer solve and the region
+    """The append-only cut pools of one outer solve and the region
     parameters. Row i of base and grad is the optimality cut theta >= base
-    + grad @ z; add_cut appends one row, so base.size counts them. no_goods
-    holds each excluded selection's _key (add_no_good); n_cuts counts the
-    cuts of both kinds. node_count sums the boxes master_solve has bounded;
-    the boxes themselves live only for one call."""
+    + grad @ z; add_cut appends one row, so base.size counts them. Row i of
+    covers is the 0/1 member mask of the cover row sum_{j in C} z_j >= 1
+    (add_cover); n_cuts counts the rows of both kinds. node_count sums the
+    boxes master_solve has bounded; the boxes themselves live only for one
+    call."""
 
     n_assets: int
     k: int
@@ -71,12 +72,14 @@ class MasterState:
             raise ValueError("theta_lb must be finite")
         if not 1 <= self.k <= self.n_assets:
             raise ValueError("need 1 <= k <= n_assets")
-        self.n_cuts, self.no_goods = 0, set()
+        self.n_cuts = 0
         self.base = np.empty(0)
         self.grad = np.empty((0, self.n_assets))
+        self.covers = np.empty((0, self.n_assets))
 
     def excluded(self, bits: np.ndarray) -> bool:
-        return _key(bits) in self.no_goods
+        """Whether the selection bits breaks a cover row."""
+        return bool(np.any(self.covers @ bits == 0.0))
 
 
 def add_cut(state: MasterState, z: SelectionVector, value: float,
@@ -100,12 +103,15 @@ def add_cut(state: MasterState, z: SelectionVector, value: float,
     state.grad = np.vstack([state.grad, grad])
 
 
-def add_no_good(state: MasterState, z: SelectionVector) -> None:
-    """Exclude the selection z from the region."""
-    if z.bits.size != state.n_assets:
-        raise ValueError("cut dimension does not match n_assets")
+def add_cover(state: MasterState, members) -> None:
+    """Add the cover row sum_{j in C} z_j >= 1, with C the assets where the
+    boolean mask members is set: every selection holding none of them
+    leaves the region. A mask with no member empties the region."""
+    members = np.asarray(members, dtype=bool).ravel()
+    if members.size != state.n_assets:
+        raise ValueError("cover length does not match n_assets")
     state.n_cuts += 1
-    state.no_goods.add(_key(z.bits))
+    state.covers = np.vstack([state.covers, members])
 
 
 def theta_at(state: MasterState, bits: np.ndarray) -> float:
@@ -130,28 +136,71 @@ def node_eval(state: MasterState, box: np.ndarray):
     most, or -1 when the box holds the one selection lb, whose bound is
     exactly theta_at(lb). When the binding cut is flat on the free
     coordinates, the branch is the free coordinate with the most negative
-    entry of any cut, the first free one if every cut is flat there: a box
-    with free coordinates always branches, as a no-good may exclude its
-    witness.
+    entry of any cut, the first free one if every cut is flat there.
+
+    Covers are read only when that witness breaks one (one matvec). Every
+    member of the box must then hold a member of each broken cover, so the
+    box is dropped (None) when one of them has no free member or no budget
+    is left. Otherwise each cut's minimum is raised to the larger of its
+    unconstrained one and its take - 1 most negative free entries plus the
+    cover's most negative free entry, for the broken cover that raises it
+    most; both are lower bounds over the box. The witness is rebuilt on the
+    new binding cut: the most negative member of each broken cover it does
+    not hold yet, then its most negative other entries up to the budget. It
+    is None when that overruns the budget or breaks another cover, and the
+    branch is the member taken for the first broken cover, so a box with
+    free coordinates always branches.
     """
     base, grad = state.base, state.grad
     bits = (box == 1).astype(np.int64)
     fidx = np.flatnonzero(box == 2)
     take = min(max(0, state.k - int(bits.sum())), fidx.size)
-    if base.size == 0:
-        return state.theta_lb, bits, int(fidx[0]) if take else -1
-    vals0 = base + grad @ bits.astype(float)
+    if base.size:
+        vals0 = base + grad @ bits.astype(float)
+        gfree = grad[:, fidx]
+    else:
+        # theta_lb alone: one flat row that never binds
+        vals0, gfree = np.full(1, -np.inf), np.zeros((1, fidx.size))
     if take == 0:
-        return max(state.theta_lb, float(vals0.max())), bits, -1
-    gfree = grad[:, fidx]
-    low = np.sort(gfree, axis=1)[:, :take]
-    mins = vals0 + low.sum(axis=1)
+        bound, branch = max(state.theta_lb, float(vals0.max())), -1
+    else:
+        low = np.sort(gfree, axis=1)[:, :take]
+        mins = vals0 + low.sum(axis=1)
+        binding = int(np.argmax(mins))
+        h = gfree[binding]
+        order = np.argsort(h, kind="stable")[:take]
+        bits[fidx[order[h[order] < 0.0]]] = 1
+        branch = int(fidx[order[0]]) if h[order[0]] < 0.0 \
+            else int(fidx[int(np.argmin(gfree.min(axis=0)))])
+        bound = max(float(mins[binding]), state.theta_lb)
+    if not state.covers.shape[0]:
+        return bound, bits, branch
+    broken = state.covers @ bits == 0.0
+    if not broken.any():
+        return bound, bits, branch
+    members = state.covers[broken][:, fidx] > 0.0
+    if take == 0 or not members.any(axis=1).all():
+        return None
+    slot = np.max([gfree[:, m].min(axis=1) for m in members], axis=0)
+    mins = vals0 + np.maximum(low.sum(axis=1),
+                              low[:, :take - 1].sum(axis=1) + slot)
     binding = int(np.argmax(mins))
     h = gfree[binding]
-    order = np.argsort(h, kind="stable")[:take]
-    bits[fidx[order[h[order] < 0.0]]] = 1
-    branch = int(fidx[order[0]]) if h[order[0]] < 0.0 \
-        else int(fidx[int(np.argmin(gfree.min(axis=0)))])
+    picks = []
+    for m in members:
+        if not m[picks].any():
+            picks.append(int(np.flatnonzero(m)[np.argmin(h[m])]))
+    branch = int(fidx[picks[0]])
+    rest = take - len(picks)
+    bits = (box == 1).astype(np.int64)
+    if rest >= 0:
+        h = h.copy()
+        h[picks] = np.inf
+        order = np.argsort(h, kind="stable")[:rest]
+        bits[fidx[picks]] = 1
+        bits[fidx[order[h[order] < 0.0]]] = 1
+    if rest < 0 or state.excluded(bits):
+        bits = None
     return max(float(mins[binding]), state.theta_lb), bits, branch
 
 
@@ -169,8 +218,8 @@ def _offer(state: MasterState, callback, z: SelectionVector, theta: float,
 def master_solve(state: MasterState, callback=None,
                  deadline: float | None = None, lazy: bool = False):
     """Exact solve of the master problem, cuts the callback adds included;
-    returns (z, theta) or None when the no-good cuts exclude all feasible
-    selections.
+    returns (z, theta) or None when the cover rows exclude every
+    selection.
 
     One best-bound branch and bound runs from the root box, heap ties to
     the older box, branching on the free coordinate that most sways the cut
@@ -180,8 +229,10 @@ def master_solve(state: MasterState, callback=None,
     is then the incumbent's theta less the relative tolerance 1e-9 (1 +
     |theta|): a box whose bound reaches it cannot hold a selection better by
     more than the tolerance. Such a box goes back on the heap with its
-    bound, and a leaf no no-good excludes goes back with its theta: cuts
-    only add rows, so a stored key stays a lower bound. A box is counted in
+    bound, and a leaf goes back with its theta: cuts only add rows, so a
+    stored key stays a lower bound. A box that holds no selection meeting
+    every cover is dropped for good (node_eval), as covers only add rows
+    too. A box is counted in
     node_count, and the deadline checked, before it leaves the heap.
 
     Once the least open bound reaches the cutoff, the incumbent is a master
@@ -208,12 +259,14 @@ def master_solve(state: MasterState, callback=None,
             if deadline is not None and time.monotonic() > deadline:
                 raise MasterTimeout("master deadline passed")
             _, t, box = heapq.heappop(heap)
-            bound, bits, branch = node_eval(state, box)
+            node = node_eval(state, box)
+            if node is None:
+                continue    # no selection in the box meets every cover
+            bound, bits, branch = node
             if bound >= cutoff:
                 heapq.heappush(heap, (bound, t, box))
                 continue
-            excluded = state.excluded(bits)
-            if not excluded:
+            if bits is not None:
                 theta_z = theta_at(state, bits)
                 if lazy:
                     n_before = state.n_cuts
@@ -229,9 +282,9 @@ def master_solve(state: MasterState, callback=None,
                     best, best_bits = theta_z, bits
                     cutoff = best - _BB_TOL * (1.0 + abs(best))
             if branch < 0:
-                # the box holds the one selection bits
-                if not excluded:
-                    heapq.heappush(heap, (theta_z, t, box))
+                # the box holds the one selection bits, which meets every
+                # cover, or node_eval would have dropped it
+                heapq.heappush(heap, (theta_z, t, box))
                 continue
             hi = box.copy()
             hi[branch] = 1

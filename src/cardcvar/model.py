@@ -84,8 +84,10 @@ class Instance:
     def expected_returns(self) -> np.ndarray:
         """Probability-weighted mean return of each asset, computed on first
         access (an Instance is not mutated after construction) and shared
-        read-only by every later one."""
-        mu = self.probs @ self.scenarios
+        read-only by every later one. It is computed on C-order data, a
+        copy when the matrix is laid out otherwise, so that its last bits do
+        not depend on the layout."""
+        mu = self.probs @ np.ascontiguousarray(self.scenarios)
         mu.flags.writeable = False
         return mu
 

@@ -187,9 +187,54 @@ def test_no_good_path_still_reaches_optimum():
         assert rep.status == driver.OPTIMAL
         assert rep.selection.as_tuple() == (1, 0, 0, 0)
         assert rep.obj == pytest.approx(orc.best_f, abs=2e-5)
-        # the empty selection and three infeasible singletons are cut off
-        assert rep.n_cuts >= 5
+        # the warm selection {1} is infeasible, and its cover row holds
+        # asset 0 alone, the one that meets the return floor: the next
+        # step is the optimum
+        assert rep.n_cuts == 2
         assert ubs[0] == np.inf
+
+
+def return_floor_instance():
+    """50 assets with mu_i = 0.004 + 0.0002 i, sigma_i = 0.02 + 0.0005 i and
+    correlation 0.3, 2,000 scenarios of seed 1, k = 8 and the k-rule return
+    floor through cli.build_instance: only 18 assets meet the floor alone,
+    and a selection is feasible exactly when it holds one of them."""
+    from cardcvar import ingest
+
+    n = 50
+    std = 0.02 + 0.0005 * np.arange(n)
+    corr = 0.3 + 0.7 * np.eye(n)
+    moments = ingest.MomentData(0.004 + 0.0002 * np.arange(n),
+                                corr * np.outer(std, std))
+    scen = ingest.generate_scenarios(moments, 2000, 1)
+    return cli.build_instance(scen, np.full(2000, 1.0 / 2000),
+                              cli.RunConfig(method="bcpc", k=8))
+
+
+def test_single_tree_meets_the_return_floor_from_its_first_step(
+        monkeypatch):
+    """The empty selection's cover is seeded before the search: single-tree
+    never solves a selection without a floor asset, its first step already
+    has a finite upper bound, and a 2 s limit ends with an incumbent. With
+    one no-good per infeasible selection it spent 10 s on 14,415 of them
+    and had none."""
+    inst = return_floor_instance()
+    assert np.sum(inst.side_A[0] <= inst.side_b[0]) == 18
+    real = lower.solve_lower_cp
+    results = []
+
+    def spy(z, instance, delta, resume=None):
+        results.append(real(z, instance, delta, resume=resume))
+        return results[-1]
+
+    monkeypatch.setattr(lower, "solve_lower_cp", spy)
+    ubs = []
+    rep = driver.solve_bcp(inst, mode="single_tree", time_limit=2.0,
+                           on_iteration=lambda t, z, lb, ub: ubs.append(ub))
+    assert np.isfinite(ubs[0])
+    assert all(res is not None for res in results)
+    assert rep.status in (driver.OPTIMAL, driver.TIME_LIMIT)
+    assert rep.selection is not None and np.isfinite(rep.obj)
 
 
 def test_multi_tree_starts_at_the_top_k_of_the_all_ones_portfolio(
@@ -594,9 +639,12 @@ def test_infeasible_instance_all_methods():
 def test_every_selection_infeasible_though_the_all_ones_portfolio_is_not():
     """Caps x_j <= 0.3 on n = 5 assets: the all-ones lower level is feasible
     but no selection of at most k = 2 assets is. theta_lb succeeds, every
-    selection the master offers gets a no-good, and the search ends with no
-    selection left: 16 lower solves (every selection of at most two assets,
-    the empty one included) for each cutting-plane method."""
+    selection the master offers gets a cover row, the complement of its
+    support, and the search ends with no selection left. Each of the ten
+    pairs is solved, as only its own cover excludes it; the singletons
+    offered before a pair that holds them add 3 lower solves in multi-tree
+    bcp and cp and 1 in single-tree bcp, and no method solves the empty
+    selection."""
     base = make_instance(3, 5, 40, 2)
     inst = Instance(n_assets=5, scenarios=base.scenarios, probs=base.probs,
                     side_A=np.eye(5), side_b=np.full(5, 0.3),
@@ -607,7 +655,9 @@ def test_every_selection_infeasible_though_the_all_ones_portfolio_is_not():
         assert rep.status == driver.INFEASIBLE, rep.method
         assert rep.selection is None and rep.portfolio is None, rep.method
         if rep.method != "bigm":
-            assert rep.iterations == rep.n_cuts == 16, rep.method
+            expected = {"bcp": 13, "bcp_single_tree": 11, "cp": 13}
+            assert rep.iterations == rep.n_cuts == expected[rep.method], \
+                rep.method
 
 def return_limit_instance(seed, offset):
     """test_acceptance.make_instance(seed, 8, 60, 3) with its return row
@@ -672,6 +722,42 @@ def test_side_rows_match_the_oracle(seed):
                       <= inst.side_b + 1e-9), rep.method
 
 
+def dense_rows_instance(seed):
+    """test_acceptance.make_instance(seed, 8, 60, 3) with caps x_j <= u_j,
+    u_j uniform in [0.3, 0.7], two dense rows a @ x <= b with standard
+    normal a and b uniform in [-0.3, 0.3], and its return row rebuilt at
+    half the k-rule mu_bar: 6 to 42 of the 56 supports of three assets are
+    feasible on seeds 0-11."""
+    base = make_instance(seed, 8, 60, 3)
+    rng = np.random.default_rng(seed)
+    side_A = np.vstack([np.eye(8), rng.normal(0.0, 1.0, (2, 8))])
+    side_b = np.concatenate([rng.uniform(0.3, 0.7, 8),
+                             rng.uniform(-0.3, 0.3, 2)])
+    rows = Instance(n_assets=8, scenarios=base.scenarios, probs=base.probs,
+                    side_A=side_A, side_b=side_b, beta=base.beta,
+                    gamma=base.gamma, k=3)
+    A, b = build_feasible_set(
+        rows, 0.5 * compute_mu_bar(rows.expected_returns, 3))
+    return Instance(n_assets=8, scenarios=base.scenarios, probs=base.probs,
+                    side_A=A, side_b=b, beta=base.beta, gamma=base.gamma,
+                    k=3)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dense_side_rows_match_the_oracle(seed):
+    """Under several side rows an infeasible selection's cover is the
+    complement of its support: both bcp modes and cp still end Optimal
+    within 2e-5 of the oracle, at a portfolio that meets the side rows."""
+    inst = dense_rows_instance(seed)
+    best_f = oracle.brute_force(inst, 3).best_f
+    for solve in CUTTING_PLANE_SOLVES:
+        rep = solve(inst)
+        assert rep.status == driver.OPTIMAL, rep.method
+        assert abs(rep.obj - best_f) <= 2e-5, rep.method
+        assert np.all(inst.side_A @ rep.portfolio.weights
+                      <= inst.side_b + 1e-9), rep.method
+
+
 def test_time_limit_reports_honestly():
     inst = two_asset_instance(k=1)
     for solve in CUTTING_PLANE_SOLVES:
@@ -701,21 +787,36 @@ def test_reports_deterministic_up_to_time():
 
 def test_reports_do_not_depend_on_the_scenario_layout():
     """The lower level reads losses from its own asset-major copy of the
-    scenario matrix, so a C-order matrix, a Fortran-order one and a view of
-    every other row of a larger one, with the same values, give the same
+    scenario matrix, and the expected returns and the lifted solve's return
+    aggregate are computed on C-order data, so a C-order matrix, a
+    Fortran-order one, a view of every other row of a larger one and, at n
+    = 40, a view of every other column, with the same values, give the same
     reports bit for bit."""
-    inst = make_instance(3, 8, 600, 3)
-    tall = np.zeros((2 * inst.n_scenarios, inst.n_assets))
-    tall[::2] = inst.scenarios
-    layouts = [inst,
-               dataclasses.replace(
-                   inst, scenarios=np.asfortranarray(inst.scenarios)),
-               dataclasses.replace(inst, scenarios=tall[::2])]
-    assert layouts[2].scenarios.base is tall
-    for mode in ("multi_tree", "single_tree"):
-        reports = {canonical_report(driver.solve_bcp(i, mode=mode))
-                   for i in layouts}
-        assert len(reports) == 1
+    for inst in (make_instance(3, 8, 600, 3), make_instance(7, 40, 1000, 8)):
+        n, S = inst.n_assets, inst.n_scenarios
+        tall = np.zeros((2 * S, n))
+        tall[::2] = inst.scenarios
+        layouts = [inst,
+                   dataclasses.replace(
+                       inst, scenarios=np.asfortranarray(inst.scenarios)),
+                   dataclasses.replace(inst, scenarios=tall[::2])]
+        assert layouts[2].scenarios.base is tall
+        if n == 40:
+            wide = np.zeros((S, 2 * n))
+            wide[:, ::2] = inst.scenarios
+            layouts.append(dataclasses.replace(inst, scenarios=wide[:, ::2]))
+            assert layouts[3].scenarios.base is wide
+        mus = {i.expected_returns.tobytes() for i in layouts}
+        assert len(mus) == 1
+        modes = ("single_tree",) if n == 40 else ("multi_tree",
+                                                  "single_tree")
+        for mode in modes:
+            reports = {canonical_report(driver.solve_bcp(i, mode=mode))
+                       for i in layouts}
+            assert len(reports) == 1
+        z = SelectionVector((np.arange(n) < inst.k).astype(np.int64))
+        lifted = [lower.solve_lower_lifted(z, i) for i in layouts]
+        assert len({r.certificate.omega.tobytes() for r in lifted}) == 1
 
 
 def test_solving_another_instance_in_between_changes_nothing():

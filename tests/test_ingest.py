@@ -152,6 +152,38 @@ def test_parse_scenarios_errors():
         parse_scenarios("1 1\nabc")
 
 
+def test_parse_scenarios_reads_a_file_as_its_text(tmp_path):
+    """A text file is parsed one line at a time, with the results and the
+    messages of its text: a wrong row count comes before a malformed row,
+    and the first malformed row is the one named; a header too large to
+    allocate is a ParseError too."""
+    texts = ["2 2\n0.1 0.2\n\n-0.3 0.4\n", "2 1\r\n0.5\r\n0.25",
+             "2 2\n1 x\n1 2 3\n", "2 2\n1 2 3\n1 x\n",
+             "2 2\n1 x\n1 2\n3 4\n\n", "\n\n", "1 1\n2\n\f3\n",
+             f"{10 ** 15} {10 ** 5}\n1\n"]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"s{i}.txt"
+        path.write_bytes(text.encode())
+        outcomes = []
+        for source in (text, path):
+            try:
+                if isinstance(source, str):
+                    R, _ = parse_scenarios(source)
+                else:
+                    with open(source) as fh:
+                        R, _ = parse_scenarios(fh)
+                outcomes.append(R.tolist())
+            except ParseError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], text
+    with pytest.raises(ParseError, match="line 2: returns must be numeric"):
+        parse_scenarios(texts[2])
+    with pytest.raises(ParseError, match="line 6: expected 2 scenario rows"):
+        parse_scenarios(texts[4])
+    with pytest.raises(ParseError, match="line 1: .* do not fit in memory"):
+        parse_scenarios(texts[-1])
+
+
 def test_scenarios_roundtrip():
     rng = np.random.default_rng(31)
     R = rng.normal(size=(6, 3))

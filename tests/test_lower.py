@@ -906,3 +906,38 @@ def test_resume_rejects_another_selection():
     with pytest.raises(ValueError):
         lower.solve_lower_cp(SelectionVector([0, 1, 1, 0]), inst, 1e-9,
                              resume=res)
+
+
+def test_infeasible_cover_never_excludes_a_feasible_selection():
+    """Over all 256 supports of eight assets: the cover of each selection
+    that admits no portfolio excludes it and holds an asset of every
+    support that admits one. With no side row only the empty selection is
+    infeasible; with the return row alone the cover is exact, so a support
+    is feasible exactly when it holds a member; caps plus two random dense
+    rows take the complement of the support."""
+    import itertools
+
+    from test_acceptance import make_instance
+    from test_driver import dense_rows_instance
+
+    free = make_instance(0, 8, 60, 3)
+    free = dataclasses.replace(free, side_A=np.zeros((0, 8)), side_b=[])
+    instances = ([free] + [make_instance(s, 8, 60, 3) for s in range(3)]
+                 + [dense_rows_instance(s) for s in range(6)])
+    supports = [list(sup) for size in range(9)
+                for sup in itertools.combinations(range(8), size)]
+    for inst in instances:
+        feasible = [lower._support_feasible(inst, np.array(sup, np.int64))
+                    is not None for sup in supports]
+        assert 0 < sum(feasible) < len(supports) - 1 or inst is free
+        for sup, ok in zip(supports, feasible):
+            if ok:
+                continue
+            bits = np.zeros(8, dtype=np.int64)
+            bits[sup] = 1
+            cover = lower.infeasible_cover(SelectionVector(bits), inst)
+            assert not cover[sup].any()
+            holds = [bool(cover[other].any()) for other in supports]
+            assert all(h for h, f in zip(holds, feasible) if f)
+            if inst.side_b.size <= 1:
+                assert holds == feasible

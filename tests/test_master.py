@@ -15,12 +15,23 @@ def opt_cut(state, z0, f0, g):
 
 
 def no_good(state, z0):
-    master.add_no_good(state, SelectionVector(z0))
+    """The cover row a lower solve adds for an infeasible z0 under several
+    side rows, the complement of its support: it excludes z0 and every
+    subset of it."""
+    master.add_cover(state, np.asarray(z0) == 0)
+
+
+def random_cover(rng, state):
+    """A cover row over a random set of one to n - 1 members."""
+    n = state.n_assets
+    members = np.zeros(n, dtype=bool)
+    members[rng.choice(n, int(rng.integers(1, n)), replace=False)] = True
+    master.add_cover(state, members)
 
 
 def brute_force(state, selections):
-    """The smallest theta_at over the selections a no-good does not
-    exclude, or None when it excludes them all."""
+    """The smallest theta_at over the selections that meet every cover
+    row, or None when none does."""
     return min((master.theta_at(state, bits) for bits in selections
                 if not state.excluded(bits)), default=None)
 
@@ -52,10 +63,12 @@ def assert_optimum(state, result, ref_theta):
     assert z.count() <= state.k
 
 
-def random_state(rng, n, k, n_opt, n_ng, p_zero=0.0, log=None):
+def random_state(rng, n, k, n_opt, n_ng, p_zero=0.0, log=None, n_cov=0):
     """Continuous cuts; with p_zero, each gradient entry is exactly 0 with
     that probability, as a clipped omega makes it. log, when given,
-    receives each optimality cut as (z0, f0, g)."""
+    receives each optimality cut as (z0, f0, g). n_ng covers exclude a
+    random selection and its subsets, and n_cov more have random
+    members."""
     state = master.MasterState(n_assets=n, k=k,
                                theta_lb=float(rng.normal(-2.0, 1.0)))
     for _ in range(n_opt):
@@ -72,6 +85,8 @@ def random_state(rng, n, k, n_opt, n_ng, p_zero=0.0, log=None):
         bits = np.zeros(n, dtype=int)
         bits[rng.choice(n, rng.integers(0, k + 1), replace=False)] = 1
         no_good(state, bits)
+    for _ in range(n_cov):
+        random_cover(rng, state)
     return state
 
 
@@ -136,7 +151,7 @@ def test_no_good_of_the_wrong_dimension_rejected():
     state = master.MasterState(n_assets=3, k=1, theta_lb=0.0)
     with pytest.raises(ValueError):
         no_good(state, [1, 0])
-    assert state.n_cuts == 0 and not state.no_goods
+    assert state.n_cuts == state.covers.shape[0] == 0
 
 
 def test_matches_enumeration_on_random_pools():
@@ -147,15 +162,22 @@ def test_matches_enumeration_on_random_pools():
         state = random_state(rng, n, k, n_opt=int(rng.integers(1, 9)),
                              n_ng=int(rng.integers(0, 4)))
         result = master.master_solve(state)
-        assert_optimum(state, result, enumerate_master(state))
+        ref_theta = enumerate_master(state)
+        if ref_theta is None:
+            # a cover of every asset but those of an all-ones selection
+            # has no member
+            assert result is None
+            continue
+        assert_optimum(state, result, ref_theta)
         assert result[1] >= state.theta_lb
 
 
 def test_branch_and_bound_matches_enumeration():
     # the box search agrees with enumeration: on continuous pools, on
     # quarter-grid pools, where distinct selections tie exactly, and on
-    # pools whose gradients are 0 on most coordinates; each pool is solved
-    # again after a no-good on each optimum
+    # pools whose gradients are 0 on most coordinates, each with up to two
+    # cover rows of random members; each pool is solved again after the
+    # cover of each optimum
     rng = np.random.default_rng(91)
     for trial in range(60):
         n = int(rng.integers(3, 13))
@@ -168,6 +190,8 @@ def test_branch_and_bound_matches_enumeration():
             state = dyadic_state(rng, n, k, n_opt)
         else:
             state = random_state(rng, n, k, n_opt, n_ng=0, p_zero=0.7)
+        for _ in range(int(rng.integers(0, 3))):
+            random_cover(rng, state)
         for _ in range(3):
             ref_theta = enumerate_master(state)
             if ref_theta is None:
@@ -206,19 +230,23 @@ def test_duplicate_cut_changes_nothing():
 
 
 def test_no_good_is_never_returned_again():
+    # each optimum's cover excludes it and its subsets, so no later optimum
+    # is one of them, and the search runs out only after every pair, which
+    # only its own cover excludes
     rng = np.random.default_rng(11)
     state = random_state(rng, 5, 2, n_opt=3, n_ng=0)
-    seen = set()
+    seen = []
     while True:
         result = master.master_solve(state)
         if result is None:
             break
         z, _ = result
-        assert z.as_tuple() not in seen
-        seen.add(z.as_tuple())
+        assert not any(np.all(z.bits <= old) for old in seen)
+        seen.append(z.bits)
         no_good(state, z.bits)
-    # all of {z : sum(z) <= 2} over 5 assets must have been visited
-    assert len(seen) == 1 + 5 + 10
+    pairs = {bits.tobytes() for bits in all_selections(5, 2)
+             if bits.sum() == 2}
+    assert pairs <= {bits.tobytes() for bits in seen}
 
 
 def test_infeasible_when_no_goods_exhaust_region():
@@ -287,6 +315,81 @@ def test_box_bound_is_the_best_single_cut():
             assert branch in free
 
 
+def test_box_with_covers_bounds_its_cover_feasible_selections():
+    # on random boxes with up to four cover rows: a dropped box holds no
+    # selection that meets every cover; otherwise the bound lies below
+    # theta_at of each that does, and the witness, when there is one, is
+    # such a selection and lies in the box
+    rng = np.random.default_rng(515)
+    dropped = kept = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 11))
+        k = int(rng.integers(1, n + 1))
+        state = random_state(rng, n, k, n_opt=int(rng.integers(0, 9)),
+                             n_ng=int(rng.integers(0, 2)),
+                             p_zero=float(rng.choice([0.0, 0.3])),
+                             n_cov=int(rng.integers(1, 4)))
+        mark = rng.integers(0, 3, n)
+        on = np.flatnonzero(mark == 1)
+        mark[on[k:]] = 2
+        lb = (mark == 1).astype(np.int64)
+        free = np.flatnonzero(mark == 2)
+        members = []
+        for extra in range(min(k - int(lb.sum()), free.size) + 1):
+            for picked in itertools.combinations(free, extra):
+                bits = lb.copy()
+                bits[list(picked)] = 1
+                if not state.excluded(bits):
+                    members.append(bits)
+        node = master.node_eval(state, mark.astype(np.int8))
+        if node is None:
+            assert not members
+            dropped += 1
+            continue
+        kept += 1
+        bound, witness, branch = node
+        for bits in members:
+            theta = master.theta_at(state, bits)
+            assert bound <= theta + 1e-12 * (1.0 + abs(theta))
+        if witness is not None:
+            assert not state.excluded(witness)
+            assert np.all(lb <= witness) and np.all(witness <= (mark >= 1))
+            assert witness.sum() <= k
+        assert branch in free or (branch == -1 and len(members) == 1)
+    assert dropped > 20 and kept > 20
+
+
+def test_master_solve_never_breaks_a_cover():
+    # every selection the search offers or returns meets every cover row,
+    # in both modes, while the callback adds random covers and cuts
+    rng = np.random.default_rng(77)
+    for trial in range(30):
+        n = int(rng.integers(4, 12))
+        k = int(rng.integers(1, n))
+        state = random_state(rng, n, k, n_opt=2, n_ng=0,
+                             n_cov=int(rng.integers(1, 4)))
+        for lazy in (False, True):
+            offered = []
+
+            def callback(z, theta, bound):
+                assert not state.excluded(z.bits)
+                offered.append(z.bits)
+                if len(offered) > 6:
+                    return True
+                if rng.random() < 0.5:
+                    random_cover(rng, state)
+                else:
+                    opt_cut(state, z.bits, theta + 0.5, -rng.uniform(0, 1, n))
+                return False
+
+            result = master.master_solve(state, callback, lazy=lazy)
+            if result is None:
+                assert enumerate_master(state) is None
+                continue
+            assert not state.excluded(result[0].bits)
+            assert_optimum(state, result, enumerate_master(state))
+
+
 def test_leaf_bound_is_theta_at_bit_for_bit():
     # theta has one definition: node_eval bounds a one-point box by exactly
     # theta_at, on float pools where differently ordered sums round apart
@@ -311,21 +414,18 @@ def test_leaf_bound_is_theta_at_bit_for_bit():
             assert bound == pytest.approx(per_cut, rel=1e-12, abs=1e-12)
 
 
-def milp_master(state, no_goods):
-    """HiGHS's solve of the master as a MILP over (z, theta), with the
-    selections in no_goods excluded."""
+def milp_master(state):
+    """HiGHS's solve of the master as a MILP over (z, theta), with the cover
+    rows as rows."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     n = state.n_assets
+    n_cov = state.covers.shape[0]
     rows = [np.hstack([state.grad, -np.ones((state.base.size, 1))]),
-            np.append(np.ones(n), 0.0)[None, :]]
-    lo = [np.full(state.base.size, -np.inf), [-np.inf]]
-    hi = [-state.base, [state.k]]
-    for bits in no_goods:
-        # at least one coordinate differs from the excluded selection
-        rows.append(np.append(1.0 - 2.0 * bits, 0.0)[None, :])
-        lo.append([1.0 - bits.sum()])
-        hi.append([np.inf])
+            np.append(np.ones(n), 0.0)[None, :],
+            np.hstack([state.covers, np.zeros((n_cov, 1))])]
+    lo = [np.full(state.base.size, -np.inf), [-np.inf], np.ones(n_cov)]
+    hi = [-state.base, [state.k], np.full(n_cov, np.inf)]
     return milp(np.append(np.zeros(n), 1.0),
                 constraints=LinearConstraint(np.vstack(rows),
                                              np.concatenate(lo),
@@ -338,8 +438,8 @@ def milp_master(state, no_goods):
 
 def test_branch_and_bound_matches_milp():
     # n = 40-80 is far past enumeration; every other pool is on the quarter
-    # grid, where distinct selections tie exactly, and the no-goods exclude
-    # the master's own earlier optima
+    # grid, where distinct selections tie exactly; up to two covers have
+    # random members, and more exclude the master's own earlier optima
     rng = np.random.default_rng(1)
     for trial in range(12):
         n = int(rng.integers(40, 81))
@@ -349,11 +449,11 @@ def test_branch_and_bound_matches_milp():
             state = dyadic_state(rng, n, k, n_opt)
         else:
             state = random_state(rng, n, k, n_opt, n_ng=0)
-        excluded = []
+        for _ in range(int(rng.integers(0, 3))):
+            random_cover(rng, state)
         for _ in range(int(rng.integers(0, 4))):
-            excluded.append(master.master_solve(state)[0].bits)
-            no_good(state, excluded[-1])
-        ref = milp_master(state, excluded)
+            no_good(state, master.master_solve(state)[0].bits)
+        ref = milp_master(state)
         assert ref.status == 0
         assert_optimum(state, master.master_solve(state), ref.fun)
 
@@ -441,19 +541,17 @@ def dyadic_state(rng, n, k, n_opt):
 
 
 def test_tie_between_one_and_two_asset_selections():
-    # n=16: {1, 2} (two ones) ties with {0} (one one) at the optimum
+    # n=16: {1, 2} (two ones) ties with {0} (one one) at the optimum, which
+    # theta_lb caps; the pairs that hold 0 tie with {0} too
     n = 16
-    state = master.MasterState(n_assets=n, k=2, theta_lb=-5.0)
+    state = master.MasterState(n_assets=n, k=2, theta_lb=-1.0)
     g = np.zeros(n)
     g[:3] = [-1.0, -0.5, -0.5]
     opt_cut(state, np.zeros(n, dtype=int), 0.0, g)
-    for j in (1, 2):
-        bits = np.zeros(n, dtype=int)
-        bits[[0, j]] = 1
-        no_good(state, bits)
     z, theta = master.master_solve(state)
     assert theta == -1.0
-    assert z.support().tolist() in ([0], [1, 2])
+    assert z.support().tolist() == [1, 2] or 0 in z.support()
+    assert_optimum(state, (z, theta), enumerate_master(state))
 
 
 def test_many_tied_optima_at_n_30():
