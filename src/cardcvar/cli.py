@@ -176,7 +176,8 @@ def cmd_gen(args) -> int:
     moments = ingest.parse_orlibrary(Path(args.orlib).read_text(),
                                      scale=args.scale)
     scen = ingest.generate_scenarios(moments, args.scenarios, args.seed)
-    Path(args.out).write_text(ingest.write_scenarios(scen))
+    with open(args.out, "w") as out:
+        ingest.write_scenarios(scen, out)
     print(f"gen {scen.shape[0]} {scen.shape[1]} {args.out}")
     return 0
 

@@ -20,13 +20,16 @@ bound: cuts are valid, so f(z) >= theta(z), and a candidate with theta(z)
 twice: theta_lb's solve is its step there, which at k = n is multi-tree's
 first. solve_bigm skips cuts entirely and runs branch and bound on one QP,
 lower.lifted_program over every asset inside a block of selection
-variables. All share a wall-clock budget and SolveReport assembly. The
-reported portfolio, objective, VaR and CVaR always come from the scenario
-cutting-plane solve at the incumbent selection taken to delta = 1e-9, so
-the objective is a true upper bound regardless of inner tolerances. bcp
-gets there by resuming the incumbent's own lower loop, which the search
-already ran at its delta, so that the QPs the search ran are not run
-again; cp, bigm and the oracle have no such loop and solve afresh.
+variables; lower._support_feasible decides each node's feasibility in
+closed form first, so the QP is only ever solved on a feasible node, the
+promise numeric.solve asks of it. All share a wall-clock budget and
+SolveReport assembly. The reported portfolio, objective, VaR and CVaR
+always come from the scenario cutting-plane solve at the incumbent
+selection taken to delta = 1e-9, so the objective is a true upper bound
+regardless of inner tolerances. bcp gets there by resuming the
+incumbent's own lower loop, which the search already ran at its delta, so
+that the QPs the search ran are not run again; cp, bigm and the oracle
+have no such loop and solve afresh.
 """
 
 from __future__ import annotations
@@ -393,8 +396,16 @@ def solve_bigm(instance: Instance, eps: float = EPS_DEFAULT,
                time_limit: float = TIME_LIMIT_DEFAULT) -> SolveReport:
     """Branch and bound on the selection inside one lifted QP.
 
-    Every node solves the full S-scenario program, so this baseline is
-    intended for small scenario counts only.
+    Every feasible node solves the full S-scenario program, so this
+    baseline is intended for small scenario counts only. Whether a node is
+    feasible is decided in closed form, before its QP, by
+    lower._support_feasible, and nodes counts the node either way. With L
+    the assets whose z is bounded below by 1 and U those whose z may reach
+    1, a node's x is 0 off U, and z = max(lb, x) is the cheapest z for it:
+    it meets x <= z and the bounds, and 1'z = |L| + (the weight of x off
+    L), at most |L| + 1. So the node is feasible exactly when some
+    portfolio meets the side rows on the support L when |L| = k, and on the
+    support U when |L| < k; branching never makes |L| > k.
     """
     _check_params(eps, 0.0, time_limit)
     t0 = time.monotonic()
@@ -430,9 +441,11 @@ def solve_bigm(instance: Instance, eps: float = EPS_DEFAULT,
         if time.monotonic() > deadline:
             return out(TIME_LIMIT, bound)
         nodes += 1
-        sol = node_solve(lb_z, ub_z)
-        if sol.status == numeric.INFEASIBLE:
+        full = lb_z.sum() == instance.k
+        if lower._support_feasible(
+                instance, np.flatnonzero(lb_z if full else ub_z)) is None:
             continue
+        sol = node_solve(lb_z, ub_z)
         if sol.status != numeric.OPTIMAL:
             raise lower.SolverError(
                 f"relaxation QP ended with status {sol.status}")

@@ -184,11 +184,16 @@ def generate_scenarios(moments: MomentData, S: int, seed: int) -> np.ndarray:
         raise ValueError("S must be at least 1")
     L = cholesky(moments.sigma)
     n = moments.mu.size
-    raw = np.random.PCG64(seed).random_raw(S * n)
+    # one float array is worked in place, so at most two S x n arrays are
+    # alive at once: the raw words and it, then it and the result
+    u = np.random.PCG64(seed).random_raw(S * n).astype(np.float64)
     # (word + 0.5) * 2**-64 lies strictly inside (0, 1), so ndtri is finite
-    uniforms = (raw.astype(np.float64) + 0.5) * 2.0**-64
-    gauss = ndtri(uniforms).reshape(S, n)
-    return moments.mu + gauss @ L.T
+    u += 0.5
+    u *= 2.0**-64
+    ndtri(u, out=u)
+    R = u.reshape(S, n) @ L.T
+    R += moments.mu
+    return R
 
 
 def _stream_lines(source):
@@ -251,10 +256,12 @@ def parse_scenarios(source) -> tuple[np.ndarray, np.ndarray]:
     return R, np.full(S, 1.0 / S)
 
 
-def write_scenarios(scenarios: np.ndarray) -> str:
-    """Inverse of parse_scenarios (probabilities are implied uniform)."""
+def write_scenarios(scenarios: np.ndarray, out) -> None:
+    """Write scenarios to the open text file out in the form parse_scenarios
+    reads back bit for bit: the 'S N' header, then one line of N returns per
+    scenario at 17 significant digits (probabilities are implied uniform).
+    Rows are formatted one at a time, so no text of the whole matrix is
+    built."""
     R = np.atleast_2d(np.asarray(scenarios, dtype=float))
-    out = [f"{R.shape[0]} {R.shape[1]}"]
-    for row in R:
-        out.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(out) + "\n"
+    np.savetxt(out, R, fmt="%.17g", header=f"{R.shape[0]} {R.shape[1]}",
+               comments="")

@@ -43,12 +43,16 @@ subgradient -(gamma/2) omega^2. Each reads its own QP's multipliers (the
 scenario loop in _CutLoop._certificate) and finishes zeta and omega in
 _dual_certificate.
 
-Both solves return None at a selection that admits no portfolio, and
-infeasible_cover then gives the master its feasibility cut: a cover row
+Whether a support admits a portfolio is decided in one place,
+_support_feasible, which both lower solves call first and the big-M
+baseline calls at every node: by the unit vertices of the support
+(_vertex_fits), which settle it outright under at most one side row, and
+otherwise by numeric.feasible, the package's only phase 1 outside a cold
+dense QP. Both solves return None at a selection that admits no portfolio,
+and infeasible_cover then gives the master its feasibility cut: a cover row
 sum_{j in C} z_j >= 1 that every feasible selection meets. Feasibility is
 monotone in the support, so the complement of an infeasible support is
-always such a C; with at most one side row, C is exactly the assets whose
-unit vertex meets it, the test _support_feasible makes first.
+always such a C; with at most one side row, C is exactly _vertex_fits.
 """
 
 from __future__ import annotations
@@ -199,22 +203,36 @@ def _aggregate(instance: Instance, J: np.ndarray):
     return float(probs.sum()), probs @ instance.scenarios.take(J, axis=0)
 
 
+def _vertex_fits(instance: Instance) -> np.ndarray:
+    """The assets whose unit vertex meets every side row, as a boolean mask.
+    With at most one side row it decides feasibility: a convex combination
+    of columns above side_b stays above it, so a support admits a portfolio
+    exactly when it holds one of these assets."""
+    return np.all(instance.side_A <= instance.side_b[:, None], axis=0)
+
+
 def _support_feasible(instance: Instance, support: np.ndarray):
     """A point of {side_A x <= side_b, sum x = 1, x >= 0, x off-support = 0}
-    in support coordinates, or None when that set is empty: the unit vertex
-    of the first support asset whose column satisfies every side row, else
-    the point of numeric.feasible. A feasibility check that does not finish
-    raises SolverError."""
+    in support coordinates, or None when that set is empty.
+
+    This is the one place that decides whether a support admits a
+    portfolio: both lower solves and every node of the big-M baseline ask
+    it, and no ScenarioProgram solve checks again. The point is the unit
+    vertex of the first support asset in _vertex_fits; without one, the
+    support is infeasible outright under at most one side row, and
+    otherwise the point is the one phase 1 (numeric.feasible) finds. A
+    phase 1 that does not finish raises SolverError."""
     K = support.size
     if K == 0:
         return None
-    A = instance.side_A[:, support]
-    fits = np.flatnonzero(np.all(A <= instance.side_b[:, None], axis=0))
+    fits = np.flatnonzero(_vertex_fits(instance)[support])
     if fits.size:
         x = np.zeros(K)
         x[fits[0]] = 1.0
         return x
-    G = np.vstack([A, -np.eye(K)])
+    if instance.side_b.size <= 1:
+        return None
+    G = np.vstack([instance.side_A[:, support], -np.eye(K)])
     h = np.concatenate([instance.side_b, np.zeros(K)])
     try:
         return numeric.feasible(G, h, np.ones((1, K)), np.array([1.0]))
@@ -227,16 +245,16 @@ def infeasible_cover(z: SelectionVector, instance: Instance) -> np.ndarray:
     feasible selection meets, for a selection z that admits no portfolio, as
     a boolean mask over the assets; z itself holds none of them.
 
-    With at most one side row, C is the assets whose unit vertex meets it,
-    those _support_feasible accepts alone: a convex combination of columns
-    above side_b stays above it, so a selection is feasible exactly when it
-    holds one of them. Otherwise C is the complement of supp(z): a subset of
-    an infeasible support is infeasible too, so the row holds for every
-    feasible selection and excludes every subset of supp(z), z included.
+    With at most one side row, C is _vertex_fits, the rule by which
+    _support_feasible decides such supports without phase 1: a selection
+    is feasible exactly when it holds one of them. Otherwise C is the
+    complement of supp(z): a subset of an infeasible support is infeasible
+    too, so the row holds for every feasible selection and excludes every
+    subset of supp(z), z included.
     """
     support = _support(z, instance)
     if instance.side_b.size <= 1:
-        return np.all(instance.side_A <= instance.side_b[:, None], axis=0)
+        return _vertex_fits(instance)
     members = np.ones(instance.n_assets, dtype=bool)
     members[support] = False
     return members
@@ -583,21 +601,23 @@ def solve_lower_lifted(z: SelectionVector, instance: Instance):
     """Exact lower-level solve of lifted_program at the support of z.
 
     Returns a LowerResult with f_lo = f_hi = f(z), subsets None and iters 1,
-    or None when the selection admits no feasible portfolio. Its
-    certificate carries one alpha weight per scenario row (they sum to 1,
-    each at most p_s / (1 - beta)), the side multipliers zeta, the budget
-    multiplier lambda and omega completed on every coordinate; a
+    or None when the selection admits no feasible portfolio, which
+    _support_feasible decides before the program is built, as in
+    solve_lower_cp: the interior-point method only ever sees a feasible
+    core. Its certificate carries one alpha weight per scenario row (they
+    sum to 1, each at most p_s / (1 - beta)), the side multipliers zeta, the
+    budget multiplier lambda and omega completed on every coordinate; a
     certificate whose objective misses f(z) by more than 1e-6 (1 + |f(z)|)
-    raises CertificateError, as in solve_lower_cp. A QP that ends other
-    than Optimal or Infeasible raises SolverError, and a z without one
-    entry per asset raises ValueError.
+    raises CertificateError, as in solve_lower_cp. A feasibility check or a
+    QP that does not finish raises SolverError, and a z without one entry
+    per asset raises ValueError.
     """
     support = _support(z, instance)
+    if _support_feasible(instance, support) is None:
+        return None
     K = support.size
     S = instance.n_scenarios
     sol = numeric.solve(lifted_program(instance, support))
-    if sol.status == numeric.INFEASIBLE:
-        return None
     if sol.status != numeric.OPTIMAL:
         raise SolverError(f"lifted QP ended with status {sol.status}")
 

@@ -19,9 +19,12 @@ One engine per kind of program, behind one entry point (`solve`):
   block). It runs on a structured KKT backend,
   so the per-scenario block costs O(S) memory and O(S T^2) work per
   iteration instead of a dense factorization in S.
-The feasibility check that runs before either (`feasible`) is phase 1 of
-the active-set method, on an elastic QP; its point also starts the
-active-set method of a dense QP that has no start point.
+The feasibility check (`feasible`) is phase 1 of the active-set method, on
+an elastic QP. It runs only before a dense QP that has no start point, and
+its point starts that QP's active-set method; every other program comes with
+the caller's promise of feasibility: a dense QP's start point, and a
+ScenarioProgram's feasible core (lower._support_feasible decides that for
+every caller in the package).
 A QP point and multipliers that did not come out of the interior-point
 loop's own convergence test (every active-set result, and a rescued
 scenario solve) are Optimal only after a full KKT check.
@@ -154,9 +157,10 @@ class ScenarioProgram:
         loss_core @ t - q <= 0                     (S rows)
         -q <= 0                                    (S rows)
         agg_core @ t + agg_tail @ q <= 0           (1 row)
-    q carries zero objective. Feasibility is decided by the core polytope
-    alone; the caller must only build aggregates that q plus a free core
-    variable can absorb (true for every CVaR lifting in this package).
+    q carries zero objective. The core polytope must hold a point, the
+    caller's promise (no phase 1 runs here), and the aggregates must be ones
+    that q plus a free core variable can absorb (true for every CVaR lifting
+    in this package), so the whole program is feasible too.
 
     Solutions stack x = (t, q) and ineq_duals are ordered
     [loss rows, q >= 0 rows, aggregate row, core ineq rows].
@@ -689,12 +693,14 @@ def solve(prog) -> Solution:
 
     A ScenarioProgram goes to the interior-point method, a ConvexProgram to
     the active-set method; a ConvexProgram without curvature (all of
-    quad_diag zero, a pure LP) is rejected with ValueError. Infeasibility
-    is decided by the feasibility check (`feasible`) before the main solve.
-    A dense QP runs it only when it has no start point, and then begins the
-    active-set method at its point; a start point is the caller's promise
-    of feasibility. A check that does not finish (FeasibilityError) ends
-    the solve as NumericalError, never as Infeasible.
+    quad_diag zero, a pure LP) is rejected with ValueError. Only a dense QP
+    without a start point can end Infeasible: it runs the feasibility check
+    (`feasible`) first and begins the active-set method at its point, and a
+    check that does not finish (FeasibilityError) ends the solve as
+    NumericalError, never as Infeasible. A dense QP's start point and a
+    ScenarioProgram's core are the caller's promise of feasibility, which
+    is not checked again: an infeasible core fails the interior-point
+    method's primal residual test, so it ends as a failure, not Infeasible.
     """
     if isinstance(prog, ScenarioProgram):
         return _solve_scenario(prog)
@@ -793,33 +799,20 @@ def _rescue_scenario(sp: ScenarioProgram, kk: _ArrowKKT, x: np.ndarray,
     return np.concatenate([t, q]), lam, sub.eq_duals
 
 
-def _failed(sp: ScenarioProgram, status: str) -> Solution:
-    """A ScenarioProgram result without a point or multipliers."""
-    core = sp.core
-    return Solution(status, np.zeros(core.n + sp.n_scenarios), np.nan,
-                    np.zeros(2 * sp.n_scenarios + 1 + core.ineq_h.size),
-                    np.zeros(core.eq_b.size))
-
-
 def _solve_scenario(sp: ScenarioProgram, _depth: int = 0) -> Solution:
-    """IPM solve after a feasibility check of the core rows (`feasible`). A
-    rescue re-solve (_depth > 0) skips the check: its core rows are the
-    checked rows of the caller plus guard rows that hold at the stalled
-    iterate by construction. A check that does not finish, and a KKT system
-    that no shift level factors or solves finitely, end the solve as
-    NumericalError, the latter before the iterate turns into NaN."""
-    core = sp.core
-    try:
-        if _depth == 0 and feasible(core.ineq_G, core.ineq_h, core.eq_A,
-                                    core.eq_b) is None:
-            return _failed(sp, INFEASIBLE)
-    except FeasibilityError:
-        return _failed(sp, NUMERICAL_ERROR)
+    """IPM solve of a ScenarioProgram whose core the caller promises is
+    feasible; no feasibility check runs. A stalled solve gets a rescue
+    re-solve (_rescue_scenario), whose core rows are the caller's plus guard
+    rows that hold at the stalled iterate by construction; _depth counts
+    those re-solves, at most 3 deep. A KKT system that no shift level
+    factors or solves finitely ends the solve as NumericalError before the
+    iterate turns into NaN."""
     kk = _ArrowKKT(sp)
     try:
         sol = _ipm(kk)
     except _Breakdown:
-        return _failed(sp, NUMERICAL_ERROR)
+        return Solution(NUMERICAL_ERROR, np.zeros(kk.T + kk.S), np.nan,
+                        np.zeros(kk.m), np.zeros(kk.p))
     if sol.status != ITER_LIMIT or _depth >= 3:
         return sol
     rescued = _rescue_scenario(sp, kk, sol.x, _depth)

@@ -21,16 +21,19 @@ ORLIB_3 = (
 )
 
 
+def write_scenario_file(path, scenarios):
+    with open(path, "w") as out:
+        ingest.write_scenarios(scenarios, out)
+    return str(path)
+
+
 def write_two_asset_fixture(path):
     """Single scenario r = (0.1, 0.2)."""
-    path.write_text(ingest.write_scenarios(np.array([[0.1, 0.2]])))
-    return str(path)
+    return write_scenario_file(path, np.array([[0.1, 0.2]]))
 
 
 def write_random_fixture(path, rng, s, n):
-    path.write_text(ingest.write_scenarios(rng.normal(0.01, 0.05,
-                                                      size=(s, n))))
-    return str(path)
+    return write_scenario_file(path, rng.normal(0.01, 0.05, size=(s, n)))
 
 
 def test_gen_header_and_determinism(tmp_path):
@@ -250,8 +253,7 @@ def test_solver_failure_exit_four(tmp_path, capsys):
     # bigm's k = 1 root relaxation has no interior on this instance, so its
     # IPM fails: the CLI reports one error line, not a traceback
     inst = make_instance(103, 7, 40, 1)
-    scen = tmp_path / "fail.scen"
-    scen.write_text(ingest.write_scenarios(inst.scenarios))
+    scen = write_scenario_file(tmp_path / "fail.scen", inst.scenarios)
     report = tmp_path / "r.json"
     code = cli.main(["solve", "--scenarios", str(scen), "--k", "1",
                      "--method", "bigm", "--report", str(report)])
@@ -263,10 +265,11 @@ def test_solver_failure_exit_four(tmp_path, capsys):
 
 def test_unfinished_feasibility_check_exit_four(tmp_path, capsys,
                                                 monkeypatch):
-    # bigm's node QPs reach the active-set method only through the
-    # feasibility check of their rows, which the start x = 1/n, z = 0
-    # violates: a check that stops short is a solver failure, not an
-    # infeasible instance
+    # the CLI builds one side row, the return floor, under which
+    # feasibility is decided by unit vertices and phase 1 never runs; the
+    # stopped active-set method surfaces in the portfolio extraction at
+    # bigm's incumbent, a solver failure, not an infeasible instance (a
+    # stopped phase 1 is tested in test_driver)
     monkeypatch.setattr(numeric, "_active_set",
                         lambda prog, x, work: numeric._stopped(
                             numeric.ITER_LIMIT, prog, x, work, 1))
@@ -278,5 +281,5 @@ def test_unfinished_feasibility_check_exit_four(tmp_path, capsys,
     assert code == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert "NumericalError" in err[0]
+    assert "lower-level QP ended with status IterLimit" in err[0]
     assert not report.exists()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cardcvar
-from cardcvar import cli, driver, lower, master, oracle
+from cardcvar import cli, driver, lower, master, numeric, oracle
 from cardcvar.model import (
     Instance,
     SelectionVector,
@@ -636,6 +636,17 @@ def test_infeasible_instance_all_methods():
 
 
 
+def caps_instance():
+    """test_acceptance.make_instance(3, 5, 40, 2) with its return row
+    replaced by the caps x_j <= 0.3: the all-ones lower level is feasible,
+    but no selection of at most k = 2 assets is, and no unit vertex meets
+    the caps."""
+    base = make_instance(3, 5, 40, 2)
+    return Instance(n_assets=5, scenarios=base.scenarios, probs=base.probs,
+                    side_A=np.eye(5), side_b=np.full(5, 0.3),
+                    beta=base.beta, gamma=base.gamma, k=2)
+
+
 def test_every_selection_infeasible_though_the_all_ones_portfolio_is_not():
     """Caps x_j <= 0.3 on n = 5 assets: the all-ones lower level is feasible
     but no selection of at most k = 2 assets is. theta_lb succeeds, every
@@ -645,10 +656,7 @@ def test_every_selection_infeasible_though_the_all_ones_portfolio_is_not():
     offered before a pair that holds them add 3 lower solves in multi-tree
     bcp and cp and 1 in single-tree bcp, and no method solves the empty
     selection."""
-    base = make_instance(3, 5, 40, 2)
-    inst = Instance(n_assets=5, scenarios=base.scenarios, probs=base.probs,
-                    side_A=np.eye(5), side_b=np.full(5, 0.3),
-                    beta=base.beta, gamma=base.gamma, k=2)
+    inst = caps_instance()
     assert driver.theta_lb(inst, driver.DELTA_DEFAULT) is not None
     assert oracle.brute_force(inst, 2) is None
     for rep in all_methods(inst):
@@ -658,6 +666,84 @@ def test_every_selection_infeasible_though_the_all_ones_portfolio_is_not():
             expected = {"bcp": 13, "bcp_single_tree": 11, "cp": 13}
             assert rep.iterations == rep.n_cuts == expected[rep.method], \
                 rep.method
+
+@pytest.mark.parametrize("status", [numeric.ITER_LIMIT,
+                                    numeric.NUMERICAL_ERROR])
+def test_bigm_stopped_phase1_is_a_solver_failure(monkeypatch, status):
+    """No unit vertex meets the caps, so bigm's root node is decided by
+    phase 1 on the support of every asset (lower._support_feasible). A
+    phase 1 that stops short decides nothing: the solve raises SolverError,
+    and never reports the instance infeasible."""
+    monkeypatch.setattr(numeric, "_active_set",
+                        lambda prog, x, work: numeric._stopped(
+                            status, prog, x, work, 1))
+    with pytest.raises(lower.SolverError, match="phase 1 ended"):
+        driver.solve_bigm(caps_instance())
+
+
+def random_node_box(rng, n, k):
+    """(lb_z, ub_z) of a bigm node: lb_z = 1 on L with |L| <= k, and ub_z = 1
+    on U, L plus a few other assets half of the time and plus any number of
+    them otherwise."""
+    L = rng.choice(n, size=int(rng.integers(0, k + 1)), replace=False)
+    rest = np.setdiff1d(np.arange(n), L)
+    most = min(rest.size, 2) if rng.random() < 0.5 else rest.size
+    U = np.concatenate([L, rng.choice(rest, size=int(rng.integers(0, most + 1)),
+                                      replace=False)])
+    lb_z, ub_z = np.zeros(n), np.zeros(n)
+    lb_z[L] = 1.0
+    ub_z[U] = 1.0
+    return lb_z, ub_z
+
+
+def test_bigm_node_feasibility_matches_phase1_on_the_widened_rows():
+    """bigm decides a node by lower._support_feasible on L when |L| = k and
+    on U otherwise. On random node boxes under a return floor, caps plus a
+    return floor, and caps, two dense rows and a return floor, that verdict
+    equals phase 1's (numeric.feasible) on the node's own rows: the
+    (a, v, x, z) rows of _bigm_program with their right sides rewritten as
+    the node's solve does."""
+    verdicts = []
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for inst in (make_instance(seed, 8, 60, 3), capped_instance(seed),
+                     dense_rows_instance(seed)):
+            n, k = inst.n_assets, inst.k
+            core = driver._bigm_program(inst).core
+            for _ in range(12):
+                lb_z, ub_z = random_node_box(rng, n, k)
+                h = core.ineq_h.copy()
+                h[-2 * n:-n] = ub_z
+                h[-n:] = -lb_z
+                widened = numeric.feasible(core.ineq_G, h, core.eq_A,
+                                           core.eq_b) is not None
+                support = np.flatnonzero(lb_z if lb_z.sum() == k else ub_z)
+                closed = lower._support_feasible(inst, support) is not None
+                assert closed == widened, (seed, lb_z, ub_z)
+                verdicts.append(closed)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_bigm_runs_no_phase1_on_the_widened_rows(monkeypatch):
+    """Every feasibility check of a bigm solve is on a support polytope of
+    at most n coordinates, never on a node's 2n + 2 (a, v, x, z) ones; under
+    the return floor alone none runs at all."""
+    widths = []
+    real = numeric.feasible
+
+    def spy(G, h, A_eq, b_eq):
+        widths.append(np.atleast_2d(G).shape[1])
+        return real(G, h, A_eq, b_eq)
+
+    monkeypatch.setattr(numeric, "feasible", spy)
+    inst = capped_instance(0)
+    assert driver.solve_bigm(inst).status == driver.OPTIMAL
+    assert widths and max(widths) <= inst.n_assets
+    widths.clear()
+    assert driver.solve_bigm(make_instance(0, 8, 60, 3)).status \
+        == driver.OPTIMAL
+    assert widths == []
+
 
 def return_limit_instance(seed, offset):
     """test_acceptance.make_instance(seed, 8, 60, 3) with its return row

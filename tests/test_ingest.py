@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -185,10 +186,21 @@ def test_parse_scenarios_reads_a_file_as_its_text(tmp_path):
 
 
 def test_scenarios_roundtrip():
+    """The file holds each value at 17 significant digits, one row per line
+    after the 'S N' header, and parses back bit for bit, signed zero and
+    subnormals included."""
     rng = np.random.default_rng(31)
     R = rng.normal(size=(6, 3))
-    back, p = parse_scenarios(write_scenarios(R))
+    R[0] = [-0.0, 1e-300, 5e-324]
+    R[1, 0] = 1.23e8
+    out = io.StringIO()
+    write_scenarios(R, out)
+    text = out.getvalue()
+    assert text == "6 3\n" + "".join(
+        " ".join(f"{v:.17g}" for v in row) + "\n" for row in R)
+    back, p = parse_scenarios(text)
     np.testing.assert_array_equal(back, R)
+    assert np.array_equal(np.signbit(back), np.signbit(R))
     np.testing.assert_allclose(p, np.full(6, 1.0 / 6.0))
 
 

@@ -189,6 +189,39 @@ def test_side_rows_excluding_every_portfolio_give_none(monkeypatch, cap,
     assert lower.solve_lower_lifted(z, inst) is None
 
 
+def test_one_side_row_is_decided_without_phase1(monkeypatch):
+    """Under one side row a support admits a portfolio exactly when one of
+    its unit vertices meets the row, so _support_feasible never runs phase
+    1 there. On random instances with a return floor or one dense row, its
+    verdict equals phase 1's on the support polytope, and it makes no
+    numeric.feasible call."""
+    real = numeric.feasible
+    calls = count_feasible_calls(monkeypatch)
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for trial in range(40):
+        n = int(rng.integers(2, 9))
+        inst = random_instance(rng, n, 20)
+        if trial % 2:
+            mu = inst.expected_returns
+            A, b = build_feasible_set(inst, float(rng.uniform(
+                mu.min(), mu.max() + 0.2 * (mu.max() - mu.min()))))
+        else:
+            A, b = rng.normal(size=(1, n)), rng.uniform(-1.0, 1.0, 1)
+        inst = dataclasses.replace(inst, side_A=A, side_b=b)
+        for _ in range(8):
+            support = np.flatnonzero(random_selection(rng, n).bits)
+            K = support.size
+            phase1 = real(np.vstack([inst.side_A[:, support], -np.eye(K)]),
+                          np.concatenate([inst.side_b, np.zeros(K)]),
+                          np.ones((1, K)), np.ones(1)) is not None
+            verdict = lower._support_feasible(inst, support) is not None
+            assert verdict == phase1
+            verdicts.append(verdict)
+    assert calls == []
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 @pytest.mark.parametrize("status", [numeric.ITER_LIMIT,
                                     numeric.NUMERICAL_ERROR])
 def test_unfinished_feasibility_check_raises_solver_error(monkeypatch,
@@ -196,8 +229,8 @@ def test_unfinished_feasibility_check_raises_solver_error(monkeypatch,
     """Caps 0.6, 0.6 and 0.1 exclude every vertex and the equal-weight
     start, but not every portfolio. When the feasibility QP stops short,
     both lower solves raise SolverError instead of reading the selection as
-    infeasible. The lifted QP's interior-point method never calls the
-    active-set method, so only its feasibility check can fail here."""
+    infeasible: both ask _support_feasible first, whose phase 1 is the one
+    that stops."""
     inst = dataclasses.replace(capped_instance(0.6), side_b=[0.6, 0.6, 0.1])
     z = SelectionVector([1, 1, 1])
     assert lower.solve_lower_cp(z, inst, 1e-5) is not None
@@ -207,8 +240,30 @@ def test_unfinished_feasibility_check_raises_solver_error(monkeypatch,
                             status, prog, x, work, 1))
     with pytest.raises(lower.SolverError, match="phase 1 ended"):
         lower.solve_lower_cp(z, inst, 1e-5)
-    with pytest.raises(lower.SolverError, match="NumericalError"):
+    with pytest.raises(lower.SolverError, match="phase 1 ended"):
         lower.solve_lower_lifted(z, inst)
+
+
+@pytest.mark.parametrize("cap, bits", [(0.3, [1, 1, 1]), (0.6, [0, 1, 0])])
+def test_lifted_solve_never_sees_an_infeasible_core(monkeypatch, cap, bits):
+    """_support_feasible decides an infeasible selection before the lifted
+    program is built, so numeric.solve gets no ScenarioProgram: its
+    interior-point method runs no phase 1 and trusts its core."""
+    inst = capped_instance(cap)
+    programs = []
+    real = numeric.solve
+
+    def spy(prog):
+        programs.append(prog)
+        return real(prog)
+
+    monkeypatch.setattr(numeric, "solve", spy)
+    assert lower.solve_lower_lifted(SelectionVector(bits), inst) is None
+    assert programs == []
+    assert lower.solve_lower_lifted(SelectionVector([1, 1, 1]),
+                                    capped_instance(0.6)) is not None
+    assert len(programs) == 1
+    assert isinstance(programs[0], numeric.ScenarioProgram)
 
 
 def test_theta_lb_does_not_copy_the_scenario_matrix():

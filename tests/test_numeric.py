@@ -227,8 +227,9 @@ def test_cold_qp_over_duplicated_rows_is_optimal():
 @pytest.mark.parametrize("status", [ITER_LIMIT, NUMERICAL_ERROR])
 def test_unfinished_feasibility_check_is_not_infeasible(monkeypatch, status):
     """A feasibility QP that stops short decides nothing: feasible() raises,
-    and both solve paths end NumericalError, not Infeasible. Here every row
-    set holds a point, and the start x0 = 0 violates x1 >= 1."""
+    and the cold dense solve, the one solve path that runs it, ends
+    NumericalError, not Infeasible. Here the row set holds a point, and the
+    start x0 = 0 violates x1 >= 1."""
     monkeypatch.setattr(numeric, "_active_set",
                         lambda prog, x, work: numeric._stopped(
                             status, prog, x, work, 1))
@@ -237,11 +238,6 @@ def test_unfinished_feasibility_check_is_not_infeasible(monkeypatch, status):
         feasible(G, [-1.0], np.zeros((0, 3)), np.zeros(0))
     sol = solve(make_prog(P=np.ones(3), q=np.zeros(3), G=G, h=[-1.0]))
     assert sol.status == NUMERICAL_ERROR
-    sp = random_scenario_program(np.random.default_rng(5))
-    # the floor x_1 >= 0.5, which the equal-weight start misses
-    sp.core.ineq_G = np.vstack([sp.core.ineq_G, [0.0, 0.0, -1.0, 0.0, 0.0]])
-    sp.core.ineq_h = np.append(sp.core.ineq_h, -0.5)
-    assert solve(sp).status == NUMERICAL_ERROR
 
 
 def test_qp_infeasible_without_start():
@@ -429,6 +425,9 @@ def test_scenario_program_duals_match_dense():
 
 
 def test_scenario_program_infeasible_core():
+    """A ScenarioProgram's core is the caller's promise of feasibility, so
+    no phase 1 runs; a core that breaks the promise still never comes back
+    Optimal, nor Infeasible, which only a check could decide."""
     rng = np.random.default_rng(23)
     sp = random_scenario_program(rng)
     # impossible required-return row on the core x block
@@ -436,7 +435,7 @@ def test_scenario_program_infeasible_core():
                                 np.concatenate([[0.0, 0.0], np.full(3, -1.0)])])
     sp.core.ineq_h = np.concatenate([sp.core.ineq_h, [-5.0]])
     sol = solve(sp)
-    assert sol.status == INFEASIBLE
+    assert sol.status not in (OPTIMAL, INFEASIBLE)
 
 
 def flat_ray_program():
