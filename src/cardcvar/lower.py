@@ -17,12 +17,15 @@ contiguous gather, none when z selects every asset), and every inner
 iteration computes its losses on those rows; the kept state does not hold
 them. One copy is kept, for the instance solved last, so it takes S n 8
 bytes while that instance lives. Each cut is anchored at the left
-beta-quantile a_ref of the losses of the QP's portfolio (_var_level, O(S)
-by partition), where the cut is tight on the true CVaR: its subset is the
-loss tail at a_ref, so it holds about (1 - beta) S scenarios, and the loop
-stops on the exact gap between the QP value and the objective of the QP's
-portfolio. The subset aggregates stay full width and read the scenario
-matrix row by row, so a certificate needs no second pass.
+beta-quantile a_ref of the losses of the QP's portfolio (_var_level: an
+O(S) partition finds the q ~ (1 - beta) S largest losses, and an O(q)
+selection among them gives a_ref when every scenario has the same
+probability, a sort and walk otherwise), where the cut is tight on the
+true CVaR: its subset is the loss tail at a_ref, so it holds about
+(1 - beta) S scenarios, and the loop stops on the exact gap between the QP
+value and the objective of the QP's portfolio. The subset aggregates stay
+full width and read the scenario matrix row by row, so a certificate needs
+no second pass.
 
 A fresh loop starts with two cut rows: the all-scenario cut and the cut of
 the tail J0 of the risk-neutral portfolio x^ = proj_simplex(gamma mu_S)
@@ -125,21 +128,34 @@ class LowerResult:
 
 
 def _quantile_window(probs: np.ndarray, beta: float):
-    """(reach, q) for _var_level: the probability the walk from the largest
-    loss may pass, and how many of the largest losses it can reach."""
+    """(reach, q, j) for _var_level: the probability the walk from the
+    largest loss may pass, how many of the largest losses it can reach, and,
+    when every scenario has the same probability, the index at which the
+    walk stops (None otherwise).
+
+    With equal probabilities p the walk's cumulative sums are the same
+    float additions of p whatever the order of the losses, so it stops at
+    the same index j of the descending order every time: the first index
+    whose sum passes reach, capped at q - 1, since every loss the walk could
+    read past that index ties with the q-th largest."""
     S = probs.size
     one_m_beta = 1.0 - beta
     p_min = float(probs.min())
     q = (S if one_m_beta >= p_min * (S - 2)
          else int(np.ceil(one_m_beta / p_min)) + 2)
-    return float(probs.sum()) - beta + 1e-12, q
+    reach = float(probs.sum()) - beta + 1e-12
+    j = None
+    if p_min == probs.max():
+        j = min(int(np.searchsorted(np.cumsum(np.full(q, p_min)), reach,
+                                    side="right")), q - 1)
+    return reach, q, j
 
 
 # scenario rows copied per step of _scenario_block's transpose
 _BLOCK_CHUNK = 256
 
-# (weakref to an instance, its asset-major scenario block, reach, q), for
-# the instance solved last (_scenario_block)
+# (weakref to an instance, its asset-major scenario block, its
+# _quantile_window), for the instance solved last (_scenario_block)
 _block_entry = None
 
 
@@ -151,9 +167,9 @@ def _drop_block(ref: weakref.ref) -> None:
 
 
 def _scenario_block(instance: Instance):
-    """(block, reach, q) for the instance: block is its scenario matrix
+    """(block, window) for the instance: block is its scenario matrix
     asset-major (n x S, C order), so the support rows of a lower solve are
-    one contiguous gather, and (reach, q) is its _quantile_window.
+    one contiguous gather, and window is its _quantile_window.
 
     One entry is kept, for the last instance asked for, which it holds by a
     weak reference: an Instance is not mutated after construction, so the
@@ -169,13 +185,14 @@ def _scenario_block(instance: Instance):
         block = np.empty((instance.n_assets, sc.shape[0]))
         for i in range(0, sc.shape[0], _BLOCK_CHUNK):
             block[:, i:i + _BLOCK_CHUNK] = sc[i:i + _BLOCK_CHUNK].T
-        entry = ((weakref.ref(instance, _drop_block), block)
-                 + _quantile_window(instance.probs, instance.beta))
+        entry = (weakref.ref(instance, _drop_block), block,
+                 _quantile_window(instance.probs, instance.beta))
         _block_entry = entry
     return entry[1:]
 
 
-def _var_level(losses: np.ndarray, probs: np.ndarray, reach: float, q: int):
+def _var_level(losses: np.ndarray, probs: np.ndarray, reach: float, q: int,
+               j: int | None):
     """The left beta-quantile of the losses, as model.cvar defines it, and
     the scenarios whose loss is at or above the q-th largest loss, in index
     order.
@@ -185,11 +202,16 @@ def _var_level(losses: np.ndarray, probs: np.ndarray, reach: float, q: int):
     with at most reach = sum(p) - beta + 1e-12 of probability before it.
     Each scenario passed adds at least p_min, so the walk ends within the
     q largest losses for q = ceil((1 - beta) / p_min) + 2 (_quantile_window):
-    a partition finds the q-th largest in O(S), and only the losses at or
-    above it are sorted (all of them when q = S).
+    a partition finds the q-th largest in O(S). With equal probabilities the
+    walk stops at the known index j, so the quantile is the (j + 1)-th
+    largest of those losses, one more partition on about q values (O(q));
+    otherwise they are sorted and walked (all S of them when q = S).
     """
     S = losses.size
     top = np.flatnonzero(losses >= np.partition(losses, S - q)[S - q])
+    if j is not None:
+        tail = losses.take(top)
+        return float(np.partition(tail, tail.size - 1 - j)[-1 - j]), top
     # ties may come in any order: they share the value the walk returns
     desc = top[np.argsort(losses.take(top))[::-1]]
     above = np.cumsum(probs.take(desc))
@@ -270,11 +292,12 @@ def _simplex_projection(y: np.ndarray) -> np.ndarray:
 
 
 def _anchor_subset(instance: Instance, support: np.ndarray,
-                   rows: np.ndarray, reach: float, q: int) -> np.ndarray:
+                   rows: np.ndarray, window: tuple) -> np.ndarray:
     """J0 = {L >= a_ref} for the losses L = (-x^) @ rows of the risk-neutral
     portfolio x^ = proj_simplex(gamma mu_S), with a_ref their left
     beta-quantile (_var_level), as the loop cuts after a QP; rows are the
-    support's rows of the asset-major scenario block (|supp(z)| x S).
+    support's rows of the asset-major scenario block (|supp(z)| x S), and
+    window is the instance's _quantile_window.
 
     With the all-scenario cut alone, the QP's (a, v) block is optimal at
     a = -mu_S x, v = 0, so the QP is min |x|^2 / (2 gamma) - mu_S x over the
@@ -284,7 +307,7 @@ def _anchor_subset(instance: Instance, support: np.ndarray,
     x_hat = _simplex_projection(instance.gamma
                                 * instance.expected_returns.take(support))
     losses = (-x_hat) @ rows
-    a_ref, top = _var_level(losses, instance.probs, reach, q)
+    a_ref, top = _var_level(losses, instance.probs, *window)
     return top[losses.take(top) >= a_ref]
 
 
@@ -477,7 +500,7 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
 
     # the support's rows of the block, gathered once per call; every asset
     # needs no gather
-    block, reach, q = _scenario_block(instance)
+    block, window = _scenario_block(instance)
     rows = (block if support.size == instance.n_assets
             else block.take(support, axis=0))
     probs = instance.probs
@@ -485,7 +508,7 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
     one_m_beta = 1.0 - instance.beta
     if loop is None:
         loop = _CutLoop(instance, support, x0,
-                        _anchor_subset(instance, support, rows, reach, q))
+                        _anchor_subset(instance, support, rows, window))
     iters = 0
     while loop.sol is None or not (loop.gap <= delta or loop.duplicate):
         if loop.sol is not None:
@@ -501,7 +524,7 @@ def solve_lower_cp(z: SelectionVector, instance: Instance, delta: float,
         a_t = float(sol.x[0])
         v_t = float(sol.x[1])
         losses = (-sol.x[2:]) @ rows
-        a_ref, top = _var_level(losses, probs, reach, q)
+        a_ref, top = _var_level(losses, probs, *window)
         excess = losses.take(top) - a_ref
         above = excess > 0.0
         tail = top[above]

@@ -492,9 +492,9 @@ def _ipm(kk):
 def _kkt_converged(prim_res, dual_res, comp, obj, h, b, q) -> bool:
     """Acceptance gate for a point and multipliers that did not come out of
     the interior-point loop's own convergence test."""
-    rhs_scale = 1.0 + max(np.max(np.abs(h), initial=0.0),
-                          np.max(np.abs(b), initial=0.0))
-    q_scale = 1.0 + np.max(np.abs(q), initial=0.0)
+    rhs_scale = 1.0 + max(np.abs(h).max(initial=0.0),
+                          np.abs(b).max(initial=0.0))
+    q_scale = 1.0 + np.abs(q).max(initial=0.0)
     return (prim_res <= IPM_TOL * rhs_scale
             and dual_res <= IPM_TOL * q_scale
             and comp <= 10.0 * IPM_TOL * (1.0 + abs(obj)))
@@ -507,13 +507,14 @@ _RANK_TOL = 1e-12    # singular values of B_F below this share of max |B| are 0
 _BLOCK_TOL = 1e-12   # a row blocks only a step that turns into it this much
 
 
-def _flat_null(B: np.ndarray, flat: np.ndarray) -> np.ndarray:
+def _flat_null(B: np.ndarray, flat: np.ndarray, scale: float) -> np.ndarray:
     """Orthonormal rows spanning the directions u on the flat columns with
-    B u = 0: the null space of B[:, flat]."""
+    B u = 0: the null space of B[:, flat], whose singular values below
+    _RANK_TOL * scale count as 0; scale is max |B|."""
     if B.shape[0] == 0:
         return np.eye(flat.size)
     _, sv, Vt = np.linalg.svd(B[:, flat])
-    return Vt[int(np.count_nonzero(sv > _RANK_TOL * np.abs(B).max())):]
+    return Vt[int(np.count_nonzero(sv > _RANK_TOL * scale)):]
 
 
 def _active_set(prog: ConvexProgram, x: np.ndarray, work: list) -> Solution:
@@ -551,23 +552,27 @@ def _active_set(prog: ConvexProgram, x: np.ndarray, work: list) -> Solution:
     x = np.array(x, dtype=float)
     work = [int(i) for i in work]
     flat = np.flatnonzero(P == 0.0)
-    P_block = np.diag(P)
+    diag = np.arange(n)
+    # each row's largest |entry|, for max |B| in _flat_null
+    A_max, G_max = np.abs(A).max(axis=1), np.abs(G).max(axis=1)
     # a flat face whose objective falls by less than grad_tol counts as
     # level; a multiplier above -lam_tol is rounding, and clamping it to 0
     # moves the dual residual far less than the KKT gate allows
-    grad_tol = 0.1 * IPM_TOL * (1.0 + np.max(np.abs(c), initial=0.0))
+    grad_tol = 0.1 * IPM_TOL * (1.0 + np.abs(c).max(initial=0.0))
     lam_tol = 0.01 * grad_tol
-    row_norm = np.linalg.norm(G, axis=1)
+    # the arithmetic of np.linalg.norm(G, axis=1), without its overhead
+    row_norm = np.sqrt((G * G).sum(axis=1))
     max_iter = 50 + 5 * (n + m)
     N = None    # flat null space of the working rows; None when stale
     for it in range(1, max_iter + 1):
-        B = np.vstack([A, G[work]])
+        B = np.concatenate([A, G[work]])
         r = B.shape[0]
         g = P * x + c
         ray = False
         if flat.size:
             if N is None:
-                N = _flat_null(B, flat)
+                N = _flat_null(B, flat, np.concatenate(
+                    [A_max, G_max[work]]).max(initial=0.0))
             if N.shape[0]:
                 fall = N.T @ (N @ g[flat])
                 if np.abs(fall).max() > grad_tol:
@@ -577,15 +582,17 @@ def _active_set(prog: ConvexProgram, x: np.ndarray, work: list) -> Solution:
                 else:
                     pins = np.zeros((N.shape[0], n))
                     pins[:, flat] = N
-                    B = np.vstack([B, pins])
+                    B = np.concatenate([B, pins])
         if not ray:
             s = n + B.shape[0]
             K = np.zeros((s, s))
-            K[:n, :n] = P_block
+            K[diag, diag] = P
             K[:n, n:] = B.T
             K[n:, :n] = B
+            rhs = np.zeros(s)
+            rhs[:n] = -g
             try:
-                sol = np.linalg.solve(K, np.concatenate([-g, np.zeros(s - n)]))
+                sol = np.linalg.solve(K, rhs)
             except np.linalg.LinAlgError:
                 return _stopped(NUMERICAL_ERROR, prog, x, work, it)
             if not np.isfinite(sol).all():
@@ -599,8 +606,11 @@ def _active_set(prog: ConvexProgram, x: np.ndarray, work: list) -> Solution:
             Gd[work] = 0.0
             moving = np.flatnonzero(
                 Gd > _BLOCK_TOL * np.sqrt(d @ d) * row_norm)
-            ratios = np.maximum(h[moving] - G[moving] @ x, 0.0) / Gd[moving]
-            j = int(np.argmin(ratios)) if moving.size else -1
+            j = -1
+            if moving.size:
+                ratios = (np.maximum(h[moving] - G[moving] @ x, 0.0)
+                          / Gd[moving])
+                j = int(ratios.argmin())
             if ray and j < 0:
                 return Solution(UNBOUNDED, x, -np.inf, np.zeros(m),
                                 np.zeros(p), np.array(work), it)
@@ -617,7 +627,7 @@ def _active_set(prog: ConvexProgram, x: np.ndarray, work: list) -> Solution:
         # x minimizes the objective on the working face; y prices the rows
         lam_w = y[p:]
         if lam_w.size and lam_w.min() < -lam_tol:
-            work.pop(int(np.argmin(lam_w)))
+            work.pop(int(lam_w.argmin()))
             N = None
             continue
         lam = np.zeros(m)
@@ -625,8 +635,8 @@ def _active_set(prog: ConvexProgram, x: np.ndarray, work: list) -> Solution:
         nu = y[:p]
         obj = float(0.5 * (x @ (P * x)) + c @ x)
         slack = h - G @ x
-        prim_res = max(np.max(-slack, initial=0.0),
-                       np.max(np.abs(A @ x - b), initial=0.0))
+        prim_res = max((-slack).max(initial=0.0),
+                       np.abs(A @ x - b).max(initial=0.0))
         dual_res = np.abs(P * x + c + G.T @ lam + A.T @ nu).max()
         comp = float(np.maximum(slack, 0.0) @ lam)
         status = (OPTIMAL if _kkt_converged(prim_res, dual_res, comp, obj,

@@ -290,10 +290,10 @@ def test_scenario_block_is_kept_for_the_last_instance_only():
     rng = np.random.default_rng(12)
     a = random_instance(rng, 4, 700)
     b = dataclasses.replace(a, scenarios=np.asfortranarray(a.scenarios))
-    block_a, reach, q = lower._scenario_block(a)
+    block_a, window = lower._scenario_block(a)
     assert block_a.flags.c_contiguous
     assert np.array_equal(block_a, a.scenarios.T)
-    assert (reach, q) == lower._quantile_window(a.probs, a.beta)
+    assert window == lower._quantile_window(a.probs, a.beta)
     assert lower._scenario_block(a)[0] is block_a
     block_b = lower._scenario_block(b)[0]
     assert block_b is not block_a and np.array_equal(block_b, block_a)
@@ -687,12 +687,62 @@ def test_var_level_at_large_s():
     rng = np.random.default_rng(47)
     S = 20_000
     probs = np.full(S, 1.0 / S)
-    reach, q = lower._quantile_window(probs, 0.9)
-    assert q < S // 5
+    reach, q, j = lower._quantile_window(probs, 0.9)
+    assert q < S // 5 and j is not None
     losses = rng.normal(size=S)
-    a_ref, top = lower._var_level(losses, probs, reach, q)
+    a_ref, top = lower._var_level(losses, probs, reach, q, j)
     assert a_ref == sorted_quantile(losses, probs, 0.9)
     assert np.array_equal(top, np.flatnonzero(losses >= np.sort(losses)[-q]))
+
+
+def walk_index(probs, beta, q):
+    """The index at which _var_level's sort-and-walk stops on q losses of
+    the given probabilities, in descending order."""
+    reach = float(probs.sum()) - beta + 1e-12
+    above = np.cumsum(probs[:q])
+    return min(int(np.searchsorted(above, reach, side="right")), q - 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(2, 20_000), st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_var_level_with_equal_probabilities_is_an_order_statistic(
+        S, beta, on_grid, seed):
+    """With equal probabilities the quantile is read as the (j + 1)-th
+    largest loss, j the walk's index from _quantile_window: it equals
+    model.cvar's quantile, and top the losses at or above the q-th largest,
+    on tie grids and on normal losses alike."""
+    rng = np.random.default_rng(seed)
+    probs = np.full(S, 1.0 / S)
+    reach, q, j = lower._quantile_window(probs, beta)
+    assert j == walk_index(probs, beta, q)
+    losses = (rng.choice(_GRID, size=S) if on_grid
+              else rng.normal(0.0, 0.05, size=S))
+    a_ref, top = lower._var_level(losses, probs, reach, q, j)
+    assert a_ref == sorted_quantile(losses, probs, beta)
+    assert np.array_equal(top, np.flatnonzero(losses >= np.sort(losses)[-q]))
+
+
+def test_var_level_at_probabilities_one_ulp_apart_sorts():
+    """Probabilities that differ in one scenario by one ulp are not equal:
+    _quantile_window gives no index, _var_level sorts and walks, and the
+    quantile is the one the order statistic gives at equal probabilities."""
+    rng = np.random.default_rng(53)
+    for S in (2, 9, 100, 1_000, 20_000):
+        for beta in (0.5, 0.8, 0.9, 0.95, 0.99):
+            probs = np.full(S, 1.0 / S)
+            near = probs.copy()
+            near[rng.integers(S)] = np.nextafter(1.0 / S, 1.0)
+            window = lower._quantile_window(near, beta)
+            assert window[2] is None
+            assert window[1] == lower._quantile_window(probs, beta)[1]
+            for losses in (rng.choice(_GRID, size=S),
+                           rng.normal(0.0, 0.05, size=S)):
+                a_ref, top = lower._var_level(losses, near, *window)
+                assert a_ref == sorted_quantile(losses, near, beta)
+                a_eq, top_eq = lower._var_level(
+                    losses, probs, *lower._quantile_window(probs, beta))
+                assert a_ref == a_eq and np.array_equal(top, top_eq)
 
 
 def dirichlet_instance(rng, n, s, beta, with_return_row=False):
@@ -791,8 +841,8 @@ def check_anchor(inst, z):
     x_hat = lower._simplex_projection(
         inst.gamma * inst.expected_returns[support])
     assert np.all(x_hat >= 0.0) and abs(x_hat.sum() - 1.0) <= 1e-12
-    block, reach, q = lower._scenario_block(inst)
-    J0 = lower._anchor_subset(inst, support, block[support], reach, q)
+    block, window = lower._scenario_block(inst)
+    J0 = lower._anchor_subset(inst, support, block[support], window)
     x_full = np.zeros(inst.n_assets)
     x_full[support] = x_hat
     losses = -(inst.scenarios @ x_full)
